@@ -20,6 +20,18 @@ from .sspace import dualize, e_quot, e_sub, hom_space, validate_sspace
 from .verify import DEFAULT_SEED, run_suite
 
 
+def _int_at_least(low: int):
+    """argparse type for an integer option that must be >= low."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "integer"  # argparse names the type in its messages
+    return parse
+
+
 def _load_any(path: str):
     if path.endswith(".ssp"):
         return fileio.load_sspace(path)
@@ -108,8 +120,7 @@ def cmd_apply(args) -> int:
 
 def cmd_nu(args) -> int:
     p = fileio.load_poset(args.path)
-    trace = nu_count(p, strategy="all-paths" if args.strategy == "all-paths" else "first",
-                     depth_limit=args.depth_limit)
+    trace = nu_count(p, strategy=args.strategy, depth_limit=args.depth_limit)
     if args.trace:
         sys.stdout.write(serialize_trace(trace))
     else:
@@ -202,13 +213,13 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("path")
     c.add_argument("--strategy", choices=["first", "all-paths"], default="first")
     c.add_argument("--trace", action="store_true")
-    c.add_argument("--depth-limit", type=int, default=64)
+    c.add_argument("--depth-limit", type=_int_at_least(0), default=64)
     c.set_defaults(fn=cmd_nu)
 
     c = sub.add_parser("oracle", help="exhaustive census over a small prime field")
     c.add_argument("path")
     c.add_argument("--field", type=int, default=2)
-    c.add_argument("--maxdim", type=int, default=2)
+    c.add_argument("--maxdim", type=_int_at_least(1), default=2)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--force", action="store_true", help="override the guardrails")
     c.add_argument("--reps", help="directory for representative .ssp files")
@@ -218,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("verify", help="run the invariant suite")
     c.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    c.add_argument("--cases", type=int, default=60)
+    c.add_argument("--cases", type=_int_at_least(1), default=60)
     c.add_argument("--only", help="comma-separated check names")
     c.set_defaults(fn=cmd_verify)
 

@@ -27,10 +27,9 @@ import hashlib
 from dataclasses import dataclass, field as dc_field
 
 from .errors import NotApplicable, UnknownLabel
-from .linalg import Subspace, solution_space
+from .linalg import Subspace
 from .poset import Poset, derived_carrier
-from .sspace import SMorphism, SSpace
-from .sspace import _flat_constraints_for  # shared constraint builder
+from .sspace import SMorphism, SSpace, _hom_solutions
 
 
 @dataclass(frozen=True)
@@ -47,9 +46,14 @@ class DerivedPoset:
         return self.label_map[label].members
 
 
-def applicability_width(p: Poset, point: str, mode: str) -> int:
+def _complement(p: Poset, point: str, mode: str) -> Poset:
+    """S \\ <p> in filter mode, S \\ (p) in ideal mode."""
     region = p.up(point) if mode == "filter" else p.down(point)
-    return p.restrict([x for x in p.elements if x not in region]).width()
+    return p.restrict([x for x in p.elements if x not in region])
+
+
+def applicability_width(p: Poset, point: str, mode: str) -> int:
+    return _complement(p, point, mode).width()
 
 
 def is_applicable(p: Poset, point: str, mode: str) -> bool:
@@ -154,8 +158,7 @@ def factor_ideal_dim(u: SSpace, v: SSpace, point: str, mode: str) -> int:
         pairs.append((Subspace.full(u.field, u.dim), v.sub(point)))
     else:
         pairs.append((u.sub(point), Subspace.zero(v.field, v.dim)))
-    rows = _flat_constraints_for(u, v, pairs)
-    return solution_space(u.field, u.dim * v.dim, rows).dim
+    return _hom_solutions(u, v, pairs).dim
 
 
 # ---------------------------------------------------------------------------
@@ -190,11 +193,7 @@ def poset_fingerprint(p: Poset) -> str:
     return hashlib.sha256(desc.encode()).hexdigest()[:12]
 
 
-def _canonical_descriptor(p: Poset):
-    return (tuple(sorted(p.elements)), tuple(p.covers()))
-
-
-def _applicable_moves(p: Poset, strategy: str):
+def _applicable_moves(p: Poset):
     """(point, mode) pairs in deterministic order: filter sweeps first."""
     moves = []
     for mode in ("filter", "ideal"):
@@ -211,48 +210,41 @@ def nu_count(p: Poset, strategy: str = "first", depth_limit: int = 64) -> Reduct
     applicable (point, mode) in label order is differentiated and the
     recursion charges |a(complement)| + 1 per step.  Repeating carriers or
     exceeding the depth limit end in a stuck/depth-limit trace instead of
-    an answer.
+    an answer; the width is checked first, so a poset of width <= 2 is
+    counted at any depth limit.
     """
     if strategy == "all-paths":
         return _nu_all_paths(p, depth_limit)
     trace = ReductionTrace()
     current = p
-    seen = {_canonical_descriptor(p)}
+    seen = {p}
     total = 0
-    for _ in range(depth_limit):
-        if current.width() <= 2:
-            count = len(current.antichains())
-            trace.terminal = current
-            trace.terminal_count = count
-            trace.nu = total + count
-            return trace
-        moves = _applicable_moves(current, strategy)
+    while current.width() > 2:
+        if len(trace.steps) >= depth_limit:
+            trace.status = "depth-limit"
+            break
+        moves = _applicable_moves(current)
         if not moves:
-            trace.terminal = current
             trace.status = "stuck"
-            return trace
+            break
         point, mode = moves[0]
-        region = current.up(point) if mode == "filter" else current.down(point)
-        rest = current.restrict([x for x in current.elements if x not in region])
-        a_count = len(rest.antichains(nonempty_only=True))
+        a_count = _complement_antichain_count(current, point, mode)
         trace.steps.append(ReductionStep(current, point, mode, a_count))
         total += a_count + 1
         current = derive_poset(current, point, mode).result
-        desc = _canonical_descriptor(current)
-        if desc in seen:
-            trace.terminal = current
+        if current in seen:
             trace.status = "stuck"
-            return trace
-        seen.add(desc)
+            break
+        seen.add(current)
     trace.terminal = current
-    trace.status = "depth-limit"
+    if trace.status == "ok":
+        trace.terminal_count = len(current.antichains())
+        trace.nu = total + trace.terminal_count
     return trace
 
 
 def _complement_antichain_count(q: Poset, point: str, mode: str) -> int:
-    region = q.up(point) if mode == "filter" else q.down(point)
-    rest = q.restrict([x for x in q.elements if x not in region])
-    return len(rest.antichains(nonempty_only=True))
+    return len(_complement(q, point, mode).antichains(nonempty_only=True))
 
 
 def _nu_all_paths(p: Poset, depth_limit: int) -> ReductionTrace:
@@ -267,23 +259,22 @@ def _nu_all_paths(p: Poset, depth_limit: int) -> ReductionTrace:
             return len(q.antichains())
         if depth >= depth_limit:
             return None
-        key = _canonical_descriptor(q)
-        if key in memo:
-            return memo[key]
-        if key in in_progress:
+        if q in memo:
+            return memo[q]
+        if q in in_progress:
             return None
-        in_progress.add(key)
+        in_progress.add(q)
         values = set()
-        for point, mode in _applicable_moves(q, "all-paths"):
+        for point, mode in _applicable_moves(q):
             below = explore(derive_poset(q, point, mode).result, depth + 1)
             if below is not None:
                 values.add(below + _complement_antichain_count(q, point, mode) + 1)
-        in_progress.discard(key)
+        in_progress.discard(q)
         if len(values) > 1:
             raise AssertionError(f"reduction paths disagree: {sorted(values)}")
         if values:
-            memo[key] = values.pop()
-            return memo[key]
+            memo[q] = values.pop()
+            return memo[q]
         return None
 
     value = explore(p, 0)
@@ -295,17 +286,14 @@ def _nu_all_paths(p: Poset, depth_limit: int) -> ReductionTrace:
             trace.terminal_count = len(current.antichains())
             trace.nu = value
             return trace
-        chosen = None
-        for point, mode in _applicable_moves(current, "all-paths"):
+        for point, mode in _applicable_moves(current):
             child = derive_poset(current, point, mode).result
             if explore(child, depth + 1) is not None:
-                chosen = (point, mode, child)
                 break
-        if chosen is None:
+        else:  # no move completes
             trace.terminal = current
             trace.status = "depth-limit" if depth >= depth_limit else "stuck"
             return trace
-        point, mode, child = chosen
         trace.steps.append(ReductionStep(
             current, point, mode, _complement_antichain_count(current, point, mode)))
         current, depth = child, depth + 1

@@ -49,6 +49,10 @@ class FieldMismatch(PosetRepError):
     pass
 
 
+class InvalidField(PosetRepError, ValueError):
+    """Not a prime below 2^16; a ValueError too, as for any bad argument."""
+
+
 # S-spaces and functors
 
 class MonotonicityViolation(PosetRepError):

@@ -55,17 +55,16 @@ def parse_poset(text: str) -> Poset:
     elements = None
     relations = []
     for line in _strip_comments(text):
-        if line.startswith("elements:"):
+        if line.startswith(("elements:", "elements-derived:")):
             if elements is not None:
                 raise ParseError("duplicate elements line")
-            elements = line[len("elements:"):].split()
-            for x in elements:
-                _check_file_label(x)
-        elif line.startswith("elements-derived:"):
-            # emitted by derive --emit; rendered meet/join labels allowed
-            if elements is not None:
-                raise ParseError("duplicate elements line")
-            elements = line[len("elements-derived:"):].split()
+            head, _, body = line.partition(":")
+            elements = body.split()
+            # elements-derived, emitted by derive --emit, allows rendered
+            # meet/join labels
+            if head == "elements":
+                for x in elements:
+                    _check_file_label(x)
         elif line.startswith("relations:"):
             for token in line[len("relations:"):].split():
                 if "<" not in token:
@@ -86,9 +85,18 @@ def format_poset(p: Poset) -> str:
     return f"{head}: {' '.join(p.elements)}\nrelations: {rel}\n"
 
 
+def _read(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path!r}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise ParseError(f"{path!r} is not UTF-8 text") from None
+
+
 def load_poset(path: str) -> Poset:
-    with open(path, encoding="utf-8") as fh:
-        return parse_poset(fh.read())
+    return parse_poset(_read(path))
 
 
 def save_poset(p: Poset, path: str):
@@ -112,6 +120,13 @@ def format_field(field: Field) -> str:
     return "Q" if field.p is None else f"F {field.p}"
 
 
+def _parse_scalar(field: Field, token: str):
+    try:
+        return field.parse(token)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"bad scalar {token.strip()!r}") from None
+
+
 def parse_sspace(text: str, poset_loader) -> SSpace:
     """poset_loader maps the poset: path to a Poset; injected so parsing
     stays testable without touching the filesystem."""
@@ -125,7 +140,10 @@ def parse_sspace(text: str, poset_loader) -> SSpace:
         elif line.startswith("poset:"):
             poset = poset_loader(line[len("poset:"):].strip())
         elif line.startswith("dim:"):
-            dim = int(line[len("dim:"):].strip())
+            text = line[len("dim:"):].strip()
+            if not (text.isascii() and text.isdigit()):
+                raise ParseError(f"dim must be a non-negative integer, got {text!r}")
+            dim = int(text)
         elif line.startswith("space "):
             body = line[len("space "):]
             if ":" not in body:
@@ -141,7 +159,8 @@ def parse_sspace(text: str, poset_loader) -> SSpace:
         rows = []
         if vectors:
             for vec in vectors.split(";"):
-                entries = [field.parse(tok) for tok in vec.strip().split(",") if tok.strip()]
+                entries = [_parse_scalar(field, tok)
+                           for tok in vec.strip().split(",") if tok.strip()]
                 if len(entries) != dim:
                     raise ParseError(f"vector of length {len(entries)}, dim is {dim}")
                 rows.append(entries)
@@ -167,8 +186,7 @@ def load_sspace(path: str) -> SSpace:
     def loader(rel):
         return load_poset(rel if os.path.isabs(rel) else os.path.join(base, rel))
 
-    with open(path, encoding="utf-8") as fh:
-        return parse_sspace(fh.read(), loader)
+    return parse_sspace(_read(path), loader)
 
 
 def save_sspace(v: SSpace, path: str, poset_path: str = None):

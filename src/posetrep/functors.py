@@ -13,11 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .errors import (NoUniqueTop, NotAFilter, NotAnIdeal, PosetMismatch,
-                     UnknownLabel)
+from .errors import NoUniqueTop, NotAFilter, NotAnIdeal, PosetMismatch
 from .linalg import Field, Matrix, Subspace
 from .poset import Poset
-from .sspace import (SMorphism, SSpace, direct_sum, dualize, hom_space,
+from .sspace import (SMorphism, SSpace, direct_sum, dualize, is_indecomposable,
                      projective_space, simple_filter_space, zero_space)
 
 
@@ -39,13 +38,10 @@ def restrict_morphism(f: SMorphism, labels) -> SMorphism:
 
 
 def _check_subposet(small: Poset, big: Poset):
-    for x in small.elements:
-        if x not in big:
-            raise UnknownLabel(x)
-    for a in small.elements:
-        for b in small.elements:
-            if small.leq(a, b) != big.leq(a, b):
-                raise PosetMismatch(f"order disagrees on {a!r}, {b!r}")
+    """Raises UnknownLabel for a label missing from big, PosetMismatch
+    when big orders the labels of small differently."""
+    if big.restrict(small.elements) != small:
+        raise PosetMismatch("the order of the target poset disagrees")
 
 
 def induce(v: SSpace, target: Poset) -> SSpace:
@@ -72,16 +68,6 @@ def coinduce(v: SSpace, target: Poset) -> SSpace:
                 total = total.intersect(v.sub(r))
         assign[s] = total
     return SSpace(target, v.field, v.dim, assign, validate=False)
-
-
-def induce_morphism(f: SMorphism, target: Poset) -> SMorphism:
-    return SMorphism(induce(f.source, target), induce(f.target, target),
-                     f.mat, validate=False)
-
-
-def coinduce_morphism(f: SMorphism, target: Poset) -> SMorphism:
-    return SMorphism(coinduce(f.source, target), coinduce(f.target, target),
-                     f.mat, validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +206,11 @@ def is_socle_projective(m: IncidenceRep) -> bool:
 
 
 def radical_at(v: SSpace, t) -> Subspace:
+    """Sum of the subspaces strictly below t; t = None stands for the
+    adjoined top, which lies above every element."""
     total = Subspace.zero(v.field, v.dim)
     for s in v.poset.elements:
-        if v.poset.lt(s, t):
+        if t is None or v.poset.lt(s, t):
             total = total.plus(v.sub(s))
     return total
 
@@ -231,27 +219,24 @@ def projective_cover(v: SSpace) -> tuple[SSpace, SMorphism]:
     """(P, proper epi P -> v) with P a direct sum of the one-dimensional
     indecomposable projectives; built by lifting a basis of the top of the
     associated module, one radical complement per element."""
+    p, epi, _ = _cover_with_parts(v)
+    return p, epi
+
+
+def _cover_with_parts(v: SSpace):
+    """The projective cover and its summand labels, one P_t per row of a
+    complement of the radical inside V(t) (t = None: the adjoined top)."""
     parts = []
     rows = []
     for t in list(v.poset.elements) + [None]:
-        if t is None:
-            space, rad = Subspace.full(v.field, v.dim), radical_at_top(v)
-        else:
-            space, rad = v.sub(t), radical_at(v, t)
-        comp = space.complement_within(rad.intersect(space))
+        space = Subspace.full(v.field, v.dim) if t is None else v.sub(t)
+        comp = space.complement_within(radical_at(v, t).intersect(space))
         for row in comp.rows:
             parts.append(t)
             rows.append(row)
     p = direct_sum_of_projectives(v.poset, v.field, parts)
     epi = SMorphism(p, v, Matrix(v.field, rows, v.dim))
-    return p, epi
-
-
-def radical_at_top(v: SSpace) -> Subspace:
-    total = Subspace.zero(v.field, v.dim)
-    for s in v.poset.elements:
-        total = total.plus(v.sub(s))
-    return total
+    return p, epi, parts
 
 
 def direct_sum_of_projectives(poset: Poset, fld: Field, parts) -> SSpace:
@@ -271,16 +256,12 @@ class ProjectiveDecomposition:
 def decompose_projective(v: SSpace) -> ProjectiveDecomposition:
     """Unique P_t multiplicities with witness if v is projective; the
     cover epi is an isomorphism exactly in that case."""
-    p, epi = projective_cover(v)
+    p, epi, parts = _cover_with_parts(v)
     if p.dim != v.dim or not epi.mat.is_invertible():
         return ProjectiveDecomposition(False)
     mult = {}
-    for t in list(v.poset.elements) + [None]:
-        rad = radical_at(v, t) if t is not None else radical_at_top(v)
-        space = v.sub(t) if t is not None else Subspace.full(v.field, v.dim)
-        count = space.dim - rad.intersect(space).dim
-        if count:
-            mult[t] = count
+    for t in parts:
+        mult[t] = mult.get(t, 0) + 1
     return ProjectiveDecomposition(True, mult, epi)
 
 
@@ -311,41 +292,6 @@ class SemisimpleDecomposition:
         return self.status == "semisimple"
 
 
-def two_chain_cover(p: Poset):
-    """Partition a width <= 2 poset into two chains via bipartite matching."""
-    elems = list(p.elements)
-    n = len(elems)
-    succ = {a: [b for b in elems if p.lt(a, b)] for a in elems}
-    match_right = {}
-    match_left = {}
-
-    def try_augment(a, seen):
-        for b in succ[a]:
-            if b in seen:
-                continue
-            seen.add(b)
-            if b not in match_right or try_augment(match_right[b], seen):
-                match_right[b] = a
-                match_left[a] = b
-                return True
-        return False
-
-    for a in elems:
-        try_augment(a, set())
-    chains = []
-    starts = [a for a in elems if a not in match_right]
-    for a in starts:
-        chain = [a]
-        while chain[-1] in match_left:
-            chain.append(match_left[chain[-1]])
-        chains.append(chain)
-    if len(chains) > 2:
-        raise PosetMismatch(f"needs width <= 2, got a {len(chains)}-chain cover")
-    while len(chains) < 2:
-        chains.append([])
-    return chains[0], chains[1]
-
-
 def _two_flag_basis(v: SSpace, chain1, chain2):
     """Common adapted basis for the two subspace flags along the chains.
 
@@ -362,30 +308,25 @@ def _two_flag_basis(v: SSpace, chain1, chain2):
         for j in range(1, len(flag2)):
             x = flag1[i].intersect(flag2[j])
             prev = flag1[i - 1].intersect(flag2[j]).plus(flag1[i].intersect(flag2[j - 1]))
+            members = set(chain1[i - 1:]) | set(chain2[j - 1:])
             for row in x.complement_within(prev.intersect(x)).rows:
-                members = set()
-                for k, s in enumerate(chain1, start=1):
-                    if k >= i:
-                        members.add(s)
-                for k, s in enumerate(chain2, start=1):
-                    if k >= j:
-                        members.add(s)
                 out.append((row, members))
     return out
 
 
-def semisimple_decompose(v: SSpace, seed: int = 0) -> SemisimpleDecomposition:
+def semisimple_decompose(v: SSpace) -> SemisimpleDecomposition:
     """Split v into one-dimensional simples.  Guaranteed for width <= 2;
     elsewhere a greedy peel plus a local-endomorphism certificate, with
     undecided as the honest fallback."""
     if v.dim == 0:
         return SemisimpleDecomposition("semisimple", {}, SMorphism.identity(v))
-    if v.poset.width() <= 2:
-        c1, c2 = two_chain_cover(v.poset)
+    chains = v.poset.chain_cover()
+    if len(chains) <= 2:
+        c1, c2 = chains + [[]] * (2 - len(chains))
         pieces = _two_flag_basis(v, c1, c2)
         return _assemble_semisimple(v, [(row, v.poset.min_of(members))
                                         for row, members in pieces])
-    return _greedy_semisimple(v, seed)
+    return _greedy_semisimple(v)
 
 
 def _assemble_semisimple(v: SSpace, typed_rows) -> SemisimpleDecomposition:
@@ -398,7 +339,7 @@ def _assemble_semisimple(v: SSpace, typed_rows) -> SemisimpleDecomposition:
         parts = direct_sum(parts, simple_filter_space(v.poset, v.field, a))
         rows.append(row)
     witness = SMorphism(parts, v, Matrix(v.field, rows, v.dim))
-    if not witness.mat.is_invertible() or witness.inverse() is None:
+    if not witness.is_iso():
         raise PosetMismatch("adapted basis failed to split the space")
     return SemisimpleDecomposition("semisimple", mult, witness)
 
@@ -440,10 +381,11 @@ def _peel_simple(remaining: SSpace):
     return None
 
 
-def _greedy_semisimple(v: SSpace, seed: int) -> SemisimpleDecomposition:
+def _greedy_semisimple(v: SSpace) -> SemisimpleDecomposition:
     """Peel off simple summands while a splitting projection exists; if a
     piece of dimension > 1 survives, try to certify it has a local
-    endomorphism ring before claiming non-semisimplicity."""
+    endomorphism ring (no idempotent besides 0 and 1, so a non-simple
+    indecomposable summand) before claiming non-semisimplicity."""
     remaining = v
     back = Matrix.identity(v.field, v.dim)  # remaining coords -> v coords
     typed_rows = []
@@ -458,20 +400,6 @@ def _greedy_semisimple(v: SSpace, seed: int) -> SemisimpleDecomposition:
         back = kmat * back
     if remaining.dim == 0:
         return _assemble_semisimple(v, typed_rows)
-    if _certify_local(remaining, seed):
+    if remaining.dim > 1 and is_indecomposable(remaining) is True:
         return SemisimpleDecomposition("not_semisimple")
     return SemisimpleDecomposition("undecided")
-
-
-def _certify_local(v: SSpace, seed: int) -> bool:
-    """True when End(v) provably has no idempotent besides 0 and 1 and
-    v.dim > 1, which certifies a non-simple indecomposable summand."""
-    if v.dim <= 1:
-        return False
-    end = hom_space(v, v)
-    if end.dim == 1:
-        return True
-    if v.field.p is not None and v.field.p ** end.dim <= 1 << 16:
-        from .sspace import find_idempotent
-        return find_idempotent(end) is None
-    return False

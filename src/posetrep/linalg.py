@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DimensionMismatch, FieldMismatch
+from .errors import DimensionMismatch, FieldMismatch, InvalidField
 
 _PRIME_LIMIT = 1 << 16
 
@@ -38,9 +38,9 @@ class Field:
     def __init__(self, p=None):
         if p is not None:
             if not _is_prime(p):
-                raise ValueError(f"{p} is not prime")
+                raise InvalidField(f"{p} is not prime")
             if p >= _PRIME_LIMIT:
-                raise ValueError(f"prime fields limited to p < 2^16, got {p}")
+                raise InvalidField(f"prime fields limited to p < 2^16, got {p}")
         object.__setattr__(self, "p", p)
 
     def __setattr__(self, *a):
@@ -226,12 +226,6 @@ class Matrix:
         return Matrix(self.field,
                       [tuple(add(a, b) for a, b in zip(r, s)) for r, s in zip(self.rows, other.rows)],
                       self.ncols)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + other.scale(self.field.neg(self.field.one))
-
-    def __neg__(self) -> "Matrix":
-        return self.scale(self.field.neg(self.field.one))
 
     def scale(self, c) -> "Matrix":
         c = self.field.coerce(c)

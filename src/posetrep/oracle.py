@@ -20,7 +20,7 @@ from .errors import BudgetExceeded, GuardrailExceeded, Mismatch
 from .linalg import Field, Matrix, Subspace
 from .poset import Poset
 from .sspace import (SSpace, are_isomorphic, find_idempotent, hom_space,
-                     search_budget)
+                     is_indecomposable, search_budget)
 
 MAX_DIM = 4
 MAX_POSET = 6
@@ -51,10 +51,10 @@ def all_subspaces(field: Field, n: int) -> list[Subspace]:
     sorted by (dim, basis entries) so indices are canonical."""
     from itertools import combinations
 
-    out = []
-    scalars = list(range(field.p)) if field.p else None
-    if scalars is None:
+    if field.p is None:
         raise GuardrailExceeded("exhaustive enumeration needs a prime field")
+    scalars = range(field.p)
+    out = []
     for r in range(n + 1):
         for pivots in combinations(range(n), r):
             free_positions = []
@@ -173,19 +173,6 @@ class OracleCensus:
         return "\n".join(lines)
 
 
-def is_indecomposable(v: SSpace, end_cap: int = 1 << 16):
-    """True / False when certified, None when the idempotent search would
-    exceed the budget."""
-    if v.dim == 0:
-        return False
-    if v.dim == 1:
-        return True
-    end = hom_space(v, v)
-    if v.field.p ** end.dim > end_cap:
-        return None
-    return find_idempotent(end) is None
-
-
 def enumerate_indecomposables(cfg: EnumConfig) -> OracleCensus:
     cfg.check()
     field = Field.prime(cfg.q)
@@ -248,7 +235,8 @@ def _merge_sampled_classes(cfg: EnumConfig, field: Field, subs, reps):
 
 def decompose_fully(v: SSpace, end_cap: int = 1 << 16) -> list[SSpace]:
     """Split into indecomposable pieces by repeated idempotent splitting;
-    raises BudgetExceeded when an endomorphism ring is too big to search."""
+    raises BudgetExceeded when indecomposability is undecided (an
+    endomorphism ring too big to search, or over Q)."""
     if v.dim == 0:
         return []
     verdict = is_indecomposable(v, end_cap)

@@ -143,15 +143,20 @@ class Poset:
     def __eq__(self, other):
         if not isinstance(other, Poset):
             return NotImplemented
-        if set(self.elements) != set(other.elements):
+        if self is other:
+            return True
+        if self._index.keys() != other._index.keys():
             return False
-        return all(self.leq(a, b) == other.leq(a, b)
-                   for a in self.elements for b in self.elements)
+        at = [other._index[x] for x in self.elements]
+        theirs = other._leq
+        return all(row[j] == theirs[at[i]][at[j]]
+                   for i, row in enumerate(self._leq) for j in range(len(at)))
 
     def __hash__(self):
-        pairs = frozenset((a, b) for a in self.elements for b in self.elements
-                          if self.leq(a, b))
-        return hash((frozenset(self.elements), pairs))
+        elems = self.elements
+        pairs = frozenset((elems[i], elems[j]) for i, row in enumerate(self._leq)
+                          for j, up in enumerate(row) if up)
+        return hash((frozenset(elems), pairs))
 
     def __repr__(self):
         return f"Poset({list(self.elements)})"
@@ -179,14 +184,10 @@ class Poset:
         return self.generated_ideal([p])
 
     def is_filter(self, labels) -> bool:
-        f = set(labels)
-        self.check_subset(f)
-        return all(s in f for t in f for s in self.elements if self.leq(t, s))
+        return self.generated_filter(labels) == set(labels)
 
     def is_ideal(self, labels) -> bool:
-        i = set(labels)
-        self.check_subset(i)
-        return all(s in i for t in i for s in self.elements if self.leq(s, t))
+        return self.generated_ideal(labels) == set(labels)
 
     def min_of(self, labels) -> Antichain:
         labels = set(labels)
@@ -230,8 +231,43 @@ class Poset:
         extend(0, [])
         return out
 
+    def chain_cover(self) -> list[list[Label]]:
+        """A minimum partition into chains, each listed bottom to top.
+
+        Matching every element to a strict successor joins them into
+        chains, and a maximum matching leaves the fewest chains, which by
+        Dilworth's theorem is the width.  Chains come in the element order
+        of their bottoms.
+        """
+        n = len(self.elements)
+        succ = [[j for j in range(n) if j != i and self._leq[i][j]] for i in range(n)]
+        pred_of = [None] * n  # matched predecessor of each element
+        succ_of = [None] * n  # matched successor of each element
+
+        def augment(a, seen):
+            for b in succ[a]:
+                if b in seen:
+                    continue
+                seen.add(b)
+                if pred_of[b] is None or augment(pred_of[b], seen):
+                    pred_of[b] = a
+                    succ_of[a] = b
+                    return True
+            return False
+
+        for a in range(n):
+            augment(a, set())
+        chains = []
+        for a in range(n):
+            if pred_of[a] is None:
+                chain = [a]
+                while succ_of[chain[-1]] is not None:
+                    chain.append(succ_of[chain[-1]])
+                chains.append([self.elements[i] for i in chain])
+        return chains
+
     def width(self) -> int:
-        return max((len(a) for a in self.antichains()), default=0)
+        return len(self.chain_cover())
 
     # transforms ---------------------------------------------------------
 
@@ -294,7 +330,8 @@ class Poset:
 
 
 def poset_transform(p: Poset, kind: str, labels=None, label: Label = None) -> Poset:
-    """Dispatch used by the CLI: opposite | adjoin_top | adjoin_bottom | restrict."""
+    """One of the transforms by name: opposite | adjoin_top | adjoin_bottom |
+    restrict; the adjoined point gets a fresh label unless one is given."""
     if kind == "opposite":
         return p.opposite()
     if kind == "adjoin_top":
@@ -317,12 +354,6 @@ def antichain_leq(p: Poset, a, b, mode: str) -> bool:
     if mode == "join":
         return all(any(p.leq(x, y) for y in b) for x in a)
     raise ValueError(f"mode must be meet or join, got {mode}")
-
-
-def antichain_op(p: Poset, a, b, mode: str) -> Antichain:
-    """min(A u B) in meet mode, max(A u B) in join mode."""
-    union = set(a) | set(b)
-    return p.min_of(union) if mode == "meet" else p.max_of(union)
 
 
 def _render_unique(taken: set, derived: list[DerivedLabel]) -> dict:
@@ -377,13 +408,8 @@ def derived_carrier(p: Poset, r, mode: str):
     sl_mode = "meet" if mode == "filter" else "join"
     rest = [x for x in p.elements if x not in r]
     sub = p.restrict(rest)
+    # R and S \ R are disjoint, so no label occurs twice
     pairs = [(DerivedLabel("orig", (x,)), (x,)) for x in p.elements if x in r]
     for a in sub.antichains(nonempty_only=True):
         pairs.append((DerivedLabel.of_antichain(a, sl_mode), a))
-    seen = set()
-    uniq = []
-    for d, a in pairs:
-        if d not in seen:
-            seen.add(d)
-            uniq.append((d, a))
-    return _assemble(p, uniq, sl_mode)
+    return _assemble(p, pairs, sl_mode)

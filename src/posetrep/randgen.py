@@ -30,17 +30,6 @@ def random_vector(rng: random.Random, field: Field, n: int):
     return [random_scalar(rng, field) for _ in range(n)]
 
 
-def random_matrix(rng: random.Random, field: Field, nrows: int, ncols: int) -> Matrix:
-    return Matrix(field, [random_vector(rng, field, ncols) for _ in range(nrows)], ncols)
-
-
-def random_subspace(rng: random.Random, field: Field, ambient: int,
-                    spanning: int = None) -> Subspace:
-    k = rng.randrange(0, ambient + 1) if spanning is None else spanning
-    return Subspace.from_rows(field, ambient,
-                              [random_vector(rng, field, ambient) for _ in range(k)])
-
-
 def random_sspace(rng: random.Random, poset: Poset, field: Field, max_dim: int = 4):
     """Monotone assignment built by expanding subspaces along a linear
     extension, so the result always validates."""

@@ -67,9 +67,6 @@ class SSpace:
     def is_full_at(self, s) -> bool:
         return self.sub(s).is_full()
 
-    def is_zero(self) -> bool:
-        return self.dim == 0
-
     def __eq__(self, other):
         return (isinstance(other, SSpace) and self.poset == other.poset
                 and self.field == other.field and self.dim == other.dim
@@ -144,9 +141,6 @@ class SMorphism:
     def __add__(self, other: "SMorphism") -> "SMorphism":
         return SMorphism(self.source, self.target, self.mat + other.mat, validate=False)
 
-    def scale(self, c) -> "SMorphism":
-        return SMorphism(self.source, self.target, self.mat.scale(c), validate=False)
-
     def __eq__(self, other):
         return (isinstance(other, SMorphism) and self.source == other.source
                 and self.target == other.target and self.mat == other.mat)
@@ -211,10 +205,6 @@ class SMorphism:
                          self.mat.transpose(), validate=False)
 
 
-def kernel_cokernel(f: SMorphism):
-    return f.kernel(), f.cokernel()
-
-
 # ---------------------------------------------------------------------------
 # hom spaces
 
@@ -233,6 +223,13 @@ class HomSpace:
     @property
     def field(self) -> Field:
         return self.source.field
+
+
+def _hom_solutions(u: SSpace, v: SSpace, pairs) -> Subspace:
+    """The matrices f : k^dim_U -> k^dim_V, flattened row by row, with
+    f(B) <= G for every (B, G) in pairs: the one solver behind Hom spaces
+    and their subspaces."""
+    return solution_space(u.field, u.dim * v.dim, _flat_constraints_for(u, v, pairs))
 
 
 def _flat_constraints_for(u: SSpace, v: SSpace, pairs):
@@ -271,7 +268,7 @@ def hom_space(u: SSpace, v: SSpace) -> HomSpace:
     constraint system f(U(s)) <= V(s)."""
     _check_same_category(u, v)
     pairs = [(u.sub(s), v.sub(s)) for s in u.poset.elements]
-    sol = solution_space(u.field, u.dim * v.dim, _flat_constraints_for(u, v, pairs))
+    sol = _hom_solutions(u, v, pairs)
     return HomSpace(u, v, tuple(_unflatten(u, v, sol.mat.rows)), sol)
 
 
@@ -302,26 +299,15 @@ def simple_ideal_space(poset: Poset, field: Field, antichain) -> SSpace:
 
 
 def projective_space(poset: Poset, field: Field, t=None) -> SSpace:
-    """P_t for t in S, or the all-zero-subspace projective for t = None
-    (the adjoined top)."""
-    if t is None:
-        return SSpace(poset, field, 1, {}, validate=False)
-    if t not in poset:
-        raise UnknownLabel(t)
-    return simple_filter_space(poset, field, (t,))
+    """P_t = k_{t} for t in S, or the all-zero-subspace projective k_{} for
+    t = None (the adjoined top)."""
+    return simple_filter_space(poset, field, () if t is None else (t,))
 
 
 def injective_space(poset: Poset, field: Field, t=None) -> SSpace:
-    """I_t for t in S, or the everywhere-full injective for t = None
-    (the adjoined bottom)."""
-    if t is None:
-        assign = {s: Subspace.full(field, 1) for s in poset.elements}
-        return SSpace(poset, field, 1, assign, validate=False)
-    if t not in poset:
-        raise UnknownLabel(t)
-    assign = {s: Subspace.zero(field, 1) if poset.leq(s, t) else Subspace.full(field, 1)
-              for s in poset.elements}
-    return SSpace(poset, field, 1, assign, validate=False)
+    """I_t = k^{t} for t in S, or the everywhere-full injective k^{} for
+    t = None (the adjoined bottom)."""
+    return simple_ideal_space(poset, field, () if t is None else (t,))
 
 
 def standard_space(poset: Poset, field: Field, kind: str, arg=None) -> SSpace:
@@ -361,25 +347,6 @@ def direct_sum(u: SSpace, v: SSpace) -> SSpace:
     return SSpace(u.poset, field, n + m, assign, validate=False)
 
 
-def direct_sum_many(poset: Poset, field: Field, parts) -> SSpace:
-    total = zero_space(poset, field)
-    for p in parts:
-        total = direct_sum(total, p)
-    return total
-
-
-def sum_injections(u: SSpace, v: SSpace):
-    """Canonical injections and projections for u (+) v."""
-    s = direct_sum(u, v)
-    field = u.field
-    n, m = u.dim, v.dim
-    iu = Matrix(field, [[field.one if j == i else field.zero for j in range(n + m)]
-                        for i in range(n)], n + m)
-    iv = Matrix(field, [[field.one if j == n + i else field.zero for j in range(n + m)]
-                        for i in range(m)], n + m)
-    return s, SMorphism(u, s, iu, validate=False), SMorphism(v, s, iv, validate=False)
-
-
 def e_sub(v: SSpace, p) -> tuple[SSpace, SMorphism]:
     """(E^p v, the structural proper mono kappa_p)."""
     b = v.sub(p).mat
@@ -394,14 +361,6 @@ def e_quot(v: SSpace, p) -> tuple[SSpace, SMorphism]:
     assign = {s: v.sub(s).image(q) for s in v.poset.elements}
     ep = SSpace(v.poset, v.field, q.ncols, assign, validate=False)
     return ep, SMorphism(v, ep, q, validate=False)
-
-
-def e_functor(v: SSpace, p, mode: str):
-    if mode == "sub":
-        return e_sub(v, p)
-    if mode == "quot":
-        return e_quot(v, p)
-    raise ValueError(f"mode must be sub or quot, got {mode}")
 
 
 def e_functor_map(f: SMorphism, p, mode: str) -> SMorphism:
@@ -432,10 +391,6 @@ class IsoResult:
     @property
     def is_iso(self):
         return self.status == "iso"
-
-    @property
-    def decided(self):
-        return self.status != "undecided"
 
 
 def _all_combinations(hom: HomSpace):
@@ -506,7 +461,7 @@ def are_isomorphic(u: SSpace, v: SSpace, seed: int = 0, budget: int = None) -> I
         if tried > budget:
             exhaustive = False
             break
-        if cand.mat.is_invertible() and cand.inverse() is not None:
+        if cand.is_iso():
             return IsoResult("iso", cand)
     return IsoResult("not_iso") if exhaustive else IsoResult("undecided")
 
@@ -516,18 +471,10 @@ def _endo_solutions_fixing(f: SMorphism) -> list[SMorphism]:
     g then f = f are exactly id + this space."""
     u = f.source
     pairs = [(u.sub(s), u.sub(s)) for s in u.poset.elements]
-    rows = _flat_constraints_for(u, u, pairs)
-    field = u.field
-    n, m = u.dim, f.target.dim
-    # extra rows: (h * f.mat) entry (i, j) = 0
-    for i in range(n):
-        for j in range(m):
-            row = [field.zero] * (n * n)
-            for k in range(n):
-                row[i * n + k] = f.mat.rows[k][j]
-            rows.append(row)
-    sol = solution_space(field, n * n, rows)
-    return _unflatten(u, u, sol.mat.rows)
+    # h then f = 0: the image of h lies in the left kernel of f
+    kernel = Subspace(u.field, u.dim, f.mat.null_rows().rref()[0])
+    pairs.append((Subspace.full(u.field, u.dim), kernel))
+    return _unflatten(u, u, _hom_solutions(u, u, pairs).mat.rows)
 
 
 def is_right_minimal(f: SMorphism, seed: int = 0, trials: int = 50) -> bool:
@@ -571,3 +518,20 @@ def find_idempotent(end: HomSpace):
         if m * m == m:
             return cand
     return None
+
+
+def is_indecomposable(v: SSpace, end_cap: int = 1 << 16):
+    """True when End(v) is certified to have no idempotent besides 0 and
+    1: dim End = 1 over any field, or an exhausted search over F_p.  False
+    for the zero space or a found idempotent.  None when undecided: over Q
+    with dim End > 1, or when the search would exceed end_cap elements."""
+    if v.dim == 0:
+        return False
+    if v.dim == 1:
+        return True
+    end = hom_space(v, v)
+    if end.dim == 1:
+        return True
+    if v.field.p is None or v.field.p ** end.dim > end_cap:
+        return None
+    return find_idempotent(end) is None

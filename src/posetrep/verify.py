@@ -165,7 +165,7 @@ def check_duality_commutation(rng: random.Random, cases: int) -> CheckOutcome:
         except Exception as exc:  # construction must never fail
             out.expect(False, f"phi not a morphism at case {i}: {exc}")
             continue
-        out.expect(iso.mat.is_invertible() and iso.inverse() is not None,
+        out.expect(iso.is_iso(),
                    f"phi not invertible at case {i}")
         alpha = random_morphism(rng, hom_space(v, w))
         lhs = e_functor_map(alpha, point, "quot").dualize().then(iso)

@@ -1,0 +1,63 @@
+"""Every public module-level function of posetrep has a caller.
+
+A public function counts as used when its name appears in src/ or tests/
+anywhere outside its own definition: a call, an import, an attribute
+access, or a registry entry.  A recursive call inside its own body does
+not count.
+"""
+
+import ast
+import importlib
+import inspect
+import pkgutil
+from pathlib import Path
+
+import posetrep
+
+PACKAGE_DIR = Path(posetrep.__file__).resolve().parent
+ROOTS = [PACKAGE_DIR, Path(__file__).resolve().parent]
+
+
+def _public_functions():
+    out = []
+    for info in pkgutil.iter_modules([str(PACKAGE_DIR)]):
+        module = importlib.import_module(f"posetrep.{info.name}")
+        for name, obj in vars(module).items():
+            if (inspect.isfunction(obj) and obj.__module__ == module.__name__
+                    and not name.startswith("_")):
+                out.append((module.__name__, name))
+    return out
+
+
+def _names_used(tree, skip_def=None):
+    """Identifiers referenced in tree, leaving out the body of the
+    module-level function named skip_def."""
+    used = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.FunctionDef) and node.name == skip_def:
+            continue
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name.rsplit(".", 1)[-1])
+        stack.extend(ast.iter_child_nodes(node))
+    return used
+
+
+def test_every_public_function_is_referenced():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for root in ROOTS for path in sorted(root.glob("*.py"))}
+    everywhere = {path: _names_used(tree) for path, tree in trees.items()}
+    unused = []
+    for module_name, name in _public_functions():
+        home = PACKAGE_DIR / (module_name.rsplit(".", 1)[-1] + ".py")
+        found = any(name in (_names_used(tree, skip_def=name) if path == home
+                             else everywhere[path])
+                    for path, tree in trees.items())
+        if not found:
+            unused.append(f"{module_name}.{name}")
+    assert not unused, f"public functions nothing references: {unused}"

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import posetrep
 from posetrep.cli import main
 from posetrep.fileio import format_poset, load_poset, load_sspace, save_sspace
 from posetrep.linalg import QQ, Subspace
@@ -189,3 +194,62 @@ def test_determinism(ex510_file, capsys):
     t1 = capsys.readouterr().out
     main(["nu", ex510_file, "--trace"])
     assert capsys.readouterr().out == t1
+
+
+# malformed input ------------------------------------------------------------------
+
+SSP_HEAD = "field: Q\nposet: three.poset\n"
+MALFORMED = {
+    "dim-not-a-number": ["check", "bad.ssp"],
+    "dim-negative": ["check", "bad.ssp"],
+    "entry-divides-by-zero": ["check", "bad.ssp"],
+    "poset-file-missing": ["check", "bad.ssp"],
+    "input-path-missing": ["nu", "missing.poset"],
+    "oracle-field-not-prime": ["oracle", "three.poset", "--field", "4"],
+}
+SSP_BODY = {
+    "dim-not-a-number": SSP_HEAD + "dim: two\n",
+    "dim-negative": SSP_HEAD + "dim: -1\n",
+    "entry-divides-by-zero": SSP_HEAD + "dim: 2\nspace x: 1/0,1\n",
+    "poset-file-missing": "field: Q\nposet: nowhere.poset\ndim: 1\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_is_one_typed_error_line(case, tmp_path):
+    (tmp_path / "three.poset").write_text("elements: x y z\nrelations:\n")
+    if case in SSP_BODY:
+        (tmp_path / "bad.ssp").write_text(SSP_BODY[case])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(posetrep.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "posetrep.cli", *MALFORMED[case]],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=60)
+    lines = proc.stderr.splitlines()
+    assert proc.returncode == 1, proc.stderr
+    assert len(lines) == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert lines[0].split(":")[0] in {"ParseError", "InvalidField"}
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--cases", "0"],
+    ["verify", "--cases", "-3"],
+    ["nu", "any.poset", "--depth-limit", "-1"],
+    ["oracle", "any.poset", "--maxdim", "0"],
+])
+def test_meaningless_counts_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be at least" in capsys.readouterr().err
+
+
+def test_depth_limit_zero_is_accepted(three_file, tmp_path, capsys):
+    chain_file = tmp_path / "chain.poset"
+    chain_file.write_text("elements: a b\nrelations: a<b\n")
+    assert main(["nu", str(chain_file), "--depth-limit", "0"]) == 0
+    assert capsys.readouterr().out.strip() == "nu=3"
+    assert main(["nu", three_file, "--depth-limit", "0"]) == 0
+    assert capsys.readouterr().out.strip() == "nu=depth-limit"

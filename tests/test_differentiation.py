@@ -356,3 +356,22 @@ def test_nu_depth_limit():
     trace = nu_count(antichain_poset("x", "y", "z"), depth_limit=0)
     assert trace.status == "depth-limit"
     assert serialize_trace(trace).strip().endswith("nu=depth-limit")
+
+
+@pytest.mark.parametrize("strategy", ["first", "all-paths"])
+def test_nu_depth_limit_counts_width_two_outright(strategy):
+    """The width is checked before the depth limit: a poset of width <= 2
+    needs no step, so it is counted at depth limit 0."""
+    for p in (chain("a", "b", "c"), poset_112().restrict(["x", "u", "v"])):
+        trace = nu_count(p, strategy=strategy, depth_limit=0)
+        assert trace.status == "ok" and trace.steps == []
+        assert trace.nu == trace.terminal_count == len(p.antichains())
+
+
+@pytest.mark.parametrize("strategy", ["first", "all-paths"])
+def test_nu_depth_limit_one_step(strategy):
+    """One step brings a 3-antichain to width <= 2, so depth limit 1 is
+    enough and gives the full count."""
+    trace = nu_count(antichain_poset("x", "y", "z"), strategy=strategy, depth_limit=1)
+    assert trace.status == "ok" and len(trace.steps) == 1
+    assert trace.nu == 9

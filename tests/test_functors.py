@@ -9,7 +9,7 @@ from posetrep.functors import (IncidenceRep, coinduce,
                                is_socle_projective, lift_along_ideal, phi,
                                projective_cover, psi, restrict,
                                restrict_morphism, semisimple_decompose,
-                               sorted_by, two_chain_cover)
+                               sorted_by)
 from posetrep.linalg import QQ, Field, Matrix, Subspace
 from posetrep.poset import antichain_semilattice, derived_carrier
 from posetrep.randgen import random_morphism, random_poset, random_sspace
@@ -448,7 +448,7 @@ def decompose_injective_ok(v):
 
 def test_two_chain_cover_small():
     p = example510().restrict(["d", "e", "f", "g"])
-    c1, c2 = two_chain_cover(p)
+    c1, c2 = p.chain_cover()
     assert sorted(c1 + c2) == ["d", "e", "f", "g"]
     for chain_part in (c1, c2):
         for i in range(len(chain_part) - 1):

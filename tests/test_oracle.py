@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from posetrep.errors import GuardrailExceeded
-from posetrep.linalg import Field, Matrix, Subspace
+from posetrep.errors import BudgetExceeded, GuardrailExceeded
+from posetrep.linalg import QQ, Field, Matrix, Subspace
 from posetrep.oracle import (EnumConfig, all_subspaces, cross_check_nu,
                              decompose_fully, enumerate_indecomposables,
                              is_indecomposable)
@@ -80,6 +80,25 @@ def test_dim2_three_antichain_space_is_indecomposable():
     assert is_indecomposable(v) is True
     from posetrep.sspace import hom_space
     assert hom_space(v, v).dim == 1
+
+
+def test_indecomposability_over_q():
+    """Over Q there is no exhaustive idempotent search: dim End = 1 still
+    certifies, anything larger is undecided rather than a TypeError."""
+    p = antichain_poset("x", "y", "z")
+    lines = SSpace(p, QQ, 2, {
+        "x": Subspace.from_rows(QQ, 2, [[1, 0]]),
+        "y": Subspace.from_rows(QQ, 2, [[0, 1]]),
+        "z": Subspace.from_rows(QQ, 2, [[1, 1]]),
+    })
+    assert is_indecomposable(lines) is True
+    assert decompose_fully(lines) == [lines]
+    ka = simple_filter_space(chain("s", "t"), QQ, ("s",))
+    assert is_indecomposable(ka) is True
+    square = direct_sum(ka, ka)
+    assert is_indecomposable(square) is None
+    with pytest.raises(BudgetExceeded):
+        decompose_fully(square)
 
 
 def test_cross_check_three_antichain():

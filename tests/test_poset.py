@@ -7,6 +7,7 @@ from posetrep.poset import (DerivedLabel, Poset, antichain_leq,
                             antichain_semilattice, derived_carrier,
                             poset_transform)
 from posetrep.randgen import random_poset
+from posetrep.verify import all_posets_up_to
 
 from helpers import antichain_poset, chain, example510, poset_112
 
@@ -257,3 +258,49 @@ def test_poset_112_shape():
     p = poset_112()
     assert p.width() == 3
     assert len(p.antichains()) == 12
+
+
+# chain covers and width --------------------------------------------------------
+
+
+def _check_chain_cover(p):
+    """The cover against the definition and the width against the largest
+    antichain found by exhaustive enumeration."""
+    cover = p.chain_cover()
+    assert p.width() == len(cover)
+    assert p.width() == max(len(a) for a in p.antichains())
+    assert sorted(x for part in cover for x in part) == sorted(p.elements)
+    for part in cover:
+        assert part
+        for lower, upper in zip(part, part[1:]):
+            assert p.lt(lower, upper)
+
+
+def test_chain_cover_all_posets_up_to_5():
+    for p in all_posets_up_to(5):
+        _check_chain_cover(p)
+
+
+def test_chain_cover_random_posets_up_to_8():
+    rng = random.Random(8)
+    for _ in range(150):
+        _check_chain_cover(random_poset(rng, 8, density=rng.choice([0.15, 0.3, 0.5])))
+
+
+def test_chain_cover_of_derived_posets():
+    p = example510()
+    for x in p.elements:
+        sub = p.restrict([y for y in p.elements if y != x])
+        _check_chain_cover(antichain_semilattice(sub, "meet")[0])
+
+
+def test_equality_and_hash_ignore_element_order():
+    """Posets are equal exactly when labels and order agree, whatever the
+    order of the element list; the nu memo relies on this."""
+    a = Poset.build(["x", "y", "z"], [("x", "y")])
+    b = Poset.build(["z", "y", "x"], [("x", "y")])
+    c = Poset.build(["x", "y", "z"], [("x", "z")])
+    assert a == b and hash(a) == hash(b)
+    assert a != c
+    assert a != Poset.build(["x", "y", "w"], [("x", "y")])
+    assert len({a, b, c}) == 2
