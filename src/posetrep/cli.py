@@ -13,7 +13,7 @@ import sys
 
 from . import fileio
 from .differentiation import derive_poset, diff_space, nu_count, serialize_trace
-from .errors import PosetRepError
+from .errors import PosetRepError, WriteError
 from .functors import coinduce, induce, restrict
 from .oracle import EnumConfig, cross_check_nu, enumerate_indecomposables
 from .sspace import dualize, e_quot, e_sub, hom_space, validate_sspace
@@ -139,7 +139,10 @@ def cmd_oracle(args) -> int:
         census = enumerate_indecomposables(cfg)
         print(census.table())
         if args.reps:
-            os.makedirs(args.reps, exist_ok=True)
+            try:
+                os.makedirs(args.reps, exist_ok=True)
+            except OSError as exc:
+                raise WriteError(f"cannot create {args.reps!r}: {exc.strerror or exc}") from None
             poset_path = os.path.join(args.reps, "base.poset")
             fileio.save_poset(p, poset_path)
             k = 0

@@ -53,6 +53,10 @@ class InvalidField(PosetRepError, ValueError):
     """Not a prime below 2^16; a ValueError too, as for any bad argument."""
 
 
+class InvalidScalar(PosetRepError, ValueError):
+    """A float, or a rational whose denominator vanishes in F_p."""
+
+
 # S-spaces and functors
 
 class MonotonicityViolation(PosetRepError):
@@ -98,3 +102,7 @@ class Mismatch(PosetRepError):
 
 class ParseError(PosetRepError):
     pass
+
+
+class WriteError(PosetRepError):
+    """An output file or directory that cannot be written."""

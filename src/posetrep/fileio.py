@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import os
 
-from .errors import InvalidLabel, ParseError
+from .errors import InvalidLabel, ParseError, WriteError
 from .linalg import Field, Subspace
 from .poset import Poset
 from .sspace import SSpace
@@ -99,9 +99,16 @@ def load_poset(path: str) -> Poset:
     return parse_poset(_read(path))
 
 
+def _write(path: str, text: str):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise WriteError(f"cannot write {path!r}: {exc.strerror or exc}") from None
+
+
 def save_poset(p: Poset, path: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_poset(p))
+    _write(path, format_poset(p))
 
 
 def _parse_field(spec: str) -> Field:
@@ -196,5 +203,4 @@ def save_sspace(v: SSpace, path: str, poset_path: str = None):
         poset_path = os.path.splitext(path)[0] + ".poset"
         save_poset(v.poset, poset_path)
     rel = os.path.relpath(poset_path, os.path.dirname(os.path.abspath(path)) or ".")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_sspace(v, rel))
+    _write(path, format_sspace(v, rel))

@@ -8,13 +8,34 @@ A subspace is stored as the reduced row echelon form of a spanning set.
 RREF is a unique representative, so subspace equality is literal entry
 comparison and every higher-level functor identity in this package can be
 tested as equality of canonical forms instead of an isomorphism search.
+
+Every elimination runs in `_rref`, which has one kernel per kind of field:
+
+* over Q each row is scaled by the lcm of its denominators to a primitive
+  integer vector; rows are eliminated fraction-free (a*row - b*lead, then
+  divided by the gcd of the entries), and Fractions are built only for the
+  result, by dividing each kept row by its pivot entry;
+* over F_p the rows are ints reduced by an inline `% p`, and a pivot is
+  normalised by its inverse pow(a, p - 2, p).
+
+Both give the same rows as any exact Gauss-Jordan elimination, because the
+RREF of a matrix is unique.
+
+Entries enter a `Matrix` in one of two ways.  The public constructor
+`Matrix(field, rows, ncols)` coerces every entry and checks the shape; all
+input from files and callers goes through it.  The internal `Matrix._of`
+takes a tuple of tuples whose entries are already canonical (a Fraction
+over Q, an int in [0, p) over F_p) and checks nothing, so only this module
+uses it, on entries computed from canonical entries.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
-from .errors import DimensionMismatch, FieldMismatch, InvalidField
+from .errors import DimensionMismatch, FieldMismatch, InvalidField, InvalidScalar
 
 _PRIME_LIMIT = 1 << 16
 
@@ -63,9 +84,24 @@ class Field:
         return Fraction(1) if self.p is None else 1
 
     def coerce(self, x):
-        if self.p is None:
-            return Fraction(x)
-        return int(x) % self.p
+        """The canonical element equal to the exact number x.  Over F_p a
+        rational a/b maps to a * b^-1; a float is refused on both fields,
+        because its value is a binary expansion, not the number written."""
+        p = self.p
+        if p is None:
+            if type(x) is Fraction:
+                return x
+        elif type(x) is int:
+            return x % p
+        if isinstance(x, float):
+            raise InvalidScalar(f"float {x!r} is not an exact scalar; "
+                                "use an int or a Fraction")
+        x = Fraction(x)
+        if p is None:
+            return x
+        if x.denominator % p == 0:
+            raise InvalidScalar(f"{x} has no value in F{p}: {p} divides its denominator")
+        return x.numerator * pow(x.denominator, p - 2, p) % p
 
     def add(self, a, b):
         return a + b if self.p is None else (a + b) % self.p
@@ -75,9 +111,6 @@ class Field:
 
     def mul(self, a, b):
         return a * b if self.p is None else (a * b) % self.p
-
-    def neg(self, a):
-        return -a if self.p is None else (-a) % self.p
 
     def inv(self, a):
         if self.p is None:
@@ -120,35 +153,53 @@ def _check_same_field(a: Field, b: Field):
 
 
 def _rref(field: Field, rows, ncols):
-    """In-place style RREF; returns (nonzero rows, pivot column list)."""
-    work = [list(r) for r in rows]
-    zero = field.zero
-    sub, mul, inv = field.sub, field.mul, field.inv
+    """RREF of rows of canonical entries; returns (nonzero rows as tuples,
+    pivot column list).  See the module docstring for the two kernels."""
+    p = field.p
+    if p is None:
+        work = []
+        for row in rows:
+            pairs = [x.as_integer_ratio() for x in row]
+            den = lcm(*[d for _, d in pairs])
+            ints = [n * (den // d) for n, d in pairs]
+            g = gcd(*ints)
+            if g:
+                work.append([x // g for x in ints] if g != 1 else ints)
+    else:
+        work = [list(row) for row in rows if any(row)]
     pivots = []
     r = 0
     for c in range(ncols):
-        pr = None
         for i in range(r, len(work)):
-            if work[i][c] != zero:
-                pr = i
+            if work[i][c]:
                 break
-        if pr is None:
+        else:
             continue
-        work[r], work[pr] = work[pr], work[r]
-        scale = inv(work[r][c])
-        if scale != field.one:
-            work[r] = [mul(scale, x) for x in work[r]]
+        work[r], work[i] = work[i], work[r]
         lead = work[r]
-        for i in range(len(work)):
-            if i != r and work[i][c] != zero:
-                f = work[i][c]
-                row = work[i]
-                work[i] = [sub(x, mul(f, y)) for x, y in zip(row, lead)]
+        a = lead[c]
+        if p is not None and a != 1:
+            s = pow(a, p - 2, p)
+            lead = work[r] = [x * s % p for x in lead]
+        for i, row in enumerate(work):
+            b = row[c]
+            if not b or i == r:
+                continue
+            if p is None:
+                new = [a * x - b * y for x, y in zip(row, lead)]
+                g = gcd(*new)
+                work[i] = [x // g for x in new] if g > 1 else new
+            else:
+                work[i] = [(x - b * y) % p for x, y in zip(row, lead)]
         pivots.append(c)
         r += 1
         if r == len(work):
             break
-    return [tuple(row) for row in work[:r]], pivots
+    if p is not None:
+        return [tuple(row) for row in work[:r]], pivots
+    zero = Fraction(0)
+    return [tuple(Fraction(x, row[c]) if x else zero for x in row)
+            for row, c in zip(work, pivots)], pivots
 
 
 class Matrix:
@@ -176,14 +227,25 @@ class Matrix:
         raise AttributeError("Matrix is immutable")
 
     @classmethod
+    def _of(cls, field: Field, rows: tuple, ncols: int) -> "Matrix":
+        """A matrix on a tuple of tuples of canonical entries, taken as they
+        are: no coercion and no shape check (see the module docstring)."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "field", field)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "nrows", len(rows))
+        object.__setattr__(m, "ncols", ncols)
+        return m
+
+    @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
         one, zero = field.one, field.zero
-        return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)], n)
+        return cls._of(field, tuple(tuple(one if i == j else zero for j in range(n))
+                                    for i in range(n)), n)
 
     @classmethod
     def zeros(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
-        zero = field.zero
-        return cls(field, [[zero] * ncols for _ in range(nrows)], ncols)
+        return cls._of(field, ((field.zero,) * ncols,) * nrows, ncols)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
@@ -201,68 +263,89 @@ class Matrix:
         if self.ncols != other.nrows:
             raise DimensionMismatch(f"{self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
         field = self.field
-        zero = field.zero
+        p = field.p
         if other.ncols == 0:
-            out = [() for _ in self.rows]
+            out = ((),) * self.nrows
         elif self.ncols == 0:
-            out = [(zero,) * other.ncols for _ in self.rows]
+            out = ((field.zero,) * other.ncols,) * self.nrows
         else:
             cols = list(zip(*other.rows))
-            out = []
-            if field.p is None:
-                for row in self.rows:
-                    out.append(tuple(sum((a * b for a, b in zip(row, col)), zero) for col in cols))
+            if p is None:
+                # Each row and column as integers over a common denominator,
+                # so that an entry costs one Fraction instead of one per term.
+                scaled = []
+                for vecs in (self.rows, cols):
+                    part = []
+                    for vec in vecs:
+                        pairs = [x.as_integer_ratio() for x in vec]
+                        den = lcm(*[d for _, d in pairs])
+                        part.append(([n * (den // d) for n, d in pairs], den))
+                    scaled.append(part)
+                zero = field.zero
+                out = tuple(tuple(Fraction(s, dr * dc) if (s := sum(map(mul, r, c))) else zero
+                                  for c, dc in scaled[1])
+                            for r, dr in scaled[0])
             else:
-                p = field.p
-                for row in self.rows:
-                    out.append(tuple(sum(a * b for a, b in zip(row, col)) % p for col in cols))
-        return Matrix(field, out, other.ncols)
+                out = tuple(tuple(sum(map(mul, row, col)) % p for col in cols)
+                            for row in self.rows)
+        return Matrix._of(field, out, other.ncols)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         _check_same_field(self.field, other.field)
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise DimensionMismatch("matrix shapes differ")
-        add = self.field.add
-        return Matrix(self.field,
-                      [tuple(add(a, b) for a, b in zip(r, s)) for r, s in zip(self.rows, other.rows)],
-                      self.ncols)
+        p = self.field.p
+        pairs = zip(self.rows, other.rows)
+        if p is None:
+            out = tuple(tuple(a + b for a, b in zip(r, s)) for r, s in pairs)
+        else:
+            out = tuple(tuple((a + b) % p for a, b in zip(r, s)) for r, s in pairs)
+        return Matrix._of(self.field, out, self.ncols)
 
     def scale(self, c) -> "Matrix":
         c = self.field.coerce(c)
-        mul = self.field.mul
-        return Matrix(self.field, [tuple(mul(c, x) for x in r) for r in self.rows], self.ncols)
+        p = self.field.p
+        if p is None:
+            out = tuple(tuple(c * x for x in r) for r in self.rows)
+        else:
+            out = tuple(tuple(c * x % p for x in r) for r in self.rows)
+        return Matrix._of(self.field, out, self.ncols)
 
     def transpose(self) -> "Matrix":
         if self.nrows == 0:
-            return Matrix(self.field, [() for _ in range(self.ncols)], 0)
-        return Matrix(self.field, list(zip(*self.rows)), self.nrows)
+            return Matrix._of(self.field, ((),) * self.ncols, 0)
+        return Matrix._of(self.field, tuple(zip(*self.rows)), self.nrows)
 
     def is_zero(self) -> bool:
-        zero = self.field.zero
-        return all(x == zero for r in self.rows for x in r)
+        return not any(any(r) for r in self.rows)
 
     def rref(self):
         rows, pivots = _rref(self.field, self.rows, self.ncols)
-        return Matrix(self.field, rows, self.ncols), tuple(pivots)
+        return Matrix._of(self.field, tuple(rows), self.ncols), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
 
     def null_rows(self) -> "Matrix":
         """Basis rows of the left kernel {x : x * self = 0}; shape k x nrows."""
-        red, pivots = _rref(self.field, zip(*self.rows) if self.rows else [], self.nrows)
         field = self.field
+        p = field.p
+        n = self.nrows
+        red, pivots = _rref(field, zip(*self.rows) if self.rows else [], n)
         piv_set = set(pivots)
-        free = [j for j in range(self.nrows) if j not in piv_set]
+        zero, one = field.zero, field.one
         basis = []
-        neg = field.neg
-        for f in free:
-            v = [field.zero] * self.nrows
-            v[f] = field.one
-            for r, pc in enumerate(pivots):
-                v[pc] = neg(red[r][f])
-            basis.append(v)
-        return Matrix(field, basis, self.nrows)
+        for f in range(n):
+            if f in piv_set:
+                continue
+            v = [zero] * n
+            v[f] = one
+            for row, pc in zip(red, pivots):
+                x = row[f]
+                if x:
+                    v[pc] = -x if p is None else p - x
+            basis.append(tuple(v))
+        return Matrix._of(field, tuple(basis), n)
 
     def inverse(self):
         """Inverse matrix, or None if not square/invertible."""
@@ -275,7 +358,7 @@ class Matrix:
         red, pivots = _rref(field, aug, 2 * n)
         if list(pivots) != list(range(n)):
             return None
-        return Matrix(field, [r[n:] for r in red], n)
+        return Matrix._of(field, tuple(r[n:] for r in red), n)
 
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and self.rank() == self.nrows
@@ -292,7 +375,7 @@ def vstack(*mats: Matrix) -> Matrix:
         if m.ncols != ncols:
             raise DimensionMismatch("vstack width mismatch")
         rows.extend(m.rows)
-    return Matrix(field, rows, ncols)
+    return Matrix._of(field, tuple(rows), ncols)
 
 
 class Subspace:
@@ -317,7 +400,7 @@ class Subspace:
 
     @classmethod
     def zero(cls, field: Field, ambient: int) -> "Subspace":
-        return cls(field, ambient, Matrix(field, [], ambient))
+        return cls(field, ambient, Matrix._of(field, (), ambient))
 
     @classmethod
     def full(cls, field: Field, ambient: int) -> "Subspace":
@@ -356,18 +439,19 @@ class Subspace:
 
     def _reduce(self, v):
         """Coordinates of v in the RREF basis, or None if v is outside."""
-        field = self.field
+        p = self.field.p
         coords = []
-        v = list(v)
         for row in self.mat.rows:
-            pc = next(i for i, x in enumerate(row) if x != field.zero)
-            c = v[pc]
+            c = v[next(i for i, x in enumerate(row) if x)]
             coords.append(c)
-            if c != field.zero:
-                v = [field.sub(a, field.mul(c, b)) for a, b in zip(v, row)]
-        if any(x != field.zero for x in v):
+            if c:
+                if p is None:
+                    v = [a - c * b for a, b in zip(v, row)]
+                else:
+                    v = [(a - c * b) % p for a, b in zip(v, row)]
+        if any(v):
             return None
-        return coords
+        return tuple(coords)
 
     def contains(self, other: "Subspace") -> bool:
         self._check_compatible(other)
@@ -381,12 +465,11 @@ class Subspace:
             if c is None:
                 raise DimensionMismatch("row not in subspace")
             coords.append(c)
-        return Matrix(self.field, coords, self.dim)
+        return Matrix._of(self.field, tuple(coords), self.dim)
 
     def plus(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
-        return Subspace.from_rows(self.field, self.ambient,
-                                  list(self.mat.rows) + list(other.mat.rows))
+        return Subspace(self.field, self.ambient, vstack(self.mat, other.mat).rref()[0])
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Kernel of the stacked system: relations l*A + m*B = 0 give l*A."""
@@ -394,9 +477,8 @@ class Subspace:
         ra = self.mat.nrows
         stacked = vstack(self.mat, other.mat)
         rel = stacked.null_rows()
-        vecs = [r[:ra] for r in rel.rows]
-        coeff = Matrix(self.field, vecs, ra)
-        return Subspace.from_rows(self.field, self.ambient, (coeff * self.mat).rows)
+        coeff = Matrix._of(self.field, tuple(r[:ra] for r in rel.rows), ra)
+        return Subspace(self.field, self.ambient, (coeff * self.mat).rref()[0])
 
     def annihilator(self) -> "Subspace":
         """{g in the dual : g(self) = 0}, in dual-basis coordinates."""
@@ -406,7 +488,7 @@ class Subspace:
         """Image of this subspace under v |-> v*m."""
         if m.nrows != self.ambient:
             raise DimensionMismatch("map domain mismatch")
-        return Subspace.from_rows(self.field, m.ncols, (self.mat * m).rows)
+        return Subspace(self.field, m.ncols, (self.mat * m).rref()[0])
 
     def preimage(self, m: Matrix) -> "Subspace":
         """{x : x*m in self}; m maps k^nrows -> k^ambient."""
@@ -419,7 +501,7 @@ class Subspace:
     def complement_pivots(self):
         piv = set()
         for row in self.mat.rows:
-            piv.add(next(i for i, x in enumerate(row) if x != self.field.zero))
+            piv.add(next(i for i, x in enumerate(row) if x))
         return [j for j in range(self.ambient) if j not in piv]
 
     def complement(self) -> Matrix:
@@ -429,8 +511,8 @@ class Subspace:
         for j in self.complement_pivots():
             v = [field.zero] * self.ambient
             v[j] = field.one
-            rows.append(v)
-        return Matrix(field, rows, self.ambient)
+            rows.append(tuple(v))
+        return Matrix._of(field, tuple(rows), self.ambient)
 
     def complement_within(self, sub: "Subspace") -> Matrix:
         """Rows of self extending a basis of sub to a basis of self."""
@@ -455,7 +537,7 @@ class Subspace:
             raise DimensionMismatch("degenerate basis")
         binv = basis.inverse()
         d = n - self.dim
-        q = Matrix(field, [r[self.dim:] for r in binv.rows], d)
+        q = Matrix._of(field, tuple(r[self.dim:] for r in binv.rows), d)
         return q, comp
 
 

@@ -91,13 +91,13 @@ def _sampled_group(field: Field, n: int, count: int, rng: random.Random):
             yield m
 
 
-def _subspace_action_tables(field: Field, n: int, subs, group):
+def _subspace_action_tables(subs, group):
     index = {s.mat.rows: i for i, s in enumerate(subs)}
     tables = []
     for g in group:
         table = []
         for s in subs:
-            moved = Subspace.from_rows(field, n, (s.mat * g).rows)
+            moved = s.image(g)
             table.append(index[moved.mat.rows])
         tables.append(tuple(table))
     return tables
@@ -186,7 +186,7 @@ def enumerate_indecomposables(cfg: EnumConfig) -> OracleCensus:
         else:
             group = list(_sampled_group(field, n, cfg.group_sample, rng))
             census.sampled = True
-        tables = _subspace_action_tables(field, n, subs, group)
+        tables = _subspace_action_tables(subs, group)
         assignments = sorted(_monotone_assignments(cfg.poset, subs))
         seen = set()
         reps = []

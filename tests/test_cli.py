@@ -233,6 +233,33 @@ def test_malformed_input_is_one_typed_error_line(case, tmp_path):
     assert proc.stdout == ""
 
 
+UNWRITABLE = {
+    "diff-out": ["diff", "v.ssp", "--point", "x", "--mode", "filter", "--out", "nodir/d.ssp"],
+    "apply-out": ["apply", "v.ssp", "--functor", "dual", "--out", "nodir/a.ssp"],
+    "derive-emit": ["derive", "three.poset", "--point", "x", "--mode", "filter",
+                    "--emit", "nodir/d.poset"],
+    "oracle-reps-under-a-file": ["oracle", "three.poset", "--reps", "three.poset/reps"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITABLE))
+def test_unwritable_output_is_one_typed_error_line(case, tmp_path):
+    (tmp_path / "three.poset").write_text("elements: x y z\nrelations:\n")
+    (tmp_path / "v.ssp").write_text(
+        "field: Q\nposet: three.poset\ndim: 2\nspace x: 1,0\nspace y: 0,1\nspace z: 1,1\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(posetrep.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "posetrep.cli", *UNWRITABLE[case]],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=60)
+    lines = proc.stderr.splitlines()
+    assert proc.returncode == 1, proc.stderr
+    assert len(lines) == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert lines[0].startswith("WriteError: cannot ")
+    assert not (tmp_path / "nodir").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--cases", "0"],
     ["verify", "--cases", "-3"],

@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from posetrep.errors import DimensionMismatch, FieldMismatch
-from posetrep.linalg import QQ, Field, Matrix, Subspace, solution_space, vstack
+from posetrep.errors import DimensionMismatch, FieldMismatch, InvalidScalar, PosetRepError
+from posetrep.linalg import QQ, Field, Matrix, Subspace, _rref, solution_space, vstack
 
 F2 = Field.prime(2)
+F3 = Field.prime(3)
 F5 = Field.prime(5)
+F65521 = Field.prime(65521)
 
 
 def rand_subspace(rng, field, n):
@@ -34,6 +36,129 @@ def column_elimination_rank(field, rows, ncols):
                 rank += 1
                 break
     return rank
+
+
+def reference_rref(field, rows, ncols):
+    """Gauss-Jordan through the Field scalar methods, one call per entry:
+    the reference the specialised kernels in linalg._rref must match."""
+    work = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(work)) if work[i][c] != field.zero), None)
+        if pr is None:
+            continue
+        work[r], work[pr] = work[pr], work[r]
+        scale = field.inv(work[r][c])
+        work[r] = [field.mul(scale, x) for x in work[r]]
+        lead = work[r]
+        for i in range(len(work)):
+            if i != r and work[i][c] != field.zero:
+                f = work[i][c]
+                work[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(work[i], lead)]
+        pivots.append(c)
+        r += 1
+    return [tuple(row) for row in work[:r]], pivots
+
+
+def reference_null_rows(field, rows, nrows):
+    """Left kernel of an nrows-row matrix from the reference RREF of its transpose."""
+    red, pivots = reference_rref(field, list(zip(*rows)), nrows)
+    basis = []
+    for f in (j for j in range(nrows) if j not in pivots):
+        v = [field.zero] * nrows
+        v[f] = field.one
+        for r, pc in enumerate(pivots):
+            v[pc] = field.sub(field.zero, red[r][f])
+        basis.append(tuple(v))
+    return basis
+
+
+def random_entry(rng, field):
+    if rng.random() < 0.4:
+        return field.zero
+    if field.p is None:
+        return Fraction(rng.randrange(-9, 10), rng.choice([1, 1, 2, 3, 4, 7, 12]))
+    return rng.randrange(field.p)
+
+
+def random_rows(rng, field, nrows, ncols):
+    """Random canonical rows; some are zero and some repeat an earlier row
+    times a scalar, so that ranks below min(nrows, ncols) are common."""
+    rows = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if kind < 0.15:
+            rows.append((field.zero,) * ncols)
+        elif kind < 0.35 and rows:
+            c = random_entry(rng, field) or field.one
+            rows.append(tuple(field.mul(c, x) for x in rng.choice(rows)))
+        else:
+            rows.append(tuple(random_entry(rng, field) for _ in range(ncols)))
+    return rows
+
+
+SHAPES = [(0, 0), (0, 3), (3, 0), (1, 1), (1, 6), (6, 1), (2, 2), (3, 5), (5, 3),
+          (4, 4), (7, 4), (4, 7), (6, 6), (9, 12), (12, 9)]
+
+
+def assert_canonical(field, m):
+    for row in m.rows:
+        for x in row:
+            if field.p is None:
+                assert type(x) is Fraction, (x, type(x))
+            else:
+                assert type(x) is int and 0 <= x < field.p, (x, type(x))
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F3, F5, F65521], ids=repr)
+def test_kernels_match_reference_elimination(field):
+    rng = random.Random(field.p or 0)
+    for trial in range(12):
+        for nrows, ncols in SHAPES:
+            rows = random_rows(rng, field, nrows, ncols)
+            ref, ref_pivots = reference_rref(field, rows, ncols)
+            assert _rref(field, rows, ncols) == (ref, ref_pivots)
+            m = Matrix(field, rows, ncols)
+            red, pivots = m.rref()
+            assert red.rows == tuple(ref) and pivots == tuple(ref_pivots)
+            assert red.ncols == ncols and red.nrows == len(ref)
+            assert m.rank() == len(ref_pivots)
+            null = m.null_rows()
+            assert null.rows == tuple(reference_null_rows(field, rows, nrows))
+            assert null.ncols == nrows
+            for out in (red, null):
+                assert_canonical(field, out)
+            if nrows == ncols:
+                aug = [row + tuple(field.one if i == j else field.zero for j in range(nrows))
+                       for i, row in enumerate(rows)]
+                aug_red, aug_pivots = reference_rref(field, aug, 2 * nrows)
+                inv = m.inverse()
+                if aug_pivots == list(range(nrows)):
+                    assert inv.rows == tuple(r[nrows:] for r in aug_red)
+                    assert_canonical(field, inv)
+                else:
+                    assert inv is None
+
+
+def test_coerce_maps_rationals_into_prime_fields():
+    assert F5.coerce(Fraction(1, 2)) == 3
+    assert F5.coerce(Fraction(-1, 2)) == 2
+    assert F5.coerce(Fraction(7, 3)) == 4
+    assert F2.coerce(Fraction(6, 3)) == 0
+    assert Matrix(F5, [[Fraction(1, 2), 1]]).rows == ((3, 1),)
+    assert F65521.coerce(-1) == 65520
+
+
+@pytest.mark.parametrize("field,bad", [(F5, Fraction(1, 5)), (F5, Fraction(3, 10)),
+                                       (F2, Fraction(1, 2)), (F5, 2.7), (F5, 2.0),
+                                       (QQ, 0.1), (QQ, 3.0)])
+def test_coerce_refuses_inexact_or_undefined_scalars(field, bad):
+    with pytest.raises(InvalidScalar) as exc:
+        field.coerce(bad)
+    assert isinstance(exc.value, PosetRepError)
+    with pytest.raises(InvalidScalar):
+        Matrix(field, [[bad, 1]])
 
 
 def test_field_basics():
@@ -132,14 +257,22 @@ def test_rref_idempotent():
 
 
 def test_exactness_no_floats():
-    w = Subspace.from_rows(QQ, 3, [[1, 2, 3], [4, 5, 6]])
-    for row in w.mat.rows:
-        for x in row:
-            assert isinstance(x, Fraction)
-    v = Subspace.from_rows(F5, 3, [[1, 2, 3], [4, 0, 1]])
-    for row in v.mat.rows:
-        for x in row:
-            assert isinstance(x, int) and 0 <= x < 5
+    """Every result holds canonical entries: a Fraction over Q, an int in
+    [0, p) over F_p, also where no coercion runs."""
+    for field in (QQ, F2, F5):
+        w = Subspace.from_rows(field, 3, [[1, 2, 3], [4, 5, 6]])
+        u = Subspace.from_rows(field, 3, [[1, 1, 0], [0, 0, 1]])
+        m = Matrix(field, [[1, 2, 0], [0, 3, 1], [2, 0, 1]])
+        sq = Matrix(field, [[1, 1], [0, 1]])
+        results = [w.mat, m * m, m + m, m.scale(3), m.transpose(), m.null_rows(),
+                   Matrix(field, [[1, 1, 1], [2, 2, 2]]).null_rows(), sq.inverse(),
+                   Matrix.identity(field, 3), Matrix.zeros(field, 2, 3),
+                   vstack(w.mat, u.mat), w.intersect(u).mat, w.plus(u).mat,
+                   w.preimage(m).mat, w.image(m).mat, w.annihilator().mat,
+                   w.express_rows(w.intersect(u).mat), w.complement(),
+                   w.complement_within(w.intersect(u)), *w.quotient_map()]
+        for out in results:
+            assert_canonical(field, out)
 
 
 def test_quotient_map_contract():
