@@ -285,7 +285,7 @@ def _nu_all_paths(p: Poset, depth_limit: int) -> ReductionTrace:
             trace.terminal = current
             trace.terminal_count = len(current.antichains())
             trace.nu = value
-            return trace
+            break
         for point, mode in _applicable_moves(current):
             child = derive_poset(current, point, mode).result
             if explore(child, depth + 1) is not None:
@@ -293,10 +293,12 @@ def _nu_all_paths(p: Poset, depth_limit: int) -> ReductionTrace:
         else:  # no move completes
             trace.terminal = current
             trace.status = "depth-limit" if depth >= depth_limit else "stuck"
-            return trace
+            break
         trace.steps.append(ReductionStep(
             current, point, mode, _complement_antichain_count(current, point, mode)))
         current, depth = child, depth + 1
+    explore = None  # the closure refers to itself; drop the cycle now
+    return trace
 
 
 def serialize_trace(trace: ReductionTrace) -> str:

@@ -3,17 +3,30 @@ over a small prime field, classify them up to base change, and certify the
 indecomposable ones through idempotent search in their endomorphism rings.
 
 Assignments are grouped into isomorphism classes by acting with the full
-GL(n, q) on subspace indices (n <= 3); for n = 4 a seeded sample of the
-group is used and candidate classes are merged through verified
-isomorphism witnesses, with the census marked as sampled.  Representatives
-are the lexicographically least canonical forms in their orbits.
+GL(n, q) on subspace indices when n <= 3 and q^(n^2) <= 70 000; otherwise
+a seeded sample of the group is used and candidate classes are merged
+through verified isomorphism witnesses, with the census marked as sampled.
+Representatives are the lexicographically least canonical forms in their
+orbits.
+
+The group acts on integers, not matrices.  The lines of k^n are numbered
+by their representatives whose first nonzero entry is 1 (`_lines`), and a
+subspace is the bitmask of the lines it contains, the zero subspace being
+0 (`_point_masks`); containment is `small & ~big == 0`.  A group element
+g is the permutation "line i goes to line j" under v -> v*g
+(`_line_permutations`), and the image of a subspace is the image of its
+mask under that permutation, looked up among the masks.  Lines, not all
+q^n vectors: a vector table would cost q^n per group element, which is
+out of reach at large q even for n = 1.  The number of subspaces of
+k^max_dim is capped (MAX_SUBSPACES) unless the guardrails are forced.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
-from itertools import product
+from itertools import islice, product
+from operator import mul
 
 from .differentiation import nu_count
 from .errors import BudgetExceeded, GuardrailExceeded, Mismatch
@@ -25,6 +38,9 @@ from .sspace import (SSpace, are_isomorphic, find_idempotent, hom_space,
 MAX_DIM = 4
 MAX_POSET = 6
 EXHAUSTIVE_GROUP_CAP = 70_000  # q^(n^2) above this forces sampling
+# Subspaces of k^max_dim: the action tables hold one entry per group element
+# and subspace, and the assignment search tries every subspace per element.
+MAX_SUBSPACES = 4096
 
 
 @dataclass(frozen=True)
@@ -38,12 +54,26 @@ class EnumConfig:
     force: bool = False
 
     def check(self):
+        Field.prime(self.q)  # a field that is not prime fails before any size check
         if self.force:
             return
         if self.max_dim > MAX_DIM:
             raise GuardrailExceeded(f"max_dim {self.max_dim} > {MAX_DIM}")
         if len(self.poset) > MAX_POSET:
             raise GuardrailExceeded(f"poset size {len(self.poset)} > {MAX_POSET}")
+        count = _subspace_count(self.q, self.max_dim)
+        if count > MAX_SUBSPACES:
+            raise GuardrailExceeded(f"{count} subspaces of F{self.q}^{self.max_dim} "
+                                    f"> {MAX_SUBSPACES}")
+
+
+def _subspace_count(q: int, n: int) -> int:
+    """The number of subspaces of F_q^n: the sum over k of the Gaussian
+    binomials [n choose k]_q, from [m, k] = [m-1, k-1] + q^k [m-1, k]."""
+    row = [1]
+    for m in range(1, n + 1):
+        row = [1] + [row[k - 1] + q ** k * row[k] for k in range(1, m)] + [1]
+    return sum(row)
 
 
 def all_subspaces(field: Field, n: int) -> list[Subspace]:
@@ -73,33 +103,96 @@ def all_subspaces(field: Field, n: int) -> list[Subspace]:
     return out
 
 
+def _lines(p: int, n: int) -> list[tuple]:
+    """The lines of k^n by their representatives whose first nonzero entry
+    is 1; line i of k^n is entry i of this list."""
+    return [(0,) * lead + (1,) + tail for lead in range(n)
+            for tail in product(range(p), repeat=n - lead - 1)]
+
+
+def _point_masks(subs) -> list[int]:
+    """Each subspace as the bitmask of the lines it contains (bit i for
+    line i of `_lines`); the zero subspace is 0.  The combinations of an
+    echelon basis whose first nonzero coefficient is 1 are exactly the
+    representatives of the lines it spans."""
+    p, n = subs[0].field.p, subs[0].ambient
+    index = {v: i for i, v in enumerate(_lines(p, n))}
+    coefficients = [_lines(p, r) for r in range(n + 1)]
+    masks = []
+    for s in subs:
+        cols = list(zip(*s.mat.rows))
+        mask = 0
+        for c in coefficients[s.dim]:
+            mask |= 1 << index[tuple(sum(map(mul, c, col)) % p for col in cols)]
+        masks.append(mask)
+    return masks
+
+
+def _line_permutations(p: int, n: int, matrices):
+    """For each n x n matrix g (rows of ints in [0, p)) that is invertible,
+    the list "line i goes to line perm[i]" under v -> v*g; a singular g,
+    which sends some representative to 0, is skipped."""
+    lines = _lines(p, n)
+    index = {v: i for i, v in enumerate(lines)}
+    # Line i is e_lead + c * (line k) with k > i, or e_lead when c = 0, so
+    # going backwards v*g is g[lead] + c * (line k)*g, one row operation.
+    steps = []
+    for v in lines:
+        lead = v.index(1)
+        c = next(filter(None, v[lead + 1:]), 0)
+        inv = pow(c, p - 2, p)
+        rest = tuple(x * inv % p if j > lead else 0 for j, x in enumerate(v))
+        steps.append((lead, c, index.get(rest)))
+    images = [None] * len(lines)
+    for g in matrices:
+        perm = [0] * len(lines)
+        for i in range(len(lines) - 1, -1, -1):
+            lead, c, k = steps[i]
+            w = [(a + c * b) % p for a, b in zip(g[lead], images[k])] if c else g[lead]
+            if not any(w):
+                break
+            images[i] = w
+            x = next(filter(None, w))
+            if x != 1:
+                inv = pow(x, p - 2, p)
+                w = [y * inv % p for y in w]
+            perm[i] = index[tuple(w)]
+        else:
+            yield perm
+
+
 def _general_linear(field: Field, n: int):
-    """All invertible n x n matrices; caller guards the size."""
-    for entries in product(range(field.p), repeat=n * n):
-        m = Matrix(field, [entries[i * n:(i + 1) * n] for i in range(n)], n)
-        if m.is_invertible():
-            yield m
+    """GL(n, q) as line permutations, in row-major order of the matrix
+    entries; caller guards the size."""
+    p = field.p
+    candidates = (tuple(entries[i * n:(i + 1) * n] for i in range(n))
+                  for entries in product(range(p), repeat=n * n))
+    return _line_permutations(p, n, candidates)
 
 
 def _sampled_group(field: Field, n: int, count: int, rng: random.Random):
-    found = 0
-    while found < count:
-        m = Matrix(field, [[rng.randrange(field.p) for _ in range(n)]
-                           for _ in range(n)], n)
-        if m.is_invertible():
-            found += 1
-            yield m
+    """`count` invertible matrices drawn entry by entry in row-major order,
+    as line permutations."""
+    p = field.p
+
+    def draws():
+        while True:
+            yield [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+
+    return islice(_line_permutations(p, n, draws()), count)
 
 
-def _subspace_action_tables(subs, group):
-    index = {s.mat.rows: i for i, s in enumerate(subs)}
+def _subspace_action_tables(masks, group):
+    """Row g of the result maps subspace index i to the index of its image
+    under the line permutation g; each permutation is dropped once its row
+    is made."""
+    index = {m: i for i, m in enumerate(masks)}
+    members = [[i for i in range(m.bit_length()) if m >> i & 1] for m in masks]
     tables = []
-    for g in group:
-        table = []
-        for s in subs:
-            moved = s.image(g)
-            table.append(index[moved.mat.rows])
-        tables.append(tuple(table))
+    for perm in group:
+        bits = [1 << j for j in perm]
+        tables.append(tuple(index[sum(map(bits.__getitem__, lines))]
+                            for lines in members))
     return tables
 
 
@@ -109,8 +202,7 @@ def _monotone_assignments(poset: Poset, subs):
     n_elems = len(poset.elements)
     if n_elems == 0:
         return [()]
-    contains = [[subs[i].contains(subs[j]) for j in range(len(subs))]
-                for i in range(len(subs))]
+    masks = _point_masks(subs)
     order = sorted(poset.elements,
                    key=lambda x: sum(poset.lt(y, x) for y in poset.elements))
     below = {s: [t for t in order if poset.lt(t, s)] for s in order}
@@ -122,13 +214,17 @@ def _monotone_assignments(poset: Poset, subs):
             out.append(tuple(chosen[s] for s in poset.elements))
             return
         s = order[k]
-        for j in range(len(subs)):
-            if all(contains[j][chosen[t]] for t in below[s]):
+        need = 0
+        for t in below[s]:
+            need |= masks[chosen[t]]
+        for j, mask in enumerate(masks):
+            if not need & ~mask:
                 chosen[s] = j
                 rec(k + 1)
         chosen.pop(s, None)
 
     rec(0)
+    rec = None  # the closure refers to itself; drop the cycle now
     return out
 
 
@@ -182,18 +278,20 @@ def enumerate_indecomposables(cfg: EnumConfig) -> OracleCensus:
         subs = all_subspaces(field, n)
         exhaustive = n <= 3 and cfg.q ** (n * n) <= EXHAUSTIVE_GROUP_CAP
         if exhaustive:
-            group = list(_general_linear(field, n))
+            group = _general_linear(field, n)
         else:
-            group = list(_sampled_group(field, n, cfg.group_sample, rng))
+            group = _sampled_group(field, n, cfg.group_sample, rng)
             census.sampled = True
-        tables = _subspace_action_tables(subs, group)
+        # images[j][g]: the index of the image of subspace j under element g
+        tables = _subspace_action_tables(_point_masks(subs), group)
+        images = list(zip(*tables)) or [()] * len(subs)
         assignments = sorted(_monotone_assignments(cfg.poset, subs))
         seen = set()
         reps = []
         for a in assignments:
             if a in seen:
                 continue
-            orbit = {tuple(t[j] for j in a) for t in tables}
+            orbit = set(zip(*[images[j] for j in a]))
             orbit.add(a)
             seen.update(orbit)
             reps.append(min(orbit))
@@ -279,6 +377,7 @@ def cross_check_nu(p: Poset, cfg: EnumConfig) -> CensusReport:
     The oracle can only ever find at most nu classes; finding more is an
     implementation bug and raises Mismatch.  Equality is reported together
     with the dimension bound that justifies it for the instance."""
+    cfg.check()  # before the recursion, which can run for minutes
     trace = nu_count(p)
     census = enumerate_indecomposables(cfg)
     total = census.total_indecomposable

@@ -229,6 +229,7 @@ class Poset:
                     current.pop()
 
         extend(0, [])
+        extend = None  # the closure refers to itself; drop the cycle now
         return out
 
     def chain_cover(self) -> list[list[Label]]:
@@ -257,6 +258,7 @@ class Poset:
 
         for a in range(n):
             augment(a, set())
+        augment = None  # the closure refers to itself; drop the cycle now
         chains = []
         for a in range(n):
             if pred_of[a] is None:

@@ -234,22 +234,23 @@ def _hom_solutions(u: SSpace, v: SSpace, pairs) -> Subspace:
 
 def _flat_constraints_for(u: SSpace, v: SSpace, pairs):
     """Constraint rows over flattened matrix entries, one per (basis vector
-    of a source subspace, annihilator vector of a target subspace)."""
-    nu, nv = u.dim, v.dim
-    field = u.field
+    of a source subspace, annihilator vector of a target subspace): the
+    row of (b, g) holds b[i] * g[j] at i * v.dim + j.  Over F_p the
+    products are left unreduced; `solution_space` coerces every entry."""
+    nv = v.dim
+    zero = u.field.zero
+    width = u.dim * nv
     rows = []
     for bsub, gsub in pairs:
-        anns = gsub.annihilator().mat.rows
+        anns = [[(j, gj) for j, gj in enumerate(g) if gj]
+                for g in gsub.annihilator().mat.rows]
         for b in bsub.mat.rows:
+            terms = [(i * nv, bi) for i, bi in enumerate(b) if bi]
             for g in anns:
-                row = [field.zero] * (nu * nv)
-                for i, bi in enumerate(b):
-                    if bi == field.zero:
-                        continue
-                    base = i * nv
-                    for j, gj in enumerate(g):
-                        if gj != field.zero:
-                            row[base + j] = field.mul(bi, gj)
+                row = [zero] * width
+                for base, bi in terms:
+                    for j, gj in g:
+                        row[base + j] = bi * gj
                 rows.append(row)
     return rows
 

@@ -233,6 +233,22 @@ def test_malformed_input_is_one_typed_error_line(case, tmp_path):
     assert proc.stdout == ""
 
 
+def test_oracle_subspace_cap_is_one_error_line(tmp_path):
+    """F_65521^2 has 65524 subspaces: refused up front, not run for hours."""
+    (tmp_path / "one.poset").write_text("elements: a\nrelations:\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(posetrep.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "posetrep.cli", "oracle", "one.poset",
+                           "--field", "65521", "--maxdim", "2"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=60)
+    lines = proc.stderr.splitlines()
+    assert proc.returncode == 1, proc.stderr
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("GuardrailExceeded: 65524 subspaces")
+    assert proc.stdout == ""
+
+
 UNWRITABLE = {
     "diff-out": ["diff", "v.ssp", "--point", "x", "--mode", "filter", "--out", "nodir/d.ssp"],
     "apply-out": ["apply", "v.ssp", "--functor", "dual", "--out", "nodir/a.ssp"],

@@ -1,12 +1,18 @@
+import gc
 import random
+from itertools import product
 
 import pytest
 
 from posetrep.errors import BudgetExceeded, GuardrailExceeded
 from posetrep.linalg import QQ, Field, Matrix, Subspace
-from posetrep.oracle import (EnumConfig, all_subspaces, cross_check_nu,
-                             decompose_fully, enumerate_indecomposables,
-                             is_indecomposable)
+from posetrep import oracle
+from posetrep.differentiation import nu_count
+from posetrep.oracle import (MAX_SUBSPACES, EnumConfig, _general_linear,
+                             _monotone_assignments, _point_masks, _sampled_group,
+                             _subspace_action_tables, _subspace_count, all_subspaces,
+                             cross_check_nu, decompose_fully,
+                             enumerate_indecomposables, is_indecomposable)
 from posetrep.poset import Poset
 from posetrep.randgen import random_poset, random_sspace
 from posetrep.sspace import (SSpace, are_isomorphic, direct_sum, dualize,
@@ -24,6 +30,120 @@ def test_all_subspaces_counts():
     assert len(all_subspaces(F2, 3)) == 16
     f3 = Field.prime(3)
     assert len(all_subspaces(f3, 2)) == 6  # 1 + 4 + 1
+
+
+# The group action as matrices: the reference for the line permutations.
+
+def _reference_general_linear(field, n):
+    for entries in product(range(field.p), repeat=n * n):
+        m = Matrix(field, [entries[i * n:(i + 1) * n] for i in range(n)], n)
+        if m.is_invertible():
+            yield m
+
+
+def _reference_sampled_group(field, n, count, rng):
+    found = 0
+    while found < count:
+        m = Matrix(field, [[rng.randrange(field.p) for _ in range(n)]
+                           for _ in range(n)], n)
+        if m.is_invertible():
+            found += 1
+            yield m
+
+
+def _reference_tables(subs, matrices):
+    index = {s.mat.rows: i for i, s in enumerate(subs)}
+    return [tuple(index[s.image(g).mat.rows] for s in subs) for g in matrices]
+
+
+@pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (2, 3), (3, 2), (5, 2)])
+def test_group_action_matches_matrices(q, n):
+    field = Field.prime(q)
+    subs = all_subspaces(field, n)
+    got = _subspace_action_tables(_point_masks(subs), _general_linear(field, n))
+    assert got == _reference_tables(subs, _reference_general_linear(field, n))
+
+
+@pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (5, 3), (7, 2)])
+def test_sampled_group_action_matches_matrices(q, n):
+    """Same tables from the same draws: the rng ends in the same state."""
+    field = Field.prime(q)
+    subs = all_subspaces(field, n)
+    rng, ref_rng = random.Random(q * 10 + n), random.Random(q * 10 + n)
+    got = _subspace_action_tables(_point_masks(subs), _sampled_group(field, n, 150, rng))
+    want = _reference_tables(subs, _reference_sampled_group(field, n, 150, ref_rng))
+    assert got == want
+    assert rng.getstate() == ref_rng.getstate()
+
+
+@pytest.mark.parametrize("q,n", [(2, 0), (2, 3), (2, 4), (3, 3), (5, 2), (7, 2)])
+def test_point_masks_encode_containment(q, n):
+    field = Field.prime(q)
+    subs = all_subspaces(field, n)
+    masks = _point_masks(subs)
+    assert len(set(masks)) == len(subs)
+    for s, m in zip(subs, masks):
+        assert bin(m).count("1") == (q ** s.dim - 1) // (q - 1)
+    for big, mb in zip(subs, masks):
+        for small, ms in zip(subs, masks):
+            assert (ms & ~mb == 0) == big.contains(small)
+
+
+def test_monotone_assignments_match_brute_force():
+    subs = all_subspaces(F2, 2)
+    for p in (poset_112(), chain("a", "b", "c"), antichain_poset("x", "y")):
+        brute = [a for a in product(range(len(subs)), repeat=len(p))
+                 if all(subs[dict(zip(p.elements, a))[t]].contains(
+                            subs[dict(zip(p.elements, a))[s]])
+                        for s in p.elements for t in p.elements if p.lt(s, t))]
+        assert sorted(_monotone_assignments(p, subs)) == brute
+
+
+def test_subspace_cap():
+    for q in (2, 3, 5, 7):
+        for n in range(5 if q < 7 else 4):
+            assert _subspace_count(q, n) == len(all_subspaces(Field.prime(q), n))
+    one = chain("a")
+    for q, n in ((2, 4), (3, 4), (7, 3), (61, 2), (65521, 1)):
+        EnumConfig(one, q, n).check()
+    assert _subspace_count(65521, 2) == 65524 > MAX_SUBSPACES
+    with pytest.raises(GuardrailExceeded, match="65524 subspaces"):
+        enumerate_indecomposables(EnumConfig(one, 65521, 2))
+    EnumConfig(one, 65521, 2, force=True).check()
+
+
+def test_cross_check_refuses_before_the_recursion(monkeypatch):
+    def no_recursion(p):
+        raise AssertionError("nu_count ran before the guardrail")
+
+    monkeypatch.setattr(oracle, "nu_count", no_recursion)
+    big = antichain_poset(*"abcdefg")
+    with pytest.raises(GuardrailExceeded):
+        cross_check_nu(big, EnumConfig(big, 2, 2))
+    with pytest.raises(GuardrailExceeded):
+        cross_check_nu(chain("a"), EnumConfig(chain("a"), 65521, 2))
+
+
+CYCLE_FREE_CALLS = {
+    "census-dim3": lambda: enumerate_indecomposables(EnumConfig(poset_112(), 2, 3)),
+    "antichains": lambda: poset_112().antichains(),
+    "chain-cover": lambda: poset_112().chain_cover(),
+    "nu-first": lambda: nu_count(poset_112()),
+    "nu-all-paths": lambda: nu_count(antichain_poset("x", "y", "z"), strategy="all-paths"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CYCLE_FREE_CALLS))
+def test_calls_leave_no_cyclic_garbage(name):
+    """Recursive closures are dropped before return, so their results are
+    freed by reference counting, not by a later cyclic collection."""
+    gc.collect()
+    gc.disable()
+    try:
+        CYCLE_FREE_CALLS[name]()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_census_two_chain():
