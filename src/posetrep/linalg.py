@@ -25,8 +25,9 @@ Entries enter a `Matrix` in one of two ways.  The public constructor
 `Matrix(field, rows, ncols)` coerces every entry and checks the shape; all
 input from files and callers goes through it.  The internal `Matrix._of`
 takes a tuple of tuples whose entries are already canonical (a Fraction
-over Q, an int in [0, p) over F_p) and checks nothing, so only this module
-uses it, on entries computed from canonical entries.
+over Q, an int in [0, p) over F_p) and checks nothing, so it is used only
+on entries computed from canonical entries: in this module, and in
+`sspace` on the rows of a `solution_space`.
 """
 
 from __future__ import annotations

@@ -32,12 +32,12 @@ from .differentiation import nu_count
 from .errors import BudgetExceeded, GuardrailExceeded, Mismatch
 from .linalg import Field, Matrix, Subspace
 from .poset import Poset
-from .sspace import (SSpace, are_isomorphic, find_idempotent, hom_space,
-                     is_indecomposable, search_budget)
+from .sspace import SSpace, _indecomposability, are_isomorphic, is_indecomposable
 
 MAX_DIM = 4
 MAX_POSET = 6
 EXHAUSTIVE_GROUP_CAP = 70_000  # q^(n^2) above this forces sampling
+GROUP_SAMPLE = 2000  # group elements drawn when sampling
 # Subspaces of k^max_dim: the action tables hold one entry per group element
 # and subspace, and the assignment search tries every subspace per element.
 MAX_SUBSPACES = 4096
@@ -48,8 +48,6 @@ class EnumConfig:
     poset: Poset
     q: int = 2
     max_dim: int = 2
-    end_cap: int = 1 << 16  # cap on q^(dim End) for idempotent search
-    group_sample: int = 2000
     seed: int = 0
     force: bool = False
 
@@ -65,6 +63,11 @@ class EnumConfig:
         if count > MAX_SUBSPACES:
             raise GuardrailExceeded(f"{count} subspaces of F{self.q}^{self.max_dim} "
                                     f"> {MAX_SUBSPACES}")
+
+
+def _exhaustive_group(q: int, n: int) -> bool:
+    """Whether the census acts with all of GL(n, q) rather than a sample."""
+    return n <= 3 and q ** (n * n) <= EXHAUSTIVE_GROUP_CAP
 
 
 def _subspace_count(q: int, n: int) -> int:
@@ -265,7 +268,10 @@ class OracleCensus:
         for d in self.per_dim:
             lines.append(f"{d.dim:3d} | {d.n_classes:8d} | {d.n_indecomposable:15d}")
         if self.sampled:
-            lines.append("(isomorphism classing sampled at dim 4)")
+            dims = [str(d.dim) for d in self.per_dim
+                    if not _exhaustive_group(self.config.q, d.dim)]
+            label = "dim" if len(dims) == 1 else "dims"
+            lines.append(f"(isomorphism classing sampled at {label} {', '.join(dims)})")
         return "\n".join(lines)
 
 
@@ -276,11 +282,11 @@ def enumerate_indecomposables(cfg: EnumConfig) -> OracleCensus:
     rng = random.Random(cfg.seed)
     for n in range(1, cfg.max_dim + 1):
         subs = all_subspaces(field, n)
-        exhaustive = n <= 3 and cfg.q ** (n * n) <= EXHAUSTIVE_GROUP_CAP
+        exhaustive = _exhaustive_group(cfg.q, n)
         if exhaustive:
             group = _general_linear(field, n)
         else:
-            group = _sampled_group(field, n, cfg.group_sample, rng)
+            group = _sampled_group(field, n, GROUP_SAMPLE, rng)
             census.sampled = True
         # images[j][g]: the index of the image of subspace j under element g
         tables = _subspace_action_tables(_point_masks(subs), group)
@@ -300,7 +306,7 @@ def enumerate_indecomposables(cfg: EnumConfig) -> OracleCensus:
         dim_c = DimCensus(dim=n, n_classes=len(reps))
         for rep in reps:
             space = _assignment_to_space(cfg.poset, field, subs, rep)
-            verdict = is_indecomposable(space, cfg.end_cap)
+            verdict = is_indecomposable(space)
             if verdict is None:
                 dim_c.n_undecided += 1
             elif verdict:
@@ -317,39 +323,32 @@ def _merge_sampled_classes(cfg: EnumConfig, field: Field, subs, reps):
     kept = []
     kept_spaces = []
     for rep, space in zip(reps, spaces):
-        merged = False
-        for other in kept_spaces:
-            if space.dims_profile() != other.dims_profile():
-                continue
-            if are_isomorphic(space, other, seed=cfg.seed,
-                              budget=search_budget(20_000)).is_iso:
-                merged = True
-                break
-        if not merged:
+        if not any(space.dims_profile() == other.dims_profile()
+                   and are_isomorphic(space, other, seed=cfg.seed, budget=20_000).is_iso
+                   for other in kept_spaces):
             kept.append(rep)
             kept_spaces.append(space)
     return kept
 
 
-def decompose_fully(v: SSpace, end_cap: int = 1 << 16) -> list[SSpace]:
+def decompose_fully(v: SSpace) -> list[SSpace]:
     """Split into indecomposable pieces by repeated idempotent splitting;
     raises BudgetExceeded when indecomposability is undecided (an
     endomorphism ring too big to search, or over Q)."""
     if v.dim == 0:
         return []
-    verdict = is_indecomposable(v, end_cap)
+    verdict, end, e = _indecomposability(v)
     if verdict is None:
-        raise BudgetExceeded(f"endomorphism ring of dim {hom_space(v, v).dim}")
+        raise BudgetExceeded(f"endomorphism ring of dim {end.dim}")
     if verdict:
         return [v]
-    e = find_idempotent(hom_space(v, v))
     image = Subspace.full(v.field, v.dim).image(e.mat)
     kernel = Subspace(v.field, v.dim, e.mat.null_rows().rref()[0])
     pieces = []
     for part in (image, kernel):
         assign = {s: v.sub(s).preimage(part.mat) for s in v.poset.elements}
         piece = SSpace(v.poset, v.field, part.dim, assign, validate=False)
-        pieces.extend(decompose_fully(piece, end_cap))
+        pieces.extend(decompose_fully(piece))
     return pieces
 
 

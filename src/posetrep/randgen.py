@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 import string
 
-from .linalg import Field, Matrix, Subspace
+from .linalg import Field, Subspace
 from .poset import Poset
 
 
@@ -52,7 +52,5 @@ def random_morphism(rng: random.Random, hom):
     """Random combination of a HomSpace basis; zero morphism if empty."""
     from .sspace import SMorphism
 
-    mat = Matrix.zeros(hom.field, hom.source.dim, hom.target.dim)
-    for f in hom.basis:
-        mat = mat + f.mat.scale(random_scalar(rng, hom.field))
+    mat = hom.combination([random_scalar(rng, hom.field) for _ in hom.basis])
     return SMorphism(hom.source, hom.target, mat)

@@ -9,7 +9,6 @@ functor identities elsewhere in the package are literal equalities.
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
 
@@ -19,11 +18,8 @@ from .linalg import Field, Matrix, Subspace, solution_space
 from .poset import Poset
 
 
-def search_budget(default: int = 100_000) -> int:
-    try:
-        return int(os.environ.get("POSETREP_BUDGET", default))
-    except ValueError:
-        return default
+# Largest q^(dim End) the idempotent search of `is_indecomposable` may try.
+END_CAP = 1 << 16
 
 
 class SSpace:
@@ -224,6 +220,14 @@ class HomSpace:
     def field(self) -> Field:
         return self.source.field
 
+    def combination(self, coeffs) -> Matrix:
+        """The matrix of sum c_i * basis_i; zero coefficients are skipped."""
+        mat = Matrix.zeros(self.field, self.source.dim, self.target.dim)
+        for c, f in zip(coeffs, self.basis):
+            if c:
+                mat = mat + f.mat.scale(c)
+        return mat
+
 
 def _hom_solutions(u: SSpace, v: SSpace, pairs) -> Subspace:
     """The matrices f : k^dim_U -> k^dim_V, flattened row by row, with
@@ -256,12 +260,12 @@ def _flat_constraints_for(u: SSpace, v: SSpace, pairs):
 
 
 def _unflatten(u: SSpace, v: SSpace, flat_rows):
+    """Basis morphisms u -> v from the canonical rows of a `solution_space`."""
     nv = v.dim
-    out = []
-    for r in flat_rows:
-        mat = Matrix(u.field, [r[i * nv:(i + 1) * nv] for i in range(u.dim)], nv)
-        out.append(SMorphism(u, v, mat, validate=False))
-    return out
+    return [SMorphism(u, v, Matrix._of(u.field, tuple(r[i * nv:(i + 1) * nv]
+                                                      for i in range(u.dim)), nv),
+                      validate=False)
+            for r in flat_rows]
 
 
 def hom_space(u: SSpace, v: SSpace) -> HomSpace:
@@ -381,7 +385,7 @@ def e_functor_map(f: SMorphism, p, mode: str) -> SMorphism:
 
 
 # ---------------------------------------------------------------------------
-# isomorphism and minimality, budgeted searches
+# isomorphism (a budgeted search), minimality and indecomposability
 
 
 @dataclass(frozen=True)
@@ -396,16 +400,11 @@ class IsoResult:
 
 def _all_combinations(hom: HomSpace):
     """Every element of the hom space; only callable over a prime field."""
-    field = hom.field
     coeffs = [0] * hom.dim
     while True:
-        mat = Matrix.zeros(field, hom.source.dim, hom.target.dim)
-        for c, f in zip(coeffs, hom.basis):
-            if c:
-                mat = mat + f.mat.scale(c)
-        yield SMorphism(hom.source, hom.target, mat, validate=False)
+        yield SMorphism(hom.source, hom.target, hom.combination(coeffs), validate=False)
         k = 0
-        while k < hom.dim and coeffs[k] == field.p - 1:
+        while k < hom.dim and coeffs[k] == hom.field.p - 1:
             coeffs[k] = 0
             k += 1
         if k == hom.dim:
@@ -415,21 +414,18 @@ def _all_combinations(hom: HomSpace):
 
 def _sampled_candidates(rng: random.Random, hom: HomSpace, budget: int):
     """Structured trials first, then random combinations within budget."""
-    field = hom.field
     for f in hom.basis:
         yield f
     for i in range(len(hom.basis)):
         for j in range(i + 1, len(hom.basis)):
             yield hom.basis[i] + hom.basis[j]
-    trials = 20 if field.p is None else min(budget, 2000)
+    trials = 20 if hom.field.p is None else min(budget, 2000)
     for _ in range(trials):
-        mat = Matrix.zeros(field, hom.source.dim, hom.target.dim)
-        for f in hom.basis:
-            mat = mat + f.mat.scale(field.coerce(rng.randrange(-3, 4)))
+        mat = hom.combination([rng.randrange(-3, 4) for _ in hom.basis])
         yield SMorphism(hom.source, hom.target, mat, validate=False)
 
 
-def are_isomorphic(u: SSpace, v: SSpace, seed: int = 0, budget: int = None) -> IsoResult:
+def are_isomorphic(u: SSpace, v: SSpace, seed: int = 0, budget: int = 100_000) -> IsoResult:
     """Budgeted isomorphism search.  A positive answer always carries a
     verified witness; a negative one only follows from certified
     obstructions or an exhausted prime-field enumeration; anything else is
@@ -450,7 +446,6 @@ def are_isomorphic(u: SSpace, v: SSpace, seed: int = 0, budget: int = None) -> I
         return IsoResult("not_iso")
     if huv.dim == 0:
         return IsoResult("not_iso")
-    budget = search_budget() if budget is None else budget
     exhaustive = huv.field.p is not None and huv.field.p ** huv.dim <= budget
     if exhaustive:
         candidates = _all_combinations(huv)
@@ -478,30 +473,26 @@ def _endo_solutions_fixing(f: SMorphism) -> list[SMorphism]:
     return _unflatten(u, u, _hom_solutions(u, u, pairs).mat.rows)
 
 
-def is_right_minimal(f: SMorphism, seed: int = 0, trials: int = 50) -> bool:
-    """Budgeted: every g with f = g then f must be an automorphism.  A
-    found non-invertible solution certifies False; True means no violation
-    showed up on a spanning set plus random combinations."""
+def is_right_minimal(f: SMorphism) -> bool:
+    """Exact: every g with g then f = f, that is id + L for the left ideal
+    L = {h : h then f = 0} of End(U), is invertible iff L is nilpotent.
+    W = k^dim U becomes the sum of its images under a basis of L until it
+    is 0 (nilpotent) or stops shrinking (not): at most dim U rounds."""
     u = f.source
-    if u.dim == 0:
-        return True
-    sols = _endo_solutions_fixing(f)
-    ident = Matrix.identity(u.field, u.dim)
-    for h in sols:
-        if not (ident + h.mat).is_invertible():
+    ideal = [h.mat for h in _endo_solutions_fixing(f)]
+    w = Subspace.full(u.field, u.dim)
+    while not w.is_zero():
+        shrunk = Subspace.zero(u.field, u.dim)
+        for h in ideal:
+            shrunk = shrunk.plus(w.image(h))
+        if shrunk.dim == w.dim:
             return False
-    rng = random.Random(seed)
-    for _ in range(trials):
-        mat = ident
-        for h in sols:
-            mat = mat + h.mat.scale(u.field.coerce(rng.randrange(-3, 4)))
-        if not mat.is_invertible():
-            return False
+        w = shrunk
     return True
 
 
-def is_left_minimal(f: SMorphism, seed: int = 0, trials: int = 50) -> bool:
-    return is_right_minimal(f.dualize(), seed=seed, trials=trials)
+def is_left_minimal(f: SMorphism) -> bool:
+    return is_right_minimal(f.dualize())
 
 
 def find_idempotent(end: HomSpace):
@@ -521,18 +512,23 @@ def find_idempotent(end: HomSpace):
     return None
 
 
-def is_indecomposable(v: SSpace, end_cap: int = 1 << 16):
+def _indecomposability(v: SSpace):
+    """(`is_indecomposable(v)`, End(v) if computed, the idempotent found
+    when the verdict is False on a nonzero v)."""
+    if v.dim <= 1:
+        return v.dim == 1, None, None
+    end = hom_space(v, v)
+    if end.dim == 1:
+        return True, end, None
+    if v.field.p is None or v.field.p ** end.dim > END_CAP:
+        return None, end, None
+    e = find_idempotent(end)
+    return e is None, end, e
+
+
+def is_indecomposable(v: SSpace):
     """True when End(v) is certified to have no idempotent besides 0 and
     1: dim End = 1 over any field, or an exhausted search over F_p.  False
     for the zero space or a found idempotent.  None when undecided: over Q
-    with dim End > 1, or when the search would exceed end_cap elements."""
-    if v.dim == 0:
-        return False
-    if v.dim == 1:
-        return True
-    end = hom_space(v, v)
-    if end.dim == 1:
-        return True
-    if v.field.p is None or v.field.p ** end.dim > end_cap:
-        return None
-    return find_idempotent(end) is None
+    with dim End > 1, or when the search would exceed END_CAP elements."""
+    return _indecomposability(v)[0]

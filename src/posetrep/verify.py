@@ -292,10 +292,10 @@ def check_projective_cover_minimal(rng: random.Random, cases: int) -> CheckOutco
         out.expect(epi.is_epi() and epi.is_proper(), f"cover not proper epi at case {i}")
         out.expect(decompose_projective(cover).projective,
                    f"cover not projective at case {i}")
-        out.expect(is_right_minimal(epi, seed=i), f"cover not right minimal at case {i}")
+        out.expect(is_right_minimal(epi), f"cover not right minimal at case {i}")
         env, mono = injective_envelope(v)
         out.expect(mono.is_mono() and mono.is_proper(), f"envelope not proper mono at case {i}")
-        out.expect(is_left_minimal(mono, seed=i), f"envelope not left minimal at case {i}")
+        out.expect(is_left_minimal(mono), f"envelope not left minimal at case {i}")
     return out
 
 

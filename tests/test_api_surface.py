@@ -1,9 +1,11 @@
-"""Every public module-level function of posetrep has a caller.
+"""Every public module-level function of posetrep has a caller, and no
+module reads the environment.
 
 A public function counts as used when its name appears in src/ or tests/
 anywhere outside its own definition: a call, an import, an attribute
 access, or a registry entry.  A recursive call inside its own body does
-not count.
+not count.  Settings come from arguments only, so that a result never
+depends on an environment variable.
 """
 
 import ast
@@ -61,3 +63,19 @@ def test_every_public_function_is_referenced():
         if not found:
             unused.append(f"{module_name}.{name}")
     assert not unused, f"public functions nothing references: {unused}"
+
+
+ENVIRONMENT_READERS = {"environ", "getenv", "environb", "getenvb"}
+
+
+def test_no_module_reads_the_environment():
+    readers = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READERS
+                    and isinstance(node.value, ast.Name) and node.value.id == "os"):
+                readers.append(f"{path.name}:{node.lineno} os.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                readers += [f"{path.name}:{node.lineno} from os import {a.name}"
+                            for a in node.names if a.name in ENVIRONMENT_READERS]
+    assert not readers, f"modules that read the environment: {readers}"

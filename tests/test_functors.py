@@ -248,7 +248,7 @@ def test_lift_iso_and_minimality_transfer():
         fhat_iso = fhat.mat.is_invertible() and fhat.inverse() is not None
         assert f_iso == fhat_iso
         iso_seen += f_iso
-        assert is_right_minimal(f, seed=i) == is_right_minimal(fhat, seed=i)
+        assert is_right_minimal(f) == is_right_minimal(fhat)
     assert iso_seen
 
 
@@ -424,7 +424,7 @@ def test_projective_cover_is_proper_epi_and_right_minimal():
         cover, epi = projective_cover(v)
         assert epi.is_epi() and epi.is_proper()
         assert decompose_projective(cover).projective
-        assert is_right_minimal(epi, seed=1)
+        assert is_right_minimal(epi)
 
 
 def test_injective_envelope_contracts():
@@ -435,7 +435,7 @@ def test_injective_envelope_contracts():
         env, mono = injective_envelope(v)
         assert mono.is_mono() and mono.is_proper()
         assert decompose_injective_ok(env)
-        assert is_left_minimal(mono, seed=1)
+        assert is_left_minimal(mono)
 
 
 def decompose_injective_ok(v):

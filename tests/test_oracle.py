@@ -8,10 +8,10 @@ from posetrep.errors import BudgetExceeded, GuardrailExceeded
 from posetrep.linalg import QQ, Field, Matrix, Subspace
 from posetrep import oracle
 from posetrep.differentiation import nu_count
-from posetrep.oracle import (MAX_SUBSPACES, EnumConfig, _general_linear,
-                             _monotone_assignments, _point_masks, _sampled_group,
-                             _subspace_action_tables, _subspace_count, all_subspaces,
-                             cross_check_nu, decompose_fully,
+from posetrep.oracle import (MAX_SUBSPACES, DimCensus, EnumConfig, OracleCensus,
+                             _general_linear, _monotone_assignments, _point_masks,
+                             _sampled_group, _subspace_action_tables, _subspace_count,
+                             all_subspaces, cross_check_nu, decompose_fully,
                              enumerate_indecomposables, is_indecomposable)
 from posetrep.poset import Poset
 from posetrep.randgen import random_poset, random_sspace
@@ -294,6 +294,27 @@ def test_sampled_dim4_census_runs():
     assert census.sampled
     assert census.total_indecomposable == 3
     assert census.per_dim[3].n_indecomposable == 0
+    assert census.table().endswith("\n(isomorphism classing sampled at dim 4)")
+
+
+@pytest.mark.parametrize("q,max_dim,note", [(17, 2, "dim 2"), (7, 3, "dim 3"),
+                                            (3, 3, None)])
+def test_table_names_the_sampled_dimensions(q, max_dim, note):
+    census = enumerate_indecomposables(EnumConfig(chain("a"), q, max_dim))
+    assert census.sampled is (note is not None)
+    last = census.table().splitlines()[-1]
+    if note is None:
+        assert not last.startswith("(")
+    else:
+        assert last == f"(isomorphism classing sampled at {note})"
+
+
+def test_table_names_several_sampled_dimensions():
+    """Over F_17 GL(2) and GL(3) are both sampled (the table alone, as the
+    dim-3 census takes seconds)."""
+    census = OracleCensus(EnumConfig(chain("a"), 17, 3),
+                          [DimCensus(n) for n in (1, 2, 3)], sampled=True)
+    assert census.table().endswith("\n(isomorphism classing sampled at dims 2, 3)")
 
 
 def test_dim1_classes_are_the_simples():

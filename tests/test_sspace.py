@@ -355,11 +355,11 @@ def test_kappa_left_minimal_iff_no_trivial_summand():
         if v.is_trivial_at(pt) and v.dim:
             continue
         _, kappa = e_sub(v, pt)
-        base = is_left_minimal(kappa, seed=1)
+        base = is_left_minimal(kappa)
         trivial_bit = simple_ideal_space(p, F5, (pt,))
         bigger = direct_sum(v, trivial_bit)
         _, kappa2 = e_sub(bigger, pt)
-        assert not is_left_minimal(kappa2, seed=1)
+        assert not is_left_minimal(kappa2)
         if base and v.dim:
             # v itself then had no summand trivial at pt; adding one flips it
             assert trivial_bit.is_trivial_at(pt)
