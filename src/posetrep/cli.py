@@ -17,7 +17,7 @@ from .errors import PosetRepError, WriteError
 from .functors import coinduce, induce, restrict
 from .oracle import EnumConfig, cross_check_nu, enumerate_indecomposables
 from .sspace import dualize, e_quot, e_sub, hom_space, validate_sspace
-from .verify import DEFAULT_SEED, run_suite
+from .verify import DEFAULT_SEED, REGISTRY, run_suite
 
 
 def _int_at_least(low: int):
@@ -30,6 +30,15 @@ def _int_at_least(low: int):
 
     parse.__name__ = "integer"  # argparse names the type in its messages
     return parse
+
+
+def _check_names(text):
+    """argparse type for --only: a comma-separated list of known checks."""
+    names = set(text.split(","))
+    unknown = sorted(names - {name for name, _ in REGISTRY})
+    if unknown:
+        raise argparse.ArgumentTypeError(f"unknown check {', '.join(map(repr, unknown))}")
+    return names
 
 
 def _load_any(path: str):
@@ -156,8 +165,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    names = set(args.only.split(",")) if args.only else None
-    results = run_suite(seed=args.seed, cases=args.cases, names=names)
+    results = run_suite(seed=args.seed, cases=args.cases, names=args.only)
     bad = 0
     for r in results:
         print(r.line())
@@ -233,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("verify", help="run the invariant suite")
     c.add_argument("--seed", type=int, default=DEFAULT_SEED)
     c.add_argument("--cases", type=_int_at_least(1), default=60)
-    c.add_argument("--only", help="comma-separated check names")
+    c.add_argument("--only", type=_check_names, help="comma-separated check names")
     c.set_defaults(fn=cmd_verify)
 
     return ap

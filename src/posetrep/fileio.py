@@ -20,7 +20,8 @@ An .ssp file:
     space b: 1/2,0,1
 
 Omitted elements get the zero subspace; vectors are canonicalized on load
-and monotonicity is validated.
+and monotonicity is validated.  The field:, poset: and dim: lines, and the
+space line of each element, may each appear once.
 """
 
 from __future__ import annotations
@@ -137,32 +138,33 @@ def _parse_scalar(field: Field, token: str):
 def parse_sspace(text: str, poset_loader) -> SSpace:
     """poset_loader maps the poset: path to a Poset; injected so parsing
     stays testable without touching the filesystem."""
-    field = None
-    poset = None
-    dim = None
-    raw_spaces = []
+    head = {}
+    raw_spaces = {}
     for line in _strip_comments(text):
-        if line.startswith("field:"):
-            field = _parse_field(line[len("field:"):].strip())
-        elif line.startswith("poset:"):
-            poset = poset_loader(line[len("poset:"):].strip())
-        elif line.startswith("dim:"):
-            text = line[len("dim:"):].strip()
-            if not (text.isascii() and text.isdigit()):
-                raise ParseError(f"dim must be a non-negative integer, got {text!r}")
-            dim = int(text)
-        elif line.startswith("space "):
-            body = line[len("space "):]
-            if ":" not in body:
+        key, colon, body = line.partition(":")
+        if key in ("field", "poset", "dim"):
+            if key in head:
+                raise ParseError(f"duplicate {key}: line")
+            head[key] = body.strip()
+        elif key.startswith("space "):
+            if not colon:
                 raise ParseError(f"bad space line {line!r}")
-            label, vectors = body.split(":", 1)
-            raw_spaces.append((label.strip(), vectors.strip()))
+            label = key[len("space "):].strip()
+            if label in raw_spaces:
+                raise ParseError(f"duplicate space line for {label!r}")
+            raw_spaces[label] = body.strip()
         else:
             raise ParseError(f"unrecognized line {line!r}")
-    if field is None or poset is None or dim is None:
+    if len(head) < 3:
         raise ParseError("need field:, poset:, and dim: lines")
+    field = _parse_field(head["field"])
+    poset = poset_loader(head["poset"])
+    text = head["dim"]
+    if not (text.isascii() and text.isdigit()):
+        raise ParseError(f"dim must be a non-negative integer, got {text!r}")
+    dim = int(text)
     assign = {}
-    for label, vectors in raw_spaces:
+    for label, vectors in raw_spaces.items():
         rows = []
         if vectors:
             for vec in vectors.split(";"):

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field as dc_field
 from .errors import NoUniqueTop, NotAFilter, NotAnIdeal, PosetMismatch
 from .linalg import Field, Matrix, Subspace
 from .poset import Poset
-from .sspace import (SMorphism, SSpace, direct_sum, dualize, is_indecomposable,
-                     projective_space, simple_filter_space, zero_space)
+from .sspace import (SMorphism, SSpace, direct_sum, dualize, projective_space,
+                     simple_filter_space, zero_space)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +283,7 @@ def injective_envelope(v: SSpace) -> tuple[SSpace, SMorphism]:
 
 @dataclass(frozen=True)
 class SemisimpleDecomposition:
-    status: str  # "semisimple" | "not_semisimple" | "undecided"
+    status: str  # "semisimple" | "not_semisimple"
     multiplicities: dict = dc_field(default_factory=dict)  # antichain -> count
     witness: SMorphism = None
 
@@ -292,114 +292,39 @@ class SemisimpleDecomposition:
         return self.status == "semisimple"
 
 
-def _two_flag_basis(v: SSpace, chain1, chain2):
-    """Common adapted basis for the two subspace flags along the chains.
-
-    Returns a list of (vector row, filter of elements containing it).  The
-    classical bifiltration splitting: work through the pairwise
-    intersections in lexicographic order, taking a complement of the two
-    predecessors each time.
-    """
-    fld, n = v.field, v.dim
-    flag1 = [Subspace.zero(fld, n)] + [v.sub(s) for s in chain1] + [Subspace.full(fld, n)]
-    flag2 = [Subspace.zero(fld, n)] + [v.sub(s) for s in chain2] + [Subspace.full(fld, n)]
-    out = []
-    for i in range(1, len(flag1)):
-        for j in range(1, len(flag2)):
-            x = flag1[i].intersect(flag2[j])
-            prev = flag1[i - 1].intersect(flag2[j]).plus(flag1[i].intersect(flag2[j - 1]))
-            members = set(chain1[i - 1:]) | set(chain2[j - 1:])
-            for row in x.complement_within(prev.intersect(x)).rows:
-                out.append((row, members))
-    return out
-
-
 def semisimple_decompose(v: SSpace) -> SemisimpleDecomposition:
-    """Split v into one-dimensional simples.  Guaranteed for width <= 2;
-    elsewhere a greedy peel plus a local-endomorphism certificate, with
-    undecided as the honest fallback."""
-    if v.dim == 0:
-        return SemisimpleDecomposition("semisimple", {}, SMorphism.identity(v))
-    chains = v.poset.chain_cover()
-    if len(chains) <= 2:
-        c1, c2 = chains + [[]] * (2 - len(chains))
-        pieces = _two_flag_basis(v, c1, c2)
-        return _assemble_semisimple(v, [(row, v.poset.min_of(members))
-                                        for row, members in pieces])
-    return _greedy_semisimple(v)
+    """Decide whether v is a direct sum of the one-dimensional k_A, and
+    if so give the multiplicities with an isomorphism from that sum.
 
-
-def _assemble_semisimple(v: SSpace, typed_rows) -> SemisimpleDecomposition:
+    Exact at every width.  For an antichain A let X = the intersection of
+    V(a) over a in A (all of V when A is empty) and Y = the sum of V(s)
+    over s outside the filter <A>.  If V is the sum of k_{A_i} on a basis
+    e_i, then X is spanned by the e_i with <A_i> containing <A>, and X n Y
+    by those with <A_i> strictly larger; so a complement of X n Y in X
+    holds the summands of type A, and these complements together form a
+    basis adapted to every V(s).  So v is semisimple exactly when the map
+    the complements define from the sum of the simples is an isomorphism.
+    """
+    p, fld, n = v.poset, v.field, v.dim
     mult = {}
-    ordered = sorted(typed_rows, key=lambda t: t[1])
-    parts = zero_space(v.poset, v.field)
+    parts = zero_space(p, fld)
     rows = []
-    for row, a in ordered:
-        mult[a] = mult.get(a, 0) + 1
-        parts = direct_sum(parts, simple_filter_space(v.poset, v.field, a))
-        rows.append(row)
-    witness = SMorphism(parts, v, Matrix(v.field, rows, v.dim))
-    if not witness.is_iso():
-        raise PosetMismatch("adapted basis failed to split the space")
-    return SemisimpleDecomposition("semisimple", mult, witness)
-
-
-def _peel_simple(remaining: SSpace):
-    """One greedy step: find a vector whose membership filter splits off,
-    returning (vector row, antichain, kernel inclusion matrix) or None.
-    Antichains are tried in decreasing size of generated filter."""
-    fld, n = remaining.field, remaining.dim
-    p = remaining.poset
-    for a in sorted(p.antichains(), key=lambda a: -len(p.generated_filter(a))):
-        filt = p.generated_filter(a)
+    for a in p.antichains():
         inside = Subspace.full(fld, n)
         for s in a:
-            inside = inside.intersect(remaining.sub(s))
+            inside = inside.intersect(v.sub(s))
+        filt = p.generated_filter(a)
         outside = Subspace.zero(fld, n)
         for s in p.elements:
             if s not in filt:
-                outside = outside.plus(remaining.sub(s))
-        killers = outside.annihilator()
-        for cand in inside.mat.rows:
-            members = frozenset(s for s in p.elements
-                                if remaining.sub(s).contains_vector(cand))
-            if members != filt:
-                continue
-            functional = None
-            for g in killers.mat.rows:
-                pairing = fld.zero
-                for x, y in zip(cand, g):
-                    pairing = fld.add(pairing, fld.mul(x, y))
-                if pairing != fld.zero:
-                    functional = [fld.div(y, pairing) for y in g]
-                    break
-            if functional is None:
-                continue
-            col = Matrix(fld, [functional], n).transpose()
-            kmat = col.null_rows().rref()[0]
-            return cand, tuple(p.min_of(filt)), kmat
-    return None
-
-
-def _greedy_semisimple(v: SSpace) -> SemisimpleDecomposition:
-    """Peel off simple summands while a splitting projection exists; if a
-    piece of dimension > 1 survives, try to certify it has a local
-    endomorphism ring (no idempotent besides 0 and 1, so a non-simple
-    indecomposable summand) before claiming non-semisimplicity."""
-    remaining = v
-    back = Matrix.identity(v.field, v.dim)  # remaining coords -> v coords
-    typed_rows = []
-    while remaining.dim:
-        found = _peel_simple(remaining)
-        if found is None:
-            break
-        cand, a, kmat = found
-        typed_rows.append(((Matrix(v.field, [cand], remaining.dim) * back).rows[0], a))
-        assign = {s: remaining.sub(s).preimage(kmat) for s in remaining.poset.elements}
-        remaining = SSpace(remaining.poset, v.field, kmat.nrows, assign, validate=False)
-        back = kmat * back
-    if remaining.dim == 0:
-        return _assemble_semisimple(v, typed_rows)
-    if remaining.dim > 1 and is_indecomposable(remaining) is True:
+                outside = outside.plus(v.sub(s))
+        comp = inside.complement_within(outside.intersect(inside))
+        if comp.nrows:
+            mult[a] = comp.nrows
+            rows += comp.rows
+            for _ in range(comp.nrows):
+                parts = direct_sum(parts, simple_filter_space(p, fld, a))
+    witness = SMorphism(parts, v, Matrix._of(fld, tuple(rows), n))
+    if not witness.is_iso():
         return SemisimpleDecomposition("not_semisimple")
-    return SemisimpleDecomposition("undecided")
+    return SemisimpleDecomposition("semisimple", mult, witness)

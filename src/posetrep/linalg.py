@@ -432,12 +432,6 @@ class Subspace:
         if self.ambient != other.ambient:
             raise DimensionMismatch(f"ambient {self.ambient} vs {other.ambient}")
 
-    def contains_vector(self, vec) -> bool:
-        v = tuple(self.field.coerce(x) for x in vec)
-        if len(v) != self.ambient:
-            raise DimensionMismatch("vector length")
-        return self._reduce(v) is not None
-
     def _reduce(self, v):
         """Coordinates of v in the RREF basis, or None if v is outside."""
         p = self.field.p

@@ -206,8 +206,7 @@ def _monotone_assignments(poset: Poset, subs):
     if n_elems == 0:
         return [()]
     masks = _point_masks(subs)
-    order = sorted(poset.elements,
-                   key=lambda x: sum(poset.lt(y, x) for y in poset.elements))
+    order = poset.linear_extension()
     below = {s: [t for t in order if poset.lt(t, s)] for s in order}
     chosen = {}
     out = []

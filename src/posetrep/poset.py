@@ -271,6 +271,13 @@ class Poset:
     def width(self) -> int:
         return len(self.chain_cover())
 
+    def linear_extension(self) -> list[Label]:
+        """The elements sorted by their number of strict predecessors, ties
+        in element order; every element comes after all those below it."""
+        n_below = [sum(col) for col in zip(*self._leq)]  # each counts itself too
+        return [self.elements[i]
+                for i in sorted(range(len(self.elements)), key=n_below.__getitem__)]
+
     # transforms ---------------------------------------------------------
 
     def opposite(self) -> "Poset":

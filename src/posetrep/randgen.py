@@ -36,7 +36,7 @@ def random_sspace(rng: random.Random, poset: Poset, field: Field, max_dim: int =
     from .sspace import SSpace
 
     n = rng.randrange(0, max_dim + 1)
-    order = sorted(poset.elements, key=lambda x: sum(poset.lt(y, x) for y in poset.elements))
+    order = poset.linear_extension()
     assign = {}
     for s in order:
         base = Subspace.zero(field, n)

@@ -1,11 +1,11 @@
-"""Every public module-level function of posetrep has a caller, and no
-module reads the environment.
+"""Every public module-level function and every public method of a
+posetrep class has a caller, and no module reads the environment.
 
-A public function counts as used when its name appears in src/ or tests/
-anywhere outside its own definition: a call, an import, an attribute
-access, or a registry entry.  A recursive call inside its own body does
-not count.  Settings come from arguments only, so that a result never
-depends on an environment variable.
+A public function or method counts as used when its name appears in src/
+or tests/ anywhere outside its own definition: a call, an import, an
+attribute access, or a registry entry.  A recursive call inside its own
+body does not count.  Settings come from arguments only, so that a result
+never depends on an environment variable.
 """
 
 import ast
@@ -20,49 +20,63 @@ PACKAGE_DIR = Path(posetrep.__file__).resolve().parent
 ROOTS = [PACKAGE_DIR, Path(__file__).resolve().parent]
 
 
-def _public_functions():
+METHOD_KINDS = (classmethod, staticmethod, property)
+
+
+def _public_definitions():
+    """(module name, path of enclosing definition names) for every public
+    module-level function and every public method, classmethod,
+    staticmethod or property of a class defined in posetrep."""
     out = []
     for info in pkgutil.iter_modules([str(PACKAGE_DIR)]):
         module = importlib.import_module(f"posetrep.{info.name}")
         for name, obj in vars(module).items():
-            if (inspect.isfunction(obj) and obj.__module__ == module.__name__
-                    and not name.startswith("_")):
-                out.append((module.__name__, name))
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                out.append((module.__name__, (name,)))
+            elif inspect.isclass(obj):
+                out += [(module.__name__, (name, attr)) for attr, member in vars(obj).items()
+                        if not attr.startswith("_")
+                        and (inspect.isfunction(member) or isinstance(member, METHOD_KINDS))]
     return out
 
 
-def _names_used(tree, skip_def=None):
+def _names_used(tree, skip=()):
     """Identifiers referenced in tree, leaving out the body of the
-    module-level function named skip_def."""
+    definition whose enclosing class and function names are skip."""
     used = set()
-    stack = [tree]
+    stack = [(tree, ())]
     while stack:
-        node = stack.pop()
-        if isinstance(node, ast.FunctionDef) and node.name == skip_def:
-            continue
+        node, path = stack.pop()
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            path += (node.name,)
+            if path == skip:
+                continue
         if isinstance(node, ast.Name):
             used.add(node.id)
         elif isinstance(node, ast.Attribute):
             used.add(node.attr)
         elif isinstance(node, ast.alias):
             used.add(node.name.rsplit(".", 1)[-1])
-        stack.extend(ast.iter_child_nodes(node))
+        stack.extend((child, path) for child in ast.iter_child_nodes(node))
     return used
 
 
 def test_every_public_function_is_referenced():
+    """Module-level functions and the methods of posetrep classes alike."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for root in ROOTS for path in sorted(root.glob("*.py"))}
     everywhere = {path: _names_used(tree) for path, tree in trees.items()}
     unused = []
-    for module_name, name in _public_functions():
+    for module_name, skip in _public_definitions():
         home = PACKAGE_DIR / (module_name.rsplit(".", 1)[-1] + ".py")
-        found = any(name in (_names_used(tree, skip_def=name) if path == home
-                             else everywhere[path])
+        found = any(skip[-1] in (_names_used(tree, skip) if path == home
+                                 else everywhere[path])
                     for path, tree in trees.items())
         if not found:
-            unused.append(f"{module_name}.{name}")
-    assert not unused, f"public functions nothing references: {unused}"
+            unused.append(f"{module_name}.{'.'.join(skip)}")
+    assert not unused, f"public functions and methods nothing references: {unused}"
 
 
 ENVIRONMENT_READERS = {"environ", "getenv", "environb", "getenvb"}

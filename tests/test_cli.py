@@ -185,6 +185,15 @@ def test_verify_smoke(capsys):
     assert "diff-direct-vs-composite" in out
 
 
+def test_verify_unknown_check_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--cases", "1", "--only", "nu-path-independence,nosuch"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "unknown check 'nosuch'" in captured.err
+    assert captured.out == ""
+
+
 def test_determinism(ex510_file, capsys):
     main(["derive", ex510_file, "--point", "p", "--mode", "filter"])
     first = capsys.readouterr().out
@@ -203,6 +212,10 @@ MALFORMED = {
     "dim-not-a-number": ["check", "bad.ssp"],
     "dim-negative": ["check", "bad.ssp"],
     "entry-divides-by-zero": ["check", "bad.ssp"],
+    "field-twice": ["check", "bad.ssp"],
+    "poset-twice": ["check", "bad.ssp"],
+    "dim-twice": ["check", "bad.ssp"],
+    "space-twice-for-a-label": ["check", "bad.ssp"],
     "poset-file-missing": ["check", "bad.ssp"],
     "input-path-missing": ["nu", "missing.poset"],
     "oracle-field-not-prime": ["oracle", "three.poset", "--field", "4"],
@@ -211,6 +224,10 @@ SSP_BODY = {
     "dim-not-a-number": SSP_HEAD + "dim: two\n",
     "dim-negative": SSP_HEAD + "dim: -1\n",
     "entry-divides-by-zero": SSP_HEAD + "dim: 2\nspace x: 1/0,1\n",
+    "field-twice": SSP_HEAD + "dim: 1\nfield: F 5\n",
+    "poset-twice": SSP_HEAD + "dim: 1\nposet: three.poset\n",
+    "dim-twice": SSP_HEAD + "dim: 2\ndim: 1\n",
+    "space-twice-for-a-label": SSP_HEAD + "dim: 2\nspace x: 1,0\nspace x: 0,1\n",
     "poset-file-missing": "field: Q\nposet: nowhere.poset\ndim: 1\n",
 }
 

@@ -1,4 +1,6 @@
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -11,15 +13,18 @@ from posetrep.functors import (IncidenceRep, coinduce,
                                restrict_morphism, semisimple_decompose,
                                sorted_by)
 from posetrep.linalg import QQ, Field, Matrix, Subspace
+from posetrep.oracle import all_subspaces
 from posetrep.poset import antichain_semilattice, derived_carrier
 from posetrep.randgen import random_morphism, random_poset, random_sspace
 from posetrep.sspace import (SMorphism, SSpace, are_isomorphic, direct_sum,
                              dualize, hom_space, is_left_minimal,
                              is_right_minimal, projective_space,
                              simple_filter_space, zero_space)
+from posetrep.verify import all_posets_up_to
 
 from helpers import antichain_poset, chain, example510
 
+F2 = Field.prime(2)
 F5 = Field.prime(5)
 
 
@@ -484,17 +489,30 @@ def test_semisimple_cube_of_simple():
     assert res.is_semisimple and res.multiplicities == {a: 3}
 
 
-def test_three_lines_not_semisimple():
+def three_lines(field):
+    """Three distinct lines in a plane over a 3-antichain: indecomposable
+    of dimension 2, so not a sum of the one-dimensional k_A."""
     p = antichain_poset("x", "y", "z")
-    v = SSpace(p, QQ, 2, {
-        "x": Subspace.from_rows(QQ, 2, [[1, 0]]),
-        "y": Subspace.from_rows(QQ, 2, [[0, 1]]),
-        "z": Subspace.from_rows(QQ, 2, [[1, 1]]),
+    return SSpace(p, field, 2, {
+        "x": Subspace.from_rows(field, 2, [[1, 0]]),
+        "y": Subspace.from_rows(field, 2, [[0, 1]]),
+        "z": Subspace.from_rows(field, 2, [[1, 1]]),
     })
-    assert semisimple_decompose(v).status == "not_semisimple"
 
 
-def test_greedy_semisimple_beyond_width2():
+def test_three_lines_not_semisimple():
+    assert semisimple_decompose(three_lines(QQ)).status == "not_semisimple"
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F5], ids=["Q", "F2", "F5"])
+def test_twice_three_lines_not_semisimple(field):
+    w = three_lines(field)
+    res = semisimple_decompose(direct_sum(w, w))
+    assert res.status == "not_semisimple"
+    assert res.multiplicities == {} and res.witness is None
+
+
+def test_semisimple_beyond_width2():
     p = antichain_poset("x", "y", "z")
     parts = [simple_filter_space(p, QQ, a) for a in [(), ("x",), ("x", "y", "z")]]
     v = zero_space(p, QQ)
@@ -503,3 +521,60 @@ def test_greedy_semisimple_beyond_width2():
     res = semisimple_decompose(v)
     assert res.is_semisimple
     assert res.multiplicities == {(): 1, ("x",): 1, ("x", "y", "z"): 1}
+
+
+def adapted_basis_types(v):
+    """Brute force over F_2: the multiplicities of the types of the first
+    basis of V that spans every V(s) with the vectors it has there, or
+    None when no basis of V does."""
+    p, n = v.poset, v.dim
+    members = {}
+    for vec in itertools.product((0, 1), repeat=n):
+        if any(vec):
+            line = Subspace.from_rows(F2, n, [vec])
+            members[vec] = frozenset(s for s in p.elements if v.sub(s).contains(line))
+    for basis in itertools.combinations(members, n):
+        if Subspace.from_rows(F2, n, basis).dim < n:
+            continue
+        if all(v.sub(s).dim == sum(s in members[e] for e in basis) for s in p.elements):
+            return dict(Counter(p.min_of(members[e]) for e in basis))
+    return None
+
+
+def uniform_space(rng, p, subs):
+    """A monotone assignment over F_2 that gives each element, along a
+    linear extension, a uniform choice among the subspaces subs holding
+    everything below it."""
+    n = subs[-1].dim
+    assign = {}
+    for s in p.linear_extension():
+        below = Subspace.zero(F2, n)
+        for t in p.elements:
+            if p.lt(t, s):
+                below = below.plus(assign[t])
+        assign[s] = rng.choice([u for u in subs if u.contains(below)])
+    return SSpace(p, F2, n, assign)
+
+
+def test_semisimple_decompose_matches_brute_force_over_f2():
+    """Every poset of at most 4 points in every dimension <= 3 (more
+    samples where the width exceeds 2, the only place a space can fail to
+    split), and the non-semisimple W, W + W and W + k_(x) of the three
+    lines W."""
+    rng = random.Random(61)
+    subs = {n: all_subspaces(F2, n) for n in range(4)}
+    spaces = [uniform_space(rng, p, subs[n])
+              for p in all_posets_up_to(4) for n in subs
+              for _ in range(12 if p.width() > 2 else 2)]
+    w = three_lines(F2)
+    spaces += [w, direct_sum(w, w), direct_sum(w, simple_filter_space(w.poset, F2, ("x",)))]
+    statuses = Counter()
+    for v in spaces:
+        expected = adapted_basis_types(v)
+        res = semisimple_decompose(v)
+        statuses[res.status] += 1
+        assert res.is_semisimple == (expected is not None), v
+        assert res.multiplicities == (expected or {}), v
+        if res.is_semisimple:
+            assert res.witness.target == v and res.witness.is_iso()
+    assert statuses["not_semisimple"] >= 20, statuses

@@ -304,3 +304,18 @@ def test_equality_and_hash_ignore_element_order():
     assert a != c
     assert a != Poset.build(["x", "y", "w"], [("x", "y")])
     assert len({a, b, c}) == 2
+
+
+def test_linear_extension_orders_by_strict_predecessors():
+    """Sorted by the number of strict predecessors, ties in element order:
+    the order the oracle search and random_sspace draw along."""
+    rng = random.Random(41)
+    posets = list(all_posets_up_to(5)) + [random_poset(rng, 8) for _ in range(100)]
+    posets += [example510(), Poset.build(["z", "b", "y", "a"], [("y", "b")])]
+    for p in posets:
+        ext = p.linear_extension()
+        assert ext == sorted(p.elements,
+                             key=lambda x: sum(p.lt(y, x) for y in p.elements))
+        assert all(ext.index(a) < ext.index(b)
+                   for a in p.elements for b in p.elements if p.lt(a, b))
+    assert Poset.build(["z", "b", "y", "a"], [("y", "b")]).linear_extension() == ["z", "y", "a", "b"]
