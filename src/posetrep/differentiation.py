@@ -46,14 +46,15 @@ class DerivedPoset:
         return self.label_map[label].members
 
 
-def _complement(p: Poset, point: str, mode: str) -> Poset:
-    """S \\ <p> in filter mode, S \\ (p) in ideal mode."""
-    region = p.up(point) if mode == "filter" else p.down(point)
-    return p.restrict([x for x in p.elements if x not in region])
+def _region(p: Poset, point: str, mode: str) -> int:
+    """The mask of <p> in filter mode, of (p) in ideal mode."""
+    i = p._i(point)
+    return p._up[i] if mode == "filter" else p._down[i]
 
 
 def applicability_width(p: Poset, point: str, mode: str) -> int:
-    return _complement(p, point, mode).width()
+    """The width of S \\ <p> (S \\ (p) in ideal mode), read off its mask."""
+    return p._width_in((1 << len(p)) - 1 & ~_region(p, point, mode))
 
 
 def is_applicable(p: Poset, point: str, mode: str) -> bool:
@@ -70,15 +71,11 @@ def derive_poset(p: Poset, point: str, mode: str) -> DerivedPoset:
     w = applicability_width(p, point, mode)
     if w > 2:
         raise NotApplicable(w)
-    region = p.up(point) if mode == "filter" else p.down(point)
-    carrier, cmap = derived_carrier(p, sorted(region, key=p.elements.index), mode)
-    shadow = p.down(point) if mode == "filter" else p.up(point)
-    keep = []
-    for label in carrier.elements:
-        members = cmap[label].members
-        if label == point or (set(members) & shadow):
-            continue
-        keep.append(label)
+    carrier, cmap = derived_carrier(p, p._members(_region(p, point, mode)), mode)
+    # the principal ideal of p in the meet order (filter of p in the join
+    # order) holds p and exactly the antichains that meet (p) (resp. <p>)
+    cut = _region(carrier, point, "ideal" if mode == "filter" else "filter")
+    keep = carrier._members((1 << len(carrier)) - 1 & ~cut)
     result = carrier.restrict(keep)
     label_map = {x: cmap[x] for x in keep}
     return DerivedPoset(p, point, mode, result, label_map, carrier, cmap)
@@ -194,65 +191,81 @@ def poset_fingerprint(p: Poset) -> str:
 
 
 def _applicable_moves(p: Poset):
-    """(point, mode) pairs in deterministic order: filter sweeps first."""
-    moves = []
+    """(point, mode) pairs in deterministic order, filter sweeps first;
+    lazy, so a caller that wants one move tests no more than it takes."""
     for mode in ("filter", "ideal"):
         for point in sorted(p.elements):
             if is_applicable(p, point, mode):
-                moves.append((point, mode))
-    return moves
+                yield point, mode
+
+
+def _charge(d: DerivedPoset) -> int:
+    """|a(S \\ <p>)| (|a(S \\ (p))| in ideal mode): the carrier holds the
+    points of <p> and one point per nonempty antichain of the rest."""
+    return len(d.carrier) - _region(d.base, d.point, d.mode).bit_count()
 
 
 def nu_count(p: Poset, strategy: str = "first", depth_limit: int = 64) -> ReductionTrace:
     """Count indecomposable representations by iterated differentiation.
 
-    Width <= 2 posets are counted outright as |A(S)|.  Otherwise the first
-    applicable (point, mode) in label order is differentiated and the
-    recursion charges |a(complement)| + 1 per step.  Repeating carriers or
-    exceeding the depth limit end in a stuck/depth-limit trace instead of
-    an answer; the width is checked first, so a poset of width <= 2 is
-    counted at any depth limit.
+    Width <= 2 posets are counted outright as |A(S)|.  Otherwise strategy
+    "first" differentiates at the first applicable (point, mode), trying
+    filter mode before ideal mode and points in label order, and tests no
+    move after it; the recursion charges |a(complement)| + 1 per step.
+    Repeating carriers or exceeding the depth limit end in a
+    stuck/depth-limit trace instead of an answer; the width is checked
+    first, so a poset of width <= 2 is counted at any depth limit.
     """
     if strategy == "all-paths":
         return _nu_all_paths(p, depth_limit)
     trace = ReductionTrace()
     current = p
     seen = {p}
-    total = 0
     while current.width() > 2:
         if len(trace.steps) >= depth_limit:
             trace.status = "depth-limit"
             break
-        moves = _applicable_moves(current)
-        if not moves:
+        move = next(_applicable_moves(current), None)
+        if move is None:
             trace.status = "stuck"
             break
-        point, mode = moves[0]
-        a_count = _complement_antichain_count(current, point, mode)
-        trace.steps.append(ReductionStep(current, point, mode, a_count))
-        total += a_count + 1
-        current = derive_poset(current, point, mode).result
+        derived = derive_poset(current, *move)
+        trace.steps.append(ReductionStep(current, *move, _charge(derived)))
+        current = derived.result
         if current in seen:
             trace.status = "stuck"
             break
         seen.add(current)
-    trace.terminal = current
+    return _finish(trace, current)
+
+
+def _finish(trace: ReductionTrace, terminal: Poset) -> ReductionTrace:
+    """Close a trace at its last poset; an "ok" trace counts it and adds
+    up nu = sum of (|a| + 1) over the steps + |A(terminal)|."""
+    trace.terminal = terminal
     if trace.status == "ok":
-        trace.terminal_count = len(current.antichains())
-        trace.nu = total + trace.terminal_count
+        trace.terminal_count = len(terminal.antichains())
+        trace.nu = trace.terminal_count + sum(
+            s.nonempty_antichains + 1 for s in trace.steps)
     return trace
-
-
-def _complement_antichain_count(q: Poset, point: str, mode: str) -> int:
-    return len(_complement(q, point, mode).antichains(nonempty_only=True))
 
 
 def _nu_all_paths(p: Poset, depth_limit: int) -> ReductionTrace:
     """Explore every applicable move at every level; all completing paths
     must agree on the value, and a completing path is replayed into the
-    returned trace."""
+    returned trace.  Each (poset, point, mode) is derived once, and the
+    replay reuses the children the exploration made."""
     memo = {}
+    children = {}  # poset -> [(point, mode, charge, child)] over its applicable moves
     in_progress = set()
+
+    def moves(q: Poset):
+        if q not in children:
+            children[q] = []
+            for point, mode in _applicable_moves(q):
+                d = derive_poset(q, point, mode)
+                children[q].append((point, mode, _charge(d), d.result))
+        return children[q]
 
     def explore(q: Poset, depth: int):
         if q.width() <= 2:
@@ -265,10 +278,10 @@ def _nu_all_paths(p: Poset, depth_limit: int) -> ReductionTrace:
             return None
         in_progress.add(q)
         values = set()
-        for point, mode in _applicable_moves(q):
-            below = explore(derive_poset(q, point, mode).result, depth + 1)
+        for _, _, charge, child in moves(q):
+            below = explore(child, depth + 1)
             if below is not None:
-                values.add(below + _complement_antichain_count(q, point, mode) + 1)
+                values.add(below + charge + 1)
         in_progress.discard(q)
         if len(values) > 1:
             raise AssertionError(f"reduction paths disagree: {sorted(values)}")
@@ -277,28 +290,23 @@ def _nu_all_paths(p: Poset, depth_limit: int) -> ReductionTrace:
             return memo[q]
         return None
 
-    value = explore(p, 0)
+    explore(p, 0)
     trace = ReductionTrace()
     current, depth = p, 0
-    while True:
-        if current.width() <= 2:
-            trace.terminal = current
-            trace.terminal_count = len(current.antichains())
-            trace.nu = value
+    while current.width() > 2:
+        if depth >= depth_limit:  # explore takes no step here either
+            trace.status = "depth-limit"
             break
-        for point, mode in _applicable_moves(current):
-            child = derive_poset(current, point, mode).result
+        for point, mode, charge, child in moves(current):
             if explore(child, depth + 1) is not None:
                 break
         else:  # no move completes
-            trace.terminal = current
-            trace.status = "depth-limit" if depth >= depth_limit else "stuck"
+            trace.status = "stuck"
             break
-        trace.steps.append(ReductionStep(
-            current, point, mode, _complement_antichain_count(current, point, mode)))
+        trace.steps.append(ReductionStep(current, point, mode, charge))
         current, depth = child, depth + 1
     explore = None  # the closure refers to itself; drop the cycle now
-    return trace
+    return _finish(trace, current)
 
 
 def serialize_trace(trace: ReductionTrace) -> str:

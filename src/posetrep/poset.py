@@ -20,13 +20,49 @@ a subset of that ideal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import (CycleDetected, DuplicateLabel, NotAnAntichain,
                      UnknownLabel)
 
 Label = str
 Antichain = tuple[Label, ...]
+
+
+def _bits(mask: int):
+    """The indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _moved(mask: int, at) -> int:
+    """mask with each set bit j moved to bit at[j]."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << at[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _union(rows, mask: int) -> int:
+    """The union of rows[i] over the set bits i of mask: with rows the
+    up-sets (down-sets), the filter (ideal) that mask generates."""
+    out = 0
+    for i in _bits(mask):
+        out |= rows[i]
+    return out
+
+
+def _transpose(rows, n: int) -> list[int]:
+    """The masks of the converse relation: bit i of out[j] iff bit j of rows[i]."""
+    out = [0] * n
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        for j in _bits(row):
+            out[j] |= bit
+    return out
 
 
 @dataclass(frozen=True)
@@ -66,15 +102,24 @@ class DerivedLabel:
 
 
 class Poset:
-    """Immutable finite poset over string labels with a full <= table."""
+    """Immutable finite poset over string labels.
 
-    __slots__ = ("elements", "_index", "_leq")
+    The order is held as int bitmasks over element indices: bit j of
+    ``_up[i]`` is set iff elements[i] <= elements[j], and ``_down`` holds
+    the converse, so bit i of ``_down[j]`` is set under the same condition.
+    Labels are translated to indices only at the public methods; every
+    transform builds its result from the masks.
+    """
 
-    def __init__(self, elements, leq_table):
+    __slots__ = ("elements", "_index", "_up", "_down")
+
+    def __init__(self, elements, up, down):
+        """Internal: the elements and their order masks, already closed."""
         elements = tuple(elements)
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "_index", {x: i for i, x in enumerate(elements)})
-        object.__setattr__(self, "_leq", tuple(tuple(r) for r in leq_table))
+        object.__setattr__(self, "_up", tuple(up))
+        object.__setattr__(self, "_down", tuple(down))
 
     def __setattr__(self, *a):
         raise AttributeError("Poset is immutable")
@@ -96,26 +141,25 @@ class Poset:
             seen.add(x)
         n = len(elements)
         idx = {x: i for i, x in enumerate(elements)}
-        leq = [[i == j for j in range(n)] for i in range(n)]
+        up = [1 << i for i in range(n)]
         for a, b in relations:
             if a not in idx:
                 raise UnknownLabel(a)
             if b not in idx:
                 raise UnknownLabel(b)
-            leq[idx[a]][idx[b]] = True
+            up[idx[a]] |= 1 << idx[b]
         for k in range(n):
-            lk = leq[k]
+            bit, above = 1 << k, up[k]
             for i in range(n):
-                if leq[i][k]:
-                    li = leq[i]
-                    for j in range(n):
-                        if lk[j] and not li[j]:
-                            li[j] = True
+                if up[i] & bit:
+                    up[i] |= above
+        down = _transpose(up, n)
         for i in range(n):
-            for j in range(i + 1, n):
-                if leq[i][j] and leq[j][i]:
-                    raise CycleDetected(f"{elements[i]} and {elements[j]}")
-        return cls(elements, leq)
+            later = up[i] & down[i] & -(2 << i)  # j > i with i <= j <= i
+            if later:
+                j = (later & -later).bit_length() - 1
+                raise CycleDetected(f"{elements[i]} and {elements[j]}")
+        return cls(elements, up, down)
 
     def _i(self, x: Label) -> int:
         try:
@@ -123,10 +167,20 @@ class Poset:
         except KeyError:
             raise UnknownLabel(x) from None
 
+    def _mask(self, labels) -> int:
+        mask = 0
+        for x in labels:
+            mask |= 1 << self._i(x)
+        return mask
+
+    def _members(self, mask: int) -> list[Label]:
+        """The labels of mask, in element order."""
+        return [self.elements[i] for i in _bits(mask)]
+
     # order queries ----------------------------------------------------
 
     def leq(self, a: Label, b: Label) -> bool:
-        return self._leq[self._i(a)][self._i(b)]
+        return self._up[self._i(a)] >> self._i(b) & 1 == 1
 
     def lt(self, a: Label, b: Label) -> bool:
         return a != b and self.leq(a, b)
@@ -145,18 +199,19 @@ class Poset:
             return NotImplemented
         if self is other:
             return True
+        if self.elements == other.elements:
+            return self._up == other._up
         if self._index.keys() != other._index.keys():
             return False
         at = [other._index[x] for x in self.elements]
-        theirs = other._leq
-        return all(row[j] == theirs[at[i]][at[j]]
-                   for i, row in enumerate(self._leq) for j in range(len(at)))
+        theirs = other._up
+        return all(theirs[at[i]] == _moved(row, at) for i, row in enumerate(self._up))
 
     def __hash__(self):
-        elems = self.elements
-        pairs = frozenset((elems[i], elems[j]) for i, row in enumerate(self._leq)
-                          for j, up in enumerate(row) if up)
-        return hash((frozenset(elems), pairs))
+        # the label set with each label's up- and down-degree: equal
+        # posets agree on it whatever their element order
+        return hash(frozenset(zip(self.elements, map(int.bit_count, self._up),
+                                  map(int.bit_count, self._down))))
 
     def __repr__(self):
         return f"Poset({list(self.elements)})"
@@ -168,14 +223,10 @@ class Poset:
             self._i(x)
 
     def generated_filter(self, labels) -> frozenset:
-        self.check_subset(labels)
-        return frozenset(s for s in self.elements
-                         if any(self.leq(t, s) for t in labels))
+        return frozenset(self._members(_union(self._up, self._mask(labels))))
 
     def generated_ideal(self, labels) -> frozenset:
-        self.check_subset(labels)
-        return frozenset(s for s in self.elements
-                         if any(self.leq(s, t) for t in labels))
+        return frozenset(self._members(_union(self._down, self._mask(labels))))
 
     def up(self, p: Label) -> frozenset:
         return self.generated_filter([p])
@@ -190,23 +241,25 @@ class Poset:
         return self.generated_ideal(labels) == set(labels)
 
     def min_of(self, labels) -> Antichain:
-        labels = set(labels)
-        self.check_subset(labels)
-        return tuple(sorted(x for x in labels
-                            if not any(self.lt(y, x) for y in labels)))
+        mask = self._mask(set(labels))
+        return tuple(sorted(self.elements[i] for i in _bits(mask)
+                            if self._down[i] & mask == 1 << i))
 
     def max_of(self, labels) -> Antichain:
-        labels = set(labels)
-        self.check_subset(labels)
-        return tuple(sorted(x for x in labels
-                            if not any(self.lt(x, y) for y in labels)))
+        mask = self._mask(set(labels))
+        return tuple(sorted(self.elements[i] for i in _bits(mask)
+                            if self._up[i] & mask == 1 << i))
 
     # antichains ---------------------------------------------------------
 
     def is_antichain(self, members) -> bool:
-        members = list(members)
-        self.check_subset(members)
-        return all(not self.comparable(a, b) for a, b in combinations(members, 2))
+        at = [self._i(x) for x in members]
+        seen = 0
+        for i in at:
+            if seen & (self._up[i] | self._down[i]):
+                return False  # a repeated member counts as comparable to itself
+            seen |= 1 << i
+        return True
 
     def check_antichain(self, members) -> Antichain:
         if not self.is_antichain(members):
@@ -214,23 +267,60 @@ class Poset:
         return tuple(sorted(set(members)))
 
     def antichains(self, nonempty_only: bool = False) -> list[Antichain]:
-        """All antichains by exhaustive backtracking, in lexicographic
-        order of sorted member tuples."""
-        order = sorted(self.elements)
-        out = [] if nonempty_only else [()]
+        """All antichains, in lexicographic order of sorted member tuples."""
+        return self._antichains((1 << len(self.elements)) - 1, nonempty_only)
 
-        def extend(start, current):
-            for i in range(start, len(order)):
-                x = order[i]
-                if all(not self.comparable(x, y) for y in current):
-                    current.append(x)
-                    out.append(tuple(current))
-                    extend(i + 1, current)
-                    current.pop()
+    def _antichains(self, mask: int, nonempty_only: bool) -> list[Antichain]:
+        """The antichains inside mask, by backtracking over the members in
+        label order; each branch carries the mask of the later members
+        that no chosen one blocks, so a node's children are its set bits."""
+        order = sorted(_bits(mask), key=self.elements.__getitem__)
+        labels = [self.elements[i] for i in order]
+        pos = {i: k for k, i in enumerate(order)}
+        blocks = [_moved((self._up[i] | self._down[i]) & mask, pos) for i in order]
+        out = []
+        stack = [((), (1 << len(order)) - 1)]
+        while stack:  # preorder, the smallest child on top of the stack
+            current, free = stack.pop()
+            out.append(current)
+            rest = free
+            while rest:
+                k = rest.bit_length() - 1
+                rest ^= 1 << k
+                stack.append((current + (labels[k],), free & -(2 << k) & ~blocks[k]))
+        return out[1:] if nonempty_only else out
 
-        extend(0, [])
-        extend = None  # the closure refers to itself; drop the cycle now
-        return out
+    def _matching(self, mask: int):
+        """A maximum matching of the elements of mask to strict successors
+        in mask, as (pred_of, succ_of) over element indices: augmenting
+        paths from each element in element order, successors tried in
+        element order."""
+        up = self._up
+        pred_of = [None] * len(self.elements)  # matched predecessor of each element
+        succ_of = [None] * len(self.elements)  # matched successor of each element
+        seen = 0
+
+        def augment(a):
+            nonlocal seen
+            rest = up[a] & mask ^ 1 << a
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                if seen & bit:
+                    continue
+                seen |= bit
+                b = bit.bit_length() - 1
+                if pred_of[b] is None or augment(pred_of[b]):
+                    pred_of[b] = a
+                    succ_of[a] = b
+                    return True
+            return False
+
+        for a in _bits(mask):
+            seen = 0
+            augment(a)
+        augment = None  # the closure refers to itself; drop the cycle now
+        return pred_of, succ_of
 
     def chain_cover(self) -> list[list[Label]]:
         """A minimum partition into chains, each listed bottom to top.
@@ -240,28 +330,10 @@ class Poset:
         Dilworth's theorem is the width.  Chains come in the element order
         of their bottoms.
         """
-        n = len(self.elements)
-        succ = [[j for j in range(n) if j != i and self._leq[i][j]] for i in range(n)]
-        pred_of = [None] * n  # matched predecessor of each element
-        succ_of = [None] * n  # matched successor of each element
-
-        def augment(a, seen):
-            for b in succ[a]:
-                if b in seen:
-                    continue
-                seen.add(b)
-                if pred_of[b] is None or augment(pred_of[b], seen):
-                    pred_of[b] = a
-                    succ_of[a] = b
-                    return True
-            return False
-
-        for a in range(n):
-            augment(a, set())
-        augment = None  # the closure refers to itself; drop the cycle now
+        pred_of, succ_of = self._matching((1 << len(self.elements)) - 1)
         chains = []
-        for a in range(n):
-            if pred_of[a] is None:
+        for a, pred in enumerate(pred_of):
+            if pred is None:
                 chain = [a]
                 while succ_of[chain[-1]] is not None:
                     chain.append(succ_of[chain[-1]])
@@ -269,40 +341,40 @@ class Poset:
         return chains
 
     def width(self) -> int:
-        return len(self.chain_cover())
+        return self._width_in((1 << len(self.elements)) - 1)
+
+    def _width_in(self, mask: int) -> int:
+        """The width of the subposet on mask: its size less the pairs of
+        a maximum matching, one chain per element left without a match
+        from below."""
+        pred_of, _ = self._matching(mask)
+        return mask.bit_count() - len(pred_of) + pred_of.count(None)
 
     def linear_extension(self) -> list[Label]:
         """The elements sorted by their number of strict predecessors, ties
         in element order; every element comes after all those below it."""
-        n_below = [sum(col) for col in zip(*self._leq)]  # each counts itself too
+        n_below = [d.bit_count() for d in self._down]  # each counts itself too
         return [self.elements[i]
                 for i in sorted(range(len(self.elements)), key=n_below.__getitem__)]
 
     # transforms ---------------------------------------------------------
 
     def opposite(self) -> "Poset":
-        n = len(self.elements)
-        return Poset(self.elements,
-                     [[self._leq[j][i] for j in range(n)] for i in range(n)])
+        return Poset(self.elements, self._down, self._up)
 
     def restrict(self, labels) -> "Poset":
-        self.check_subset(labels)
-        keep = set(labels)
-        sub = [x for x in self.elements if x in keep]
-        return Poset(sub, [[self.leq(a, b) for b in sub] for a in sub])
+        keep = self._mask(labels)
+        at = {j: k for k, j in enumerate(_bits(keep))}
+        return Poset([self.elements[i] for i in at],
+                     [_moved(self._up[i] & keep, at) for i in at],
+                     [_moved(self._down[i] & keep, at) for i in at])
 
     def adjoin_top(self, label: Label = "omega") -> "Poset":
         if label in self._index:
             raise DuplicateLabel(label)
-        elems = list(self.elements) + [label]
-        n = len(elems)
-        table = [[False] * n for _ in range(n)]
-        for i, a in enumerate(self.elements):
-            for j, b in enumerate(self.elements):
-                table[i][j] = self._leq[i][j]
-            table[i][n - 1] = True
-        table[n - 1][n - 1] = True
-        return Poset(elems, table)
+        top = 1 << len(self.elements)
+        return Poset(self.elements + (label,), [u | top for u in self._up] + [top],
+                     self._down + (2 * top - 1,))
 
     def adjoin_bottom(self, label: Label = "0") -> "Poset":
         return self.opposite().adjoin_top(label).opposite()
@@ -318,11 +390,12 @@ class Poset:
     def covers(self) -> list[tuple[Label, Label]]:
         """Cover pairs (a, b): a < b with nothing strictly between."""
         out = []
-        for a in self.elements:
-            for b in self.elements:
-                if self.lt(a, b) and not any(
-                        self.lt(a, c) and self.lt(c, b) for c in self.elements):
-                    out.append((a, b))
+        for i, a in enumerate(self.elements):
+            above = self._up[i] ^ 1 << i
+            beyond = 0
+            for j in _bits(above):
+                beyond |= self._up[j] ^ 1 << j
+            out += [(a, b) for b in self._members(above & ~beyond)]
         return sorted(out)
 
     def to_dot(self) -> str:
@@ -356,13 +429,18 @@ def poset_transform(p: Poset, kind: str, labels=None, label: Label = None) -> Po
 # antichain semilattices and derived carriers
 
 
+def _check_mode(mode: str):
+    if mode not in ("meet", "join"):
+        raise ValueError(f"mode must be meet or join, got {mode}")
+
+
 def antichain_leq(p: Poset, a, b, mode: str) -> bool:
-    """Compare two antichains of p in the given semilattice order."""
+    """Compare two antichains of p in the given semilattice order: under
+    meet, B lies in the filter <A>; under join, A lies in the ideal (B)."""
+    _check_mode(mode)
     if mode == "meet":
-        return all(any(p.leq(x, y) for x in a) for y in b)
-    if mode == "join":
-        return all(any(p.leq(x, y) for y in b) for x in a)
-    raise ValueError(f"mode must be meet or join, got {mode}")
+        return p._mask(b) & ~_union(p._up, p._mask(a)) == 0
+    return p._mask(a) & ~_union(p._down, p._mask(b)) == 0
 
 
 def _render_unique(taken: set, derived: list[DerivedLabel]) -> dict:
@@ -382,14 +460,35 @@ def _render_unique(taken: set, derived: list[DerivedLabel]) -> dict:
 
 def _assemble(base: Poset, pairs, mode: str):
     """Build a poset from (DerivedLabel, antichain) pairs ordered by the
-    semilattice rule; returns (poset, label_map rendered -> DerivedLabel)."""
+    semilattice rule; returns (poset, label_map rendered -> DerivedLabel).
+
+    With rows[k] the antichains lying in the filter (meet) or ideal (join)
+    that antichain k generates, the meet order reads rows as up-sets and
+    the join order as down-sets.  An antichain lies in a region unless it
+    has a member outside it, so rows[k] is every antichain less those
+    holding a point outside the region of k.
+    """
+    _check_mode(mode)
     derived = [d for d, _ in pairs]
     originals = {d.members[0] for d in derived if d.kind == "orig"}
     names = _render_unique(originals, derived)
     labels = [names[d] for d in derived]
-    chains = [a for _, a in pairs]
-    table = [[antichain_leq(base, a, b, mode) for b in chains] for a in chains]
-    return Poset(labels, table), {names[d]: d for d in derived}
+    masks = [base._mask(a) for _, a in pairs]
+    holding = [0] * len(base)  # point -> the antichains that hold it
+    for k, m in enumerate(masks):
+        for i in _bits(m):
+            holding[i] |= 1 << k
+    cones = base._up if mode == "meet" else base._down
+    all_antichains, all_points = (1 << len(masks)) - 1, (1 << len(base)) - 1
+    rows = []
+    for m in masks:
+        row = all_antichains
+        for i in _bits(all_points & ~_union(cones, m)):
+            row &= ~holding[i]
+        rows.append(row)
+    cols = _transpose(rows, len(rows))
+    up, down = (rows, cols) if mode == "meet" else (cols, rows)
+    return Poset(labels, up, down), {names[d]: d for d in derived}
 
 
 def antichain_semilattice(p: Poset, mode: str, nonempty_only: bool = True):
@@ -412,13 +511,11 @@ def derived_carrier(p: Poset, r, mode: str):
 
     Returns (poset, label_map).
     """
-    p.check_subset(r)
-    r = set(r)
+    region = p._mask(r)
     sl_mode = "meet" if mode == "filter" else "join"
-    rest = [x for x in p.elements if x not in r]
-    sub = p.restrict(rest)
     # R and S \ R are disjoint, so no label occurs twice
-    pairs = [(DerivedLabel("orig", (x,)), (x,)) for x in p.elements if x in r]
-    for a in sub.antichains(nonempty_only=True):
+    pairs = [(DerivedLabel("orig", (x,)), (x,)) for x in p._members(region)]
+    rest = (1 << len(p)) - 1 & ~region
+    for a in p._antichains(rest, nonempty_only=True):
         pairs.append((DerivedLabel.of_antichain(a, sl_mode), a))
     return _assemble(p, pairs, sl_mode)

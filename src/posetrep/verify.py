@@ -419,22 +419,27 @@ def all_posets_up_to(n: int) -> list[Poset]:
     """All posets with at most n elements, one per isomorphism class.
 
     Every poset admits a linear extension, so generating order relations
-    only from lower to higher index covers everything; transitive closures
-    are deduped by the least relation matrix over all relabelings.
+    only from lower to higher index covers everything.  A transitive
+    closure is kept when the least sorted list of its strict index pairs,
+    over all relabelings, has not been seen: that least list determines
+    the poset up to isomorphism.
     """
     out = []
     for k in range(n + 1):
         labels = [f"e{i}" for i in range(k)]
         pairs = list(combinations(range(k), 2))
-        seen = set()
+        perms = list(permutations(range(k)))
+        closures, seen = set(), set()
         for mask in range(1 << len(pairs)):
             rel = [(labels[i], labels[j]) for b, (i, j) in enumerate(pairs)
                    if mask >> b & 1]
             p = Poset.build(labels, rel)
-            canon = min(
-                tuple(p.leq(labels[perm[i]], labels[perm[j]])
-                      for i in range(k) for j in range(k))
-                for perm in permutations(range(k)))
+            strict = tuple((i, j) for i, j in pairs if p.leq(labels[i], labels[j]))
+            if strict in closures:
+                continue  # an earlier mask closed to the same poset
+            closures.add(strict)
+            canon = tuple(min(sorted((perm[i], perm[j]) for i, j in strict)
+                              for perm in perms))
             if canon not in seen:
                 seen.add(canon)
                 out.append(p)

@@ -7,6 +7,17 @@ def chain(*labels):
     return Poset.build(labels, [(labels[i], labels[i + 1]) for i in range(len(labels) - 1)])
 
 
+def chain_sum(*lengths):
+    """Disjoint union of chains of the given lengths, labelled a0 < a1 < ...,
+    b0 < b1 < ... and so on."""
+    elements, relations = [], []
+    for c, n in enumerate(lengths):
+        names = [f"{chr(ord('a') + c)}{k}" for k in range(n)]
+        elements += names
+        relations += list(zip(names, names[1:]))
+    return Poset.build(elements, relations)
+
+
 def antichain_poset(*labels):
     return Poset.build(labels, [])
 

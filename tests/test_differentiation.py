@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -15,7 +16,7 @@ from posetrep.sspace import (SMorphism, SSpace, are_isomorphic, direct_sum,
                              dualize, hom_dim, hom_space,
                              simple_filter_space)
 
-from helpers import antichain_poset, chain, example510, poset_112
+from helpers import antichain_poset, chain, chain_sum, example510, poset_112
 
 F5 = Field.prime(5)
 
@@ -352,9 +353,12 @@ def test_nu_stuck_on_wide_antichain():
     assert both.status == "stuck"
 
 
-def test_nu_depth_limit():
-    trace = nu_count(antichain_poset("x", "y", "z"), depth_limit=0)
-    assert trace.status == "depth-limit"
+@pytest.mark.parametrize("strategy", ["first", "all-paths"])
+def test_nu_depth_limit(strategy):
+    """A 3-antichain needs one step, so depth limit 0 stops before it; the
+    all-paths replay must not take the step its exploration refused."""
+    trace = nu_count(antichain_poset("x", "y", "z"), strategy=strategy, depth_limit=0)
+    assert trace.status == "depth-limit" and trace.steps == []
     assert serialize_trace(trace).strip().endswith("nu=depth-limit")
 
 
@@ -375,3 +379,51 @@ def test_nu_depth_limit_one_step(strategy):
     trace = nu_count(antichain_poset("x", "y", "z"), strategy=strategy, depth_limit=1)
     assert trace.status == "ok" and len(trace.steps) == 1
     assert trace.nu == 9
+
+
+# pinned traces ---------------------------------------------------------------
+
+
+def _trace_sha(trace):
+    return hashlib.sha256(serialize_trace(trace).encode()).hexdigest()[:16]
+
+
+# sha256 prefixes of serialize_trace, recorded before the order moved to
+# bitmasks: the moves, a-counts and stop reasons must not change
+PINNED_FIRST = {
+    (1, 1, 1): "284a24a6b48d5bbd", (1, 1, 2): "9d91087208bd0cc1",
+    (1, 2, 2): "3ca7498a5f581e00", (1, 1, 3): "1e127a55bf629573",
+    (1, 2, 3): "6d04f117fd2f95a9", (1, 2, 4): "ff343c69590637f0",
+    (2, 2, 2): "7abe8671c82c13b4", (1, 1, 1, 1): "cab1a55c014bf425",
+    (1, 2, 5): "b915a60bf66e3e57", (1, 3, 3): "e7701681e908be5e",
+}
+PINNED_ALL_PATHS_RANDOM = [
+    "181667c49e1ef2a7", "b651f57d7b38eea5", "181667c49e1ef2a7", "297cc5168e03f00f",
+    "cab1a55c014bf425", "fab39f2289f95195", "d1ca3eefd1c25f4d", "cab1a55c014bf425",
+    "636012103772d272", "9ec99850fc8ace84", "bbc622cbf533dc6a", "9e80cb159b025f4d",
+    "5485fd3e7753867c", "b651f57d7b38eea5", "1167c891ef851ae0", "9e80cb159b025f4d",
+    "8aa7354e7f17bf0f", "9e80cb159b025f4d", "cab1a55c014bf425", "181667c49e1ef2a7",
+]
+
+
+@pytest.mark.parametrize("lengths", sorted(PINNED_FIRST))
+def test_nu_first_trace_pinned(lengths):
+    assert _trace_sha(nu_count(chain_sum(*lengths))) == PINNED_FIRST[lengths]
+
+
+@pytest.mark.parametrize("lengths", [(1, 1, 1), (1, 1, 2), (1, 2, 2)])
+def test_nu_all_paths_trace_pinned(lengths):
+    trace = nu_count(chain_sum(*lengths), strategy="all-paths")
+    assert _trace_sha(trace) == PINNED_FIRST[lengths]
+
+
+def test_nu_all_paths_random_traces_pinned():
+    """The first 20 draws of width >= 3 from a seeded stream of posets of
+    at most five points."""
+    rng = random.Random(2026)
+    got = []
+    while len(got) < len(PINNED_ALL_PATHS_RANDOM):
+        p = random_poset(rng, 5)
+        if p.width() >= 3:
+            got.append(_trace_sha(nu_count(p, strategy="all-paths")))
+    assert got == PINNED_ALL_PATHS_RANDOM

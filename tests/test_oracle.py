@@ -7,7 +7,7 @@ import pytest
 from posetrep.errors import BudgetExceeded, GuardrailExceeded
 from posetrep.linalg import QQ, Field, Matrix, Subspace
 from posetrep import oracle
-from posetrep.differentiation import nu_count
+from posetrep.differentiation import applicability_width, derive_poset, nu_count
 from posetrep.oracle import (MAX_SUBSPACES, DimCensus, EnumConfig, OracleCensus,
                              _general_linear, _monotone_assignments, _point_masks,
                              _sampled_group, _subspace_action_tables, _subspace_count,
@@ -18,7 +18,7 @@ from posetrep.randgen import random_poset, random_sspace
 from posetrep.sspace import (SSpace, are_isomorphic, direct_sum, dualize,
                              simple_filter_space)
 
-from helpers import antichain_poset, chain, poset_112
+from helpers import antichain_poset, chain, chain_sum, poset_112
 
 F2 = Field.prime(2)
 
@@ -130,6 +130,9 @@ CYCLE_FREE_CALLS = {
     "chain-cover": lambda: poset_112().chain_cover(),
     "nu-first": lambda: nu_count(poset_112()),
     "nu-all-paths": lambda: nu_count(antichain_poset("x", "y", "z"), strategy="all-paths"),
+    "nu-all-paths-122": lambda: nu_count(chain_sum(1, 2, 2), strategy="all-paths"),
+    "derive-poset": lambda: derive_poset(chain_sum(1, 2, 2), "b0", "filter"),
+    "applicability-width": lambda: applicability_width(chain_sum(1, 2, 2), "b0", "filter"),
 }
 
 

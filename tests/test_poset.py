@@ -319,3 +319,141 @@ def test_linear_extension_orders_by_strict_predecessors():
         assert all(ext.index(a) < ext.index(b)
                    for a in p.elements for b in p.elements if p.lt(a, b))
     assert Poset.build(["z", "b", "y", "a"], [("y", "b")]).linear_extension() == ["z", "y", "a", "b"]
+
+
+# the bitmask core against a naive reference -----------------------------------------
+
+
+class ReferenceOrder:
+    """The order of Poset.build(elements, relations) as a plain bool table
+    closed by Warshall's algorithm, with every query by definition."""
+
+    def __init__(self, elements, relations):
+        self.elements = list(elements)
+        at = {x: i for i, x in enumerate(self.elements)}
+        n = len(self.elements)
+        table = [[i == j for j in range(n)] for i in range(n)]
+        for a, b in relations:
+            table[at[a]][at[b]] = True
+        for k in range(n):
+            for i in range(n):
+                for j in range(n):
+                    table[i][j] = table[i][j] or (table[i][k] and table[k][j])
+        self.at, self.table = at, table
+
+    def leq(self, a, b):
+        return self.table[self.at[a]][self.at[b]]
+
+    def lt(self, a, b):
+        return a != b and self.leq(a, b)
+
+    def antichains(self):
+        members = sorted(self.elements)
+        found = []
+        for bits in range(1 << len(members)):
+            chosen = [x for k, x in enumerate(members) if bits >> k & 1]
+            if all(not self.leq(a, b) for a in chosen for b in chosen if a != b):
+                found.append(tuple(chosen))
+        return sorted(found)
+
+    def covers(self):
+        xs = self.elements
+        return sorted((a, b) for a in xs for b in xs if self.lt(a, b) and not any(
+            self.lt(a, c) and self.lt(c, b) for c in xs))
+
+    def semilattice_leq(self, a, b, mode):
+        if mode == "meet":
+            return all(any(self.leq(x, y) for x in a) for y in b)
+        return all(any(self.leq(x, y) for y in b) for x in a)
+
+
+def _shuffled_cases():
+    """(elements, relations) for every poset of all_posets_up_to(5) and
+    for seeded random posets of up to 8 points, under fresh labels in a
+    shuffled element order; the relations are the covers plus a few
+    redundant pairs, so the closure has work to do."""
+    rng = random.Random(2718)
+    sources = list(all_posets_up_to(5))
+    sources += [random_poset(rng, 8, density=rng.choice([0.15, 0.3, 0.5])) for _ in range(40)]
+    for p in sources:
+        names = rng.sample([f"{c}{k}" for c in "pqrs" for k in range(3)], len(p))
+        rename = dict(zip(p.elements, names))
+        elements = [rename[x] for x in p.elements]
+        rng.shuffle(elements)
+        relations = [(rename[a], rename[b]) for a, b in p.covers()]
+        relations += [(rename[a], rename[b]) for a in p.elements for b in p.elements
+                      if p.lt(a, b) and rng.random() < 0.2]
+        rng.shuffle(relations)
+        yield rng, elements, relations
+
+
+def _same_order(p, ref, elements):
+    assert list(p.elements) == list(elements)
+    for a in elements:
+        for b in elements:
+            assert p.leq(a, b) == ref.leq(a, b), (a, b)
+
+
+def test_bitmask_core_matches_reference():
+    for rng, elements, relations in _shuffled_cases():
+        p = Poset.build(elements, relations)
+        ref = ReferenceOrder(elements, relations)
+        _same_order(p, ref, elements)
+        for x in elements:
+            assert p.up(x) == {y for y in elements if ref.leq(x, y)}
+            assert p.down(x) == {y for y in elements if ref.leq(y, x)}
+        subset = [x for x in elements if rng.random() < 0.6]
+        assert p.generated_filter(subset) == {
+            y for y in elements if any(ref.leq(x, y) for x in subset)}
+        assert p.generated_ideal(subset) == {
+            y for y in elements if any(ref.leq(y, x) for x in subset)}
+        kept = [x for x in elements if x in set(subset)]
+        _same_order(p.restrict(rng.sample(subset, len(subset))),
+                    ReferenceOrder(kept, [(a, b) for a in kept for b in kept
+                                          if ref.lt(a, b)]), kept)
+        _same_order(p.opposite(), ReferenceOrder(elements, [(b, a) for a, b in relations]),
+                    elements)
+        _same_order(p.adjoin_top("top"), ReferenceOrder(
+            elements + ["top"], relations + [(x, "top") for x in elements]),
+            elements + ["top"])
+        _same_order(p.adjoin_bottom("bot"), ReferenceOrder(
+            elements + ["bot"], relations + [("bot", x) for x in elements]),
+            elements + ["bot"])
+
+        antichains = ref.antichains()
+        assert p.antichains() == antichains
+        assert p.antichains(nonempty_only=True) == antichains[1:]
+        assert p.covers() == ref.covers()
+        assert p.linear_extension() == sorted(
+            elements, key=lambda x: sum(ref.lt(y, x) for y in elements))
+
+        cover = p.chain_cover()
+        assert sorted(x for part in cover for x in part) == sorted(elements)
+        assert all(ref.lt(a, b) for part in cover for a, b in zip(part, part[1:]))
+        assert len(cover) == p.width() == max(len(a) for a in antichains)
+
+        twin = Poset.build(list(reversed(elements)), relations)
+        assert p == twin and hash(p) == hash(twin)
+        discrete = all(not ref.lt(a, b) for a in elements for b in elements)
+        assert (p == p.opposite()) == discrete
+
+
+def test_derived_carrier_order_matches_semilattice_rule():
+    """The carrier order, read off the masks, against antichain_leq and
+    against the semilattice rule evaluated on the reference table."""
+    for rng, elements, relations in _shuffled_cases():
+        if not elements:
+            continue
+        p = Poset.build(elements, relations)
+        ref = ReferenceOrder(elements, relations)
+        x = rng.choice(elements)
+        for mode, sl_mode, region in (("filter", "meet", p.up(x)),
+                                      ("ideal", "join", p.down(x))):
+            carrier, cmap = derived_carrier(p, region, mode)
+            members = {lab: cmap[lab].members for lab in carrier.elements}
+            for a in carrier.elements:
+                for b in carrier.elements:
+                    expected = antichain_leq(p, members[a], members[b], sl_mode)
+                    assert carrier.leq(a, b) == expected, (a, b)
+                    if len(p) <= 5:
+                        assert expected == ref.semilattice_leq(members[a], members[b], sl_mode)
