@@ -9,11 +9,12 @@ carrying the order induced from the meet semilattice of antichains; it is
 what remains of the carrier S_<p> = <p> u a^(S \\ <p>) after deleting the
 principal ideal generated by p there (p itself together with every
 antichain that meets (p)).  Ideal mode is the mirror image inside the join
-semilattice.  The differentiation functor on spaces quotients the ambient
-space by V(p) in filter mode and cuts down to V(p) in ideal mode; it is
-implemented both by the direct formulas and as the composite
-restrict . E_p . coinduce (restrict . E^p . induce), and the two paths are
-cross-checked in the test suite.
+semilattice.  ``derive_poset`` builds S_p straight from this formula, and
+the carrier only on demand.  The differentiation functor on spaces
+quotients the ambient space by V(p) in filter mode and cuts down to V(p)
+in ideal mode; it is implemented both by the direct formulas and as the
+composite restrict . E_p . coinduce (restrict . E^p . induce) through the
+carrier, and the two paths are cross-checked in the test suite.
 
 The count nu(S) of indecomposables satisfies
 nu(S) = nu(S_p) + |a(S \\ <p>)| + 1 whenever filter differentiation
@@ -25,10 +26,11 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
-from .errors import NotApplicable, UnknownLabel
+from .errors import NotApplicable
 from .linalg import Subspace
-from .poset import Poset, derived_carrier
+from .poset import Poset, applicability_width, derived_carrier, derived_set
 from .sspace import SMorphism, SSpace, _hom_solutions
 
 
@@ -39,22 +41,17 @@ class DerivedPoset:
     mode: str  # "filter" | "ideal"
     result: Poset
     label_map: dict  # rendered label -> DerivedLabel
-    carrier: Poset  # S_<p> or S^(p)
-    carrier_map: dict
+    a_count: int  # |a(S \ <p>)| resp. |a(S \ (p))|
 
     def members_of(self, label) -> tuple:
         return self.label_map[label].members
 
-
-def _region(p: Poset, point: str, mode: str) -> int:
-    """The mask of <p> in filter mode, of (p) in ideal mode."""
-    i = p._i(point)
-    return p._up[i] if mode == "filter" else p._down[i]
-
-
-def applicability_width(p: Poset, point: str, mode: str) -> int:
-    """The width of S \\ <p> (S \\ (p) in ideal mode), read off its mask."""
-    return p._width_in((1 << len(p)) - 1 & ~_region(p, point, mode))
+    @cached_property
+    def carrier(self) -> Poset:
+        """S_<p> (S^(p) in ideal mode), built on first read."""
+        region = (self.base.up(self.point) if self.mode == "filter"
+                  else self.base.down(self.point))
+        return derived_carrier(self.base, region, self.mode)[0]
 
 
 def is_applicable(p: Poset, point: str, mode: str) -> bool:
@@ -62,23 +59,16 @@ def is_applicable(p: Poset, point: str, mode: str) -> bool:
 
 
 def derive_poset(p: Poset, point: str, mode: str) -> DerivedPoset:
-    """Derived poset at a point; requires the complement of the principal
-    filter (ideal) to have width at most two."""
-    if point not in p:
-        raise UnknownLabel(point)
+    """Derived poset at a point, built straight from the formula for S_p
+    (``poset.derived_set``); requires the complement of the principal
+    filter (ideal) to have width at most two.  The carrier S_<p> is built
+    only when its attribute is first read."""
     if mode not in ("filter", "ideal"):
         raise ValueError(f"mode must be filter or ideal, got {mode}")
     w = applicability_width(p, point, mode)
     if w > 2:
         raise NotApplicable(w)
-    carrier, cmap = derived_carrier(p, p._members(_region(p, point, mode)), mode)
-    # the principal ideal of p in the meet order (filter of p in the join
-    # order) holds p and exactly the antichains that meet (p) (resp. <p>)
-    cut = _region(carrier, point, "ideal" if mode == "filter" else "filter")
-    keep = carrier._members((1 << len(carrier)) - 1 & ~cut)
-    result = carrier.restrict(keep)
-    label_map = {x: cmap[x] for x in keep}
-    return DerivedPoset(p, point, mode, result, label_map, carrier, cmap)
+    return DerivedPoset(p, point, mode, *derived_set(p, point, mode))
 
 
 def diff_space(v: SSpace, point: str, mode: str, derived: DerivedPoset = None) -> SSpace:
@@ -199,12 +189,6 @@ def _applicable_moves(p: Poset):
                 yield point, mode
 
 
-def _charge(d: DerivedPoset) -> int:
-    """|a(S \\ <p>)| (|a(S \\ (p))| in ideal mode): the carrier holds the
-    points of <p> and one point per nonempty antichain of the rest."""
-    return len(d.carrier) - _region(d.base, d.point, d.mode).bit_count()
-
-
 def nu_count(p: Poset, strategy: str = "first", depth_limit: int = 64) -> ReductionTrace:
     """Count indecomposable representations by iterated differentiation.
 
@@ -215,7 +199,10 @@ def nu_count(p: Poset, strategy: str = "first", depth_limit: int = 64) -> Reduct
     Repeating carriers or exceeding the depth limit end in a
     stuck/depth-limit trace instead of an answer; the width is checked
     first, so a poset of width <= 2 is counted at any depth limit.
+    Strategy "all-paths" explores every move; any other is a ValueError.
     """
+    if strategy not in ("first", "all-paths"):
+        raise ValueError(f"strategy must be first or all-paths, got {strategy}")
     if strategy == "all-paths":
         return _nu_all_paths(p, depth_limit)
     trace = ReductionTrace()
@@ -230,7 +217,7 @@ def nu_count(p: Poset, strategy: str = "first", depth_limit: int = 64) -> Reduct
             trace.status = "stuck"
             break
         derived = derive_poset(current, *move)
-        trace.steps.append(ReductionStep(current, *move, _charge(derived)))
+        trace.steps.append(ReductionStep(current, *move, derived.a_count))
         current = derived.result
         if current in seen:
             trace.status = "stuck"
@@ -264,7 +251,7 @@ def _nu_all_paths(p: Poset, depth_limit: int) -> ReductionTrace:
             children[q] = []
             for point, mode in _applicable_moves(q):
                 d = derive_poset(q, point, mode)
-                children[q].append((point, mode, _charge(d), d.result))
+                children[q].append((point, mode, d.a_count, d.result))
         return children[q]
 
     def explore(q: Poset, depth: int):

@@ -6,7 +6,8 @@ A .poset file:
     elements: a b c
     relations: a<b b<c
 
-Relations may be any generating set; the closure is computed on load.
+Relations may be any generating set; the closure is computed on load.  Each
+relation token is two nonempty labels around one '<'.
 Labels in files must not contain '^' or 'v', which are reserved for the
 rendered meet/join labels of derived posets (programmatic labels are not
 restricted; the ban only guards round-trips through files).
@@ -68,9 +69,9 @@ def parse_poset(text: str) -> Poset:
                     _check_file_label(x)
         elif line.startswith("relations:"):
             for token in line[len("relations:"):].split():
-                if "<" not in token:
+                a, _, b = token.partition("<")
+                if not a or not b or "<" in b:
                     raise ParseError(f"bad relation token {token!r}")
-                a, b = token.split("<", 1)
                 relations.append((a, b))
         else:
             raise ParseError(f"unrecognized line {line!r}")

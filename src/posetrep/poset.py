@@ -108,7 +108,8 @@ class Poset:
     ``_up[i]`` is set iff elements[i] <= elements[j], and ``_down`` holds
     the converse, so bit i of ``_down[j]`` is set under the same condition.
     Labels are translated to indices only at the public methods; every
-    transform builds its result from the masks.
+    transform builds its result from the masks, and no other module
+    reads them.
     """
 
     __slots__ = ("elements", "_index", "_up", "_down")
@@ -131,7 +132,8 @@ class Poset:
         """Reflexive-transitive closure of the given strict relations.
 
         relations is an iterable of (a, b) pairs meaning a < b.  Rejects
-        duplicate labels, labels not declared, and any cycle.
+        duplicate labels, labels not declared, and any cycle, a strict
+        relation of a point to itself included.
         """
         elements = list(elements)
         seen = set()
@@ -147,6 +149,8 @@ class Poset:
                 raise UnknownLabel(a)
             if b not in idx:
                 raise UnknownLabel(b)
+            if a == b:
+                raise CycleDetected(f"{a} < {a}")
             up[idx[a]] |= 1 << idx[b]
         for k in range(n):
             bit, above = 1 << k, up[k]
@@ -411,20 +415,6 @@ class Poset:
         return "\n".join(lines) + "\n"
 
 
-def poset_transform(p: Poset, kind: str, labels=None, label: Label = None) -> Poset:
-    """One of the transforms by name: opposite | adjoin_top | adjoin_bottom |
-    restrict; the adjoined point gets a fresh label unless one is given."""
-    if kind == "opposite":
-        return p.opposite()
-    if kind == "adjoin_top":
-        return p.adjoin_top(label) if label else p.adjoin_top(p.fresh_label("omega"))
-    if kind == "adjoin_bottom":
-        return p.adjoin_bottom(label) if label else p.adjoin_bottom(p.fresh_label("0"))
-    if kind == "restrict":
-        return p.restrict(labels)
-    raise ValueError(f"unknown transform {kind}")
-
-
 # ---------------------------------------------------------------------------
 # antichain semilattices and derived carriers
 
@@ -443,24 +433,25 @@ def antichain_leq(p: Poset, a, b, mode: str) -> bool:
     return p._mask(a) & ~_union(p._down, p._mask(b)) == 0
 
 
-def _render_unique(taken: set, derived: list[DerivedLabel]) -> dict:
-    """Stable rendered names for derived labels; collisions with names
-    already in use (possible after iterated derivation) get primes."""
-    out = {}
-    used = set(taken)
+def _render_unique(derived: list[DerivedLabel]) -> list[str]:
+    """Stable rendered names for derived labels, in their order; a meet or
+    join whose name is already in use (possible after iterated derivation)
+    gets primes."""
+    used = {d.members[0] for d in derived if d.kind == "orig"}
+    names = []
     for d in derived:
         name = d.render()
         if d.kind != "orig":
             while name in used:
                 name += "'"
         used.add(name)
-        out[d] = name
-    return out
+        names.append(name)
+    return names
 
 
-def _assemble(base: Poset, pairs, mode: str):
-    """Build a poset from (DerivedLabel, antichain) pairs ordered by the
-    semilattice rule; returns (poset, label_map rendered -> DerivedLabel).
+def _assemble(base: Poset, masks, labels, mode: str) -> Poset:
+    """The poset on the antichains of base with the given member masks,
+    named by labels and ordered by the semilattice rule.
 
     With rows[k] the antichains lying in the filter (meet) or ideal (join)
     that antichain k generates, the meet order reads rows as up-sets and
@@ -469,11 +460,6 @@ def _assemble(base: Poset, pairs, mode: str):
     holding a point outside the region of k.
     """
     _check_mode(mode)
-    derived = [d for d, _ in pairs]
-    originals = {d.members[0] for d in derived if d.kind == "orig"}
-    names = _render_unique(originals, derived)
-    labels = [names[d] for d in derived]
-    masks = [base._mask(a) for _, a in pairs]
     holding = [0] * len(base)  # point -> the antichains that hold it
     for k, m in enumerate(masks):
         for i in _bits(m):
@@ -488,7 +474,7 @@ def _assemble(base: Poset, pairs, mode: str):
         rows.append(row)
     cols = _transpose(rows, len(rows))
     up, down = (rows, cols) if mode == "meet" else (cols, rows)
-    return Poset(labels, up, down), {names[d]: d for d in derived}
+    return Poset(labels, up, down)
 
 
 def antichain_semilattice(p: Poset, mode: str, nonempty_only: bool = True):
@@ -498,11 +484,32 @@ def antichain_semilattice(p: Poset, mode: str, nonempty_only: bool = True):
     Returns (poset, label_map).  Singleton antichains keep their original
     labels, so p embeds as a subposet.
     """
-    pairs = []
-    for a in p.antichains(nonempty_only=nonempty_only):
-        pairs.append((DerivedLabel.of_antichain(a, mode), a))
-    pairs.sort(key=lambda t: (len(t[1]) > 1, t[1]))
-    return _assemble(p, pairs, mode)
+    items = sorted(p.antichains(nonempty_only=nonempty_only),
+                   key=lambda a: (len(a) > 1, a))
+    derived = [DerivedLabel.of_antichain(a, mode) for a in items]
+    names = _render_unique(derived)
+    poset = _assemble(p, [p._mask(a) for a in items], names, mode)
+    return poset, dict(zip(names, derived))
+
+
+def _carrier(p: Poset, region: int, mode: str, avoid: int = 0):
+    """The items of the carrier R u a(S \\ R) over the region mask R that
+    do not meet the mask avoid: each point of R, then each nonempty
+    antichain of the rest, in the meet (mode "filter") or join semilattice.
+    Names are rendered over every item of the carrier, so that they are
+    the carrier's names, primes included.  Returns (poset, label_map,
+    the number of antichain items of the carrier).
+    """
+    sl_mode = "meet" if mode == "filter" else "join"
+    derived = [DerivedLabel("orig", (x,)) for x in p._members(region)]
+    masks = [1 << i for i in _bits(region)]
+    for a in p._antichains((1 << len(p)) - 1 & ~region, nonempty_only=True):
+        derived.append(DerivedLabel.of_antichain(a, sl_mode))
+        masks.append(p._mask(a))
+    names = _render_unique(derived)
+    keep = [k for k, m in enumerate(masks) if not m & avoid]
+    poset = _assemble(p, [masks[k] for k in keep], [names[k] for k in keep], sl_mode)
+    return poset, {names[k]: derived[k] for k in keep}, len(masks) - region.bit_count()
 
 
 def derived_carrier(p: Poset, r, mode: str):
@@ -511,11 +518,27 @@ def derived_carrier(p: Poset, r, mode: str):
 
     Returns (poset, label_map).
     """
-    region = p._mask(r)
-    sl_mode = "meet" if mode == "filter" else "join"
-    # R and S \ R are disjoint, so no label occurs twice
-    pairs = [(DerivedLabel("orig", (x,)), (x,)) for x in p._members(region)]
-    rest = (1 << len(p)) - 1 & ~region
-    for a in p._antichains(rest, nonempty_only=True):
-        pairs.append((DerivedLabel.of_antichain(a, sl_mode), a))
-    return _assemble(p, pairs, sl_mode)
+    return _carrier(p, p._mask(r), mode)[:2]
+
+
+def _cones(p: Poset, point: Label, mode: str) -> tuple[int, int]:
+    """The masks of <p> and (p) in filter mode, of (p) and <p> in ideal mode."""
+    i = p._i(point)
+    return (p._up[i], p._down[i]) if mode == "filter" else (p._down[i], p._up[i])
+
+
+def applicability_width(p: Poset, point: Label, mode: str) -> int:
+    """The width of S \\ <p> (S \\ (p) in ideal mode), read off its mask."""
+    return p._width_in((1 << len(p)) - 1 & ~_cones(p, point, mode)[0])
+
+
+def derived_set(p: Poset, point: Label, mode: str):
+    """S_p = (<p> \\ {p}) u a^(S \\ [<p> u (p)]) in filter mode, the
+    mirror S^p in ideal mode: the carrier S_<p> (S^(p)) less the items
+    that meet (p) (<p>), which form the principal ideal (filter) of p.
+
+    Returns (poset, label_map, a-count), with the a-count |a(S \\ <p>)|
+    (|a(S \\ (p))|), one per antichain item of the carrier.
+    """
+    region, avoid = _cones(p, point, mode)
+    return _carrier(p, region, mode, avoid)

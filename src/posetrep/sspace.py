@@ -315,18 +315,6 @@ def injective_space(poset: Poset, field: Field, t=None) -> SSpace:
     return simple_ideal_space(poset, field, () if t is None else (t,))
 
 
-def standard_space(poset: Poset, field: Field, kind: str, arg=None) -> SSpace:
-    if kind == "simple_kA":
-        return simple_filter_space(poset, field, arg)
-    if kind == "simple_k_upper_A":
-        return simple_ideal_space(poset, field, arg)
-    if kind == "projective_P_t":
-        return projective_space(poset, field, arg)
-    if kind == "injective_I_t":
-        return injective_space(poset, field, arg)
-    raise ValueError(f"unknown kind {kind}")
-
-
 # ---------------------------------------------------------------------------
 # duality, direct sums, E functors
 

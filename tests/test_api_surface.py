@@ -1,5 +1,6 @@
 """Every public module-level function and every public method of a
-posetrep class has a caller, and no module reads the environment.
+posetrep class has a caller, no module reads the environment, and the
+order masks of a Poset are read only inside poset.py.
 
 A public function or method counts as used when its name appears in src/
 or tests/ anywhere outside its own definition: a call, an import, an
@@ -93,3 +94,21 @@ def test_no_module_reads_the_environment():
                 readers += [f"{path.name}:{node.lineno} from os import {a.name}"
                             for a in node.names if a.name in ENVIRONMENT_READERS]
     assert not readers, f"modules that read the environment: {readers}"
+
+
+POSET_INTERNALS = {"_up", "_down", "_i", "_mask", "_members", "_width_in",
+                   "_antichains", "_matching"}
+
+
+def test_poset_internals_stay_in_poset_module():
+    """Bitsets are an internal detail of poset.py: no other module of the
+    package or of the tests reads a Poset's masks or its mask helpers."""
+    readers = []
+    for root in ROOTS:
+        for path in sorted(root.glob("*.py")):
+            if path == PACKAGE_DIR / "poset.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Attribute) and node.attr in POSET_INTERNALS:
+                    readers.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert not readers, f"private Poset attributes read outside poset.py: {readers}"

@@ -42,6 +42,16 @@ def test_check_cycle(tmp_path, capsys):
     assert "CycleDetected" in capsys.readouterr().err
 
 
+def test_check_strict_self_relation(tmp_path, capsys):
+    bad = tmp_path / "self.poset"
+    bad.write_text("elements: a\nrelations: a<a\n")
+    assert main(["check", str(bad)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("CycleDetected:"), captured.err
+    assert captured.out == ""
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["derive"])
@@ -219,6 +229,12 @@ MALFORMED = {
     "poset-file-missing": ["check", "bad.ssp"],
     "input-path-missing": ["nu", "missing.poset"],
     "oracle-field-not-prime": ["oracle", "three.poset", "--field", "4"],
+    "relation-token-with-two-signs": ["check", "bad.poset"],
+    "relation-token-without-upper-label": ["check", "bad.poset"],
+}
+POSET_BODY = {
+    "relation-token-with-two-signs": "elements: a b c\nrelations: a<b<c\n",
+    "relation-token-without-upper-label": "elements: a b\nrelations: a<\n",
 }
 SSP_BODY = {
     "dim-not-a-number": SSP_HEAD + "dim: two\n",
@@ -237,6 +253,8 @@ def test_malformed_input_is_one_typed_error_line(case, tmp_path):
     (tmp_path / "three.poset").write_text("elements: x y z\nrelations:\n")
     if case in SSP_BODY:
         (tmp_path / "bad.ssp").write_text(SSP_BODY[case])
+    if case in POSET_BODY:
+        (tmp_path / "bad.poset").write_text(POSET_BODY[case])
     src = os.path.dirname(os.path.dirname(os.path.abspath(posetrep.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-m", "posetrep.cli", *MALFORMED[case]],

@@ -10,11 +10,12 @@ from posetrep.differentiation import (applicability_width, derive_poset,
                                       poset_fingerprint, serialize_trace)
 from posetrep.errors import NotApplicable
 from posetrep.linalg import QQ, Field, Matrix, Subspace
-from posetrep.poset import DerivedLabel, Poset
+from posetrep.poset import DerivedLabel, Poset, derived_carrier
 from posetrep.randgen import random_morphism, random_poset, random_sspace
 from posetrep.sspace import (SMorphism, SSpace, are_isomorphic, direct_sum,
                              dualize, hom_dim, hom_space,
                              simple_filter_space)
+from posetrep.verify import all_posets_up_to
 
 from helpers import antichain_poset, chain, chain_sum, example510, poset_112
 
@@ -69,6 +70,61 @@ def test_derive_not_applicable():
     assert applicability_width(p, "x", "filter") == 3
     with pytest.raises(NotApplicable):
         derive_poset(p, "x", "filter")
+
+
+def _derived_the_long_way(p, point, mode):
+    """Reference S_p: the whole carrier S_<p> (S^(p)), less the principal
+    ideal (filter) of p there, restricted; with its label map and a-count."""
+    region = p.up(point) if mode == "filter" else p.down(point)
+    carrier, cmap = derived_carrier(p, region, mode)
+    cut = carrier.down(point) if mode == "filter" else carrier.up(point)
+    keep = [x for x in carrier.elements if x not in cut]
+    return carrier, carrier.restrict(keep), {x: cmap[x] for x in keep}, len(carrier) - len(region)
+
+
+def _assert_derives_as_the_long_way(p, point, mode):
+    d = derive_poset(p, point, mode)
+    carrier, result, label_map, a_count = _derived_the_long_way(p, point, mode)
+    assert d.result.elements == result.elements
+    assert d.result.covers() == result.covers()
+    assert d.result == result
+    assert list(d.label_map.items()) == list(label_map.items())
+    assert d.a_count == a_count
+    return d, carrier
+
+
+def _applicable(p):
+    return [(x, mode) for mode in ("filter", "ideal") for x in p.elements
+            if is_applicable(p, x, mode)]
+
+
+def test_derive_matches_carrier_less_ideal_on_small_posets():
+    for p in all_posets_up_to(5):
+        for point, mode in _applicable(p):
+            d, carrier = _assert_derives_as_the_long_way(p, point, mode)
+            assert d.carrier.elements == carrier.elements and d.carrier == carrier
+
+
+def test_derive_matches_carrier_less_ideal_on_iterated_derivations():
+    """Every applicable move, three levels deep, from seeded width-3
+    posets; the deeper levels hold rendered and primed labels."""
+    rng = random.Random(8)
+    level = []
+    while len(level) < 20:
+        p = random_poset(rng, rng.randint(4, 7))
+        if p.width() == 3:
+            level.append(p)
+    primed = False
+    for _ in range(3):
+        below = []
+        for p in level:
+            for point, mode in _applicable(p):
+                d, _ = _assert_derives_as_the_long_way(p, point, mode)
+                primed |= any("'" in x for x in d.result.elements)
+                if d.result.width() >= 3:
+                    below.append(d.result)
+        level = below
+    assert primed
 
 
 def test_derive_ideal_mode_mirrors_filter_on_opposite():
@@ -277,6 +333,11 @@ def test_nu_three_antichain():
     assert step.point == "x" and step.mode == "filter"
     assert step.nonempty_antichains == 3
     assert trace.terminal_count == 5
+
+
+def test_nu_unknown_strategy_is_an_error():
+    with pytest.raises(ValueError):
+        nu_count(chain_sum(1, 1, 1), strategy="bogus")
 
 
 def test_nu_chains():

@@ -4,8 +4,7 @@ import pytest
 
 from posetrep.errors import CycleDetected, DuplicateLabel, UnknownLabel
 from posetrep.poset import (DerivedLabel, Poset, antichain_leq,
-                            antichain_semilattice, derived_carrier,
-                            poset_transform)
+                            antichain_semilattice, derived_carrier)
 from posetrep.randgen import random_poset
 from posetrep.verify import all_posets_up_to
 
@@ -29,6 +28,13 @@ def test_build_example510_closure():
 def test_build_rejects_cycle():
     with pytest.raises(CycleDetected):
         Poset.build(["a", "b"], [("a", "b"), ("b", "a")])
+
+
+def test_build_rejects_strict_self_relation():
+    with pytest.raises(CycleDetected):
+        Poset.build(["a"], [("a", "a")])
+    with pytest.raises(CycleDetected):
+        Poset.build(["a", "b"], [("a", "b"), ("b", "b")])
 
 
 def test_build_rejects_bad_labels():
@@ -148,14 +154,6 @@ def test_transform_restrict_example510():
     expected = {("e", "d"), ("g", "e"), ("g", "f"), ("g", "d")}
     got = {(a, b) for a in p.elements for b in p.elements if p.lt(a, b)}
     assert got == expected
-
-
-def test_transform_dispatch():
-    p = chain("s", "t")
-    assert poset_transform(p, "opposite").lt("t", "s")
-    assert len(poset_transform(p, "adjoin_top")) == 3
-    assert len(poset_transform(p, "adjoin_bottom")) == 3
-    assert len(poset_transform(p, "restrict", labels=["s"])) == 1
 
 
 def test_dot_two_chain():

@@ -10,7 +10,7 @@ from posetrep.sspace import (SMorphism, SSpace, are_isomorphic, direct_sum,
                              dualize, e_functor_map, e_quot, e_sub, hom_dim,
                              hom_space, injective_space, is_left_minimal,
                              projective_space, simple_filter_space,
-                             simple_ideal_space, standard_space,
+                             simple_ideal_space,
                              validate_sspace, zero_space)
 
 from helpers import antichain_poset, chain, example510
@@ -203,6 +203,14 @@ def test_k_empty_equals_p_omega():
     assert simple_filter_space(p, QQ, ()) == projective_space(p, QQ, None)
 
 
+def test_projective_and_injective_are_simples_of_one_point():
+    p = chain("s", "t")
+    assert simple_filter_space(p, QQ, ("s",)) == projective_space(p, QQ, "s")
+    assert simple_ideal_space(p, QQ, ("s",)) == injective_space(p, QQ, "s")
+    assert projective_space(p, QQ, None).dim == 1
+    assert injective_space(p, QQ, None).dim == 1
+
+
 def test_two_chain_simples_pairwise_nonisomorphic():
     p = chain("s", "t")
     simples = [simple_filter_space(p, QQ, a) for a in p.antichains()]
@@ -221,13 +229,6 @@ def test_filter_and_ideal_simples_coincide():
         k_f = simple_filter_space(p, QQ, p.min_of(f))
         k_upper = simple_ideal_space(p, QQ, p.max_of(set(p.elements) - f))
         assert k_f == k_upper
-
-
-def test_standard_space_dispatch():
-    p = chain("s", "t")
-    assert standard_space(p, QQ, "simple_kA", ("s",)) == projective_space(p, QQ, "s")
-    assert standard_space(p, QQ, "projective_P_t", None).dim == 1
-    assert standard_space(p, QQ, "injective_I_t", "s") == injective_space(p, QQ, "s")
 
 
 # duality -------------------------------------------------------------------------
