@@ -77,9 +77,7 @@ def cmd_diff(args) -> int:
     v = fileio.load_sspace(args.path)
     derived = derive_poset(v.poset, args.point, args.mode)
     image = diff_space(v, args.point, args.mode, derived)
-    poset_out = os.path.splitext(args.out)[0] + ".poset"
-    fileio.save_poset(image.poset, poset_out)
-    fileio.save_sspace(image, args.out, poset_out)
+    fileio.save_sspace(image, args.out)
     dims = " ".join(f"{s}:{image.sub(s).dim}" for s in image.poset.elements)
     print(f"wrote {args.out} (ambient {image.dim}; {dims})")
     return 0
@@ -118,9 +116,7 @@ def cmd_apply(args) -> int:
     else:
         raise PosetRepError(f"unknown functor {name!r}")
     if args.out:
-        poset_out = os.path.splitext(args.out)[0] + ".poset"
-        fileio.save_poset(out.poset, poset_out)
-        fileio.save_sspace(out, args.out, poset_out)
+        fileio.save_sspace(out, args.out)
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(fileio.format_sspace(out, "<unsaved>.poset"))

@@ -31,7 +31,7 @@ from functools import cached_property
 from .errors import NotApplicable
 from .linalg import Subspace
 from .poset import Poset, applicability_width, derived_carrier, derived_set
-from .sspace import SMorphism, SSpace, _hom_solutions
+from .sspace import SMorphism, SSpace, _hom_solutions, e_functor_map
 
 
 @dataclass(frozen=True)
@@ -99,18 +99,14 @@ def diff_space(v: SSpace, point: str, mode: str, derived: DerivedPoset = None) -
 def diff_morphism(f: SMorphism, point: str, mode: str,
                   derived: DerivedPoset = None) -> SMorphism:
     """Functor action on morphisms: the induced map on quotients in filter
-    mode, the restriction to V(p) in ideal mode."""
+    mode, the restriction to V(p) in ideal mode.  Restriction and
+    (co)induction keep the ambient matrix, so D_p f has the matrix of
+    E_p f (of E^p f in ideal mode)."""
     derived = derived or derive_poset(f.source.poset, point, mode)
     du = diff_space(f.source, point, mode, derived)
     dv = diff_space(f.target, point, mode, derived)
-    up, vp = f.source.sub(point), f.target.sub(point)
-    if mode == "filter":
-        qu, lift = up.quotient_map()
-        qv, _ = vp.quotient_map()
-        mat = lift * f.mat * qv
-    else:
-        mat = vp.express_rows(up.mat * f.mat)
-    return SMorphism(du, dv, mat, validate=False)
+    ef = e_functor_map(f, point, "quot" if mode == "filter" else "sub")
+    return SMorphism(du, dv, ef.mat, validate=False)
 
 
 def diff_space_composite(v: SSpace, point: str, mode: str,
@@ -180,31 +176,95 @@ def poset_fingerprint(p: Poset) -> str:
     return hashlib.sha256(desc.encode()).hexdigest()[:12]
 
 
-def _applicable_moves(p: Poset):
-    """(point, mode) pairs in deterministic order, filter sweeps first;
-    lazy, so a caller that wants one move tests no more than it takes."""
+def _moves(p: Poset):
+    """Each applicable move (point, mode, a-count, S_p), filter mode before
+    ideal mode and points in label order; lazy, so a caller that wants one
+    move derives no more than it takes, and each move tests applicability
+    once."""
     for mode in ("filter", "ideal"):
         for point in sorted(p.elements):
             if is_applicable(p, point, mode):
-                yield point, mode
+                result, _, a_count = derived_set(p, point, mode)
+                yield point, mode, a_count, result
+
+
+def _first_move(p: Poset, depth: int):
+    return next(_moves(p), "stuck")
+
+
+class _Explorer:
+    """The all-paths chooser.  At the first poset it explores every move
+    below it and checks that all completing paths agree on nu; it returns
+    the first move whose child completes within the depth limit, or why
+    none does: "depth-limit" when the limit cut the search, else "stuck".
+    Each poset's moves are derived once, and its nu is memoised with the
+    fewest steps that reach it, so a value is reused only where it still
+    fits under the limit."""
+
+    def __init__(self, depth_limit: int):
+        self.limit = depth_limit
+        self.moves = {}  # poset -> list of its moves
+        self.memo = {}  # poset -> (nu, fewest steps to width <= 2)
+        self.in_progress = set()
+        self.cut = False  # whether the current search met the limit
+
+    def __call__(self, p: Poset, depth: int):
+        self.cut = False
+        if self._explore(p, depth) is not None:
+            for move in self._moves_of(p):
+                if self._explore(move[3], depth + 1) is not None:
+                    return move
+        return "depth-limit" if self.cut else "stuck"
+
+    def _moves_of(self, q: Poset) -> list:
+        if q not in self.moves:
+            self.moves[q] = list(_moves(q))
+        return self.moves[q]
+
+    def _explore(self, q: Poset, depth: int):
+        """(nu, steps) of q when a path from depth completes within the
+        limit, else None."""
+        if q.width() <= 2:
+            return len(q.antichains()), 0
+        known = self.memo.get(q)
+        if depth >= self.limit or known and depth + known[1] > self.limit:
+            self.cut = True
+            return None
+        if known or q in self.in_progress:
+            return known
+        self.in_progress.add(q)
+        values, steps = set(), []
+        for _, _, a_count, child in self._moves_of(q):
+            below = self._explore(child, depth + 1)
+            if below is not None:
+                values.add(below[0] + a_count + 1)
+                steps.append(below[1] + 1)
+        self.in_progress.discard(q)
+        if len(values) > 1:
+            raise AssertionError(f"reduction paths disagree: {sorted(values)}")
+        if values:
+            self.memo[q] = values.pop(), min(steps)
+        return self.memo.get(q)
 
 
 def nu_count(p: Poset, strategy: str = "first", depth_limit: int = 64) -> ReductionTrace:
     """Count indecomposable representations by iterated differentiation.
 
-    Width <= 2 posets are counted outright as |A(S)|.  Otherwise strategy
-    "first" differentiates at the first applicable (point, mode), trying
-    filter mode before ideal mode and points in label order, and tests no
-    move after it; the recursion charges |a(complement)| + 1 per step.
-    Repeating carriers or exceeding the depth limit end in a
-    stuck/depth-limit trace instead of an answer; the width is checked
-    first, so a poset of width <= 2 is counted at any depth limit.
-    Strategy "all-paths" explores every move; any other is a ValueError.
+    One loop takes every step and a chooser picks its move.  A poset of
+    width <= 2 ends the loop and is counted outright as |A(S)|, at any
+    depth limit; each step charges |a(complement)| + 1.  Strategy "first"
+    takes the first applicable move, filter mode before ideal mode and
+    points in label order, and tests no move after it.  Strategy
+    "all-paths" explores every move, checks that all completing paths
+    agree, and takes the first move that completes within the limit.  A
+    trace that ends without an answer says why: "depth-limit" when the
+    limit stopped the loop or cut the all-paths search, "stuck" when no
+    move applies, none completes, or the loop meets a poset again.
+    Any other strategy is a ValueError.
     """
     if strategy not in ("first", "all-paths"):
         raise ValueError(f"strategy must be first or all-paths, got {strategy}")
-    if strategy == "all-paths":
-        return _nu_all_paths(p, depth_limit)
+    choose = _first_move if strategy == "first" else _Explorer(depth_limit)
     trace = ReductionTrace()
     current = p
     seen = {p}
@@ -212,88 +272,23 @@ def nu_count(p: Poset, strategy: str = "first", depth_limit: int = 64) -> Reduct
         if len(trace.steps) >= depth_limit:
             trace.status = "depth-limit"
             break
-        move = next(_applicable_moves(current), None)
-        if move is None:
-            trace.status = "stuck"
+        move = choose(current, len(trace.steps))
+        if isinstance(move, str):
+            trace.status = move
             break
-        derived = derive_poset(current, *move)
-        trace.steps.append(ReductionStep(current, *move, derived.a_count))
-        current = derived.result
+        point, mode, a_count, child = move
+        trace.steps.append(ReductionStep(current, point, mode, a_count))
+        current = child
         if current in seen:
             trace.status = "stuck"
             break
         seen.add(current)
-    return _finish(trace, current)
-
-
-def _finish(trace: ReductionTrace, terminal: Poset) -> ReductionTrace:
-    """Close a trace at its last poset; an "ok" trace counts it and adds
-    up nu = sum of (|a| + 1) over the steps + |A(terminal)|."""
-    trace.terminal = terminal
+    trace.terminal = current
     if trace.status == "ok":
-        trace.terminal_count = len(terminal.antichains())
+        trace.terminal_count = len(current.antichains())
         trace.nu = trace.terminal_count + sum(
             s.nonempty_antichains + 1 for s in trace.steps)
     return trace
-
-
-def _nu_all_paths(p: Poset, depth_limit: int) -> ReductionTrace:
-    """Explore every applicable move at every level; all completing paths
-    must agree on the value, and a completing path is replayed into the
-    returned trace.  Each (poset, point, mode) is derived once, and the
-    replay reuses the children the exploration made."""
-    memo = {}
-    children = {}  # poset -> [(point, mode, charge, child)] over its applicable moves
-    in_progress = set()
-
-    def moves(q: Poset):
-        if q not in children:
-            children[q] = []
-            for point, mode in _applicable_moves(q):
-                d = derive_poset(q, point, mode)
-                children[q].append((point, mode, d.a_count, d.result))
-        return children[q]
-
-    def explore(q: Poset, depth: int):
-        if q.width() <= 2:
-            return len(q.antichains())
-        if depth >= depth_limit:
-            return None
-        if q in memo:
-            return memo[q]
-        if q in in_progress:
-            return None
-        in_progress.add(q)
-        values = set()
-        for _, _, charge, child in moves(q):
-            below = explore(child, depth + 1)
-            if below is not None:
-                values.add(below + charge + 1)
-        in_progress.discard(q)
-        if len(values) > 1:
-            raise AssertionError(f"reduction paths disagree: {sorted(values)}")
-        if values:
-            memo[q] = values.pop()
-            return memo[q]
-        return None
-
-    explore(p, 0)
-    trace = ReductionTrace()
-    current, depth = p, 0
-    while current.width() > 2:
-        if depth >= depth_limit:  # explore takes no step here either
-            trace.status = "depth-limit"
-            break
-        for point, mode, charge, child in moves(current):
-            if explore(child, depth + 1) is not None:
-                break
-        else:  # no move completes
-            trace.status = "stuck"
-            break
-        trace.steps.append(ReductionStep(current, point, mode, charge))
-        current, depth = child, depth + 1
-    explore = None  # the closure refers to itself; drop the cycle now
-    return _finish(trace, current)
 
 
 def serialize_trace(trace: ReductionTrace) -> str:

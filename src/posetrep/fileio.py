@@ -200,10 +200,11 @@ def load_sspace(path: str) -> SSpace:
 
 
 def save_sspace(v: SSpace, path: str, poset_path: str = None):
-    """Write the space, and its poset next to it when no poset file is
-    already referenced."""
-    if poset_path is None:
-        poset_path = os.path.splitext(path)[0] + ".poset"
-        save_poset(v.poset, poset_path)
+    """Write the space, then its poset next to it when no poset file is
+    already referenced; a space that cannot be written leaves no poset."""
+    own_poset = poset_path is None
+    poset_path = poset_path or os.path.splitext(path)[0] + ".poset"
     rel = os.path.relpath(poset_path, os.path.dirname(os.path.abspath(path)) or ".")
     _write(path, format_sspace(v, rel))
+    if own_poset:
+        save_poset(v.poset, poset_path)

@@ -286,7 +286,10 @@ def test_oracle_subspace_cap_is_one_error_line(tmp_path):
 
 UNWRITABLE = {
     "diff-out": ["diff", "v.ssp", "--point", "x", "--mode", "filter", "--out", "nodir/d.ssp"],
+    "diff-out-is-a-directory": ["diff", "v.ssp", "--point", "x", "--mode", "filter",
+                                "--out", "outdir/"],
     "apply-out": ["apply", "v.ssp", "--functor", "dual", "--out", "nodir/a.ssp"],
+    "apply-out-is-a-directory": ["apply", "v.ssp", "--functor", "dual", "--out", "outdir/"],
     "derive-emit": ["derive", "three.poset", "--point", "x", "--mode", "filter",
                     "--emit", "nodir/d.poset"],
     "oracle-reps-under-a-file": ["oracle", "three.poset", "--reps", "three.poset/reps"],
@@ -298,6 +301,7 @@ def test_unwritable_output_is_one_typed_error_line(case, tmp_path):
     (tmp_path / "three.poset").write_text("elements: x y z\nrelations:\n")
     (tmp_path / "v.ssp").write_text(
         "field: Q\nposet: three.poset\ndim: 2\nspace x: 1,0\nspace y: 0,1\nspace z: 1,1\n")
+    (tmp_path / "outdir").mkdir()
     src = os.path.dirname(os.path.dirname(os.path.abspath(posetrep.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-m", "posetrep.cli", *UNWRITABLE[case]],
@@ -309,6 +313,7 @@ def test_unwritable_output_is_one_typed_error_line(case, tmp_path):
     assert "Traceback" not in proc.stderr
     assert lines[0].startswith("WriteError: cannot ")
     assert not (tmp_path / "nodir").exists()
+    assert list((tmp_path / "outdir").iterdir()) == []  # no stray .poset either
 
 
 @pytest.mark.parametrize("argv", [

@@ -416,8 +416,8 @@ def test_nu_stuck_on_wide_antichain():
 
 @pytest.mark.parametrize("strategy", ["first", "all-paths"])
 def test_nu_depth_limit(strategy):
-    """A 3-antichain needs one step, so depth limit 0 stops before it; the
-    all-paths replay must not take the step its exploration refused."""
+    """A 3-antichain needs one step, so depth limit 0 stops either
+    strategy before it takes that step."""
     trace = nu_count(antichain_poset("x", "y", "z"), strategy=strategy, depth_limit=0)
     assert trace.status == "depth-limit" and trace.steps == []
     assert serialize_trace(trace).strip().endswith("nu=depth-limit")
@@ -440,6 +440,38 @@ def test_nu_depth_limit_one_step(strategy):
     trace = nu_count(antichain_poset("x", "y", "z"), strategy=strategy, depth_limit=1)
     assert trace.status == "ok" and len(trace.steps) == 1
     assert trace.nu == 9
+
+
+@pytest.mark.parametrize("strategy", ["first", "all-paths"])
+@pytest.mark.parametrize("limit", [1, 2])
+def test_nu_depth_limit_cut_is_reported(strategy, limit):
+    """(1,2,3) needs at least three steps, so at limits 1 and 2 both
+    strategies stop at the limit: all-paths says so too, never "stuck"."""
+    trace = nu_count(chain_sum(1, 2, 3), strategy=strategy, depth_limit=limit)
+    assert trace.status == "depth-limit" and len(trace.steps) <= limit
+
+
+@pytest.mark.parametrize("limit", [3, 4, 5, 6])
+def test_nu_all_paths_completes_within_every_fitting_limit(limit):
+    """A memoised value is reused only where its fewest steps still fit, so
+    the path taken completes within the limit whatever the limit."""
+    trace = nu_count(chain_sum(1, 2, 3), strategy="all-paths", depth_limit=limit)
+    assert trace.status == "ok" and trace.nu == 53
+    assert len(trace.steps) <= limit
+
+
+def test_nu_step_tests_applicability_once(monkeypatch):
+    import posetrep.differentiation as differentiation
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return applicability_width(*args)
+
+    monkeypatch.setattr(differentiation, "applicability_width", counted)
+    trace = nu_count(chain_sum(1, 1, 1))
+    assert len(trace.steps) == 1 and len(calls) == 1
 
 
 # pinned traces ---------------------------------------------------------------
