@@ -199,17 +199,31 @@ class _Explorer:
     none does: "depth-limit" when the limit cut the search, else "stuck".
     Each poset's moves are derived once, and its nu is memoised with the
     fewest steps that reach it, so a value is reused only where it still
-    fits under the limit."""
+    fits under the limit.
+
+    A failed search is remembered too, unless it met a poset in progress,
+    for such a failure depends on the path.  A search that failed uncut
+    marks a dead poset: no path from it completes at any depth, and a
+    later visit is cut exactly when its height, the longest path its search
+    took, does not fit under the remaining depth.  A search the limit cut
+    fails again, cut, at no more remaining depth, as long as none of the
+    posets it searched is in progress: derived posets can meet again, so a
+    path cut short may hide a loop back to one of them."""
 
     def __init__(self, depth_limit: int):
         self.limit = depth_limit
         self.moves = {}  # poset -> list of its moves
         self.memo = {}  # poset -> (nu, fewest steps to width <= 2)
+        self.dead = {}  # poset -> height of its uncut failed search
+        self.failed = {}  # poset -> (remaining depth, posets searched) of a cut search
         self.in_progress = set()
         self.cut = False  # whether the current search met the limit
+        self.looped = False  # whether it met a poset in progress
+        self.searched = set()  # the posets the current search searched
 
     def __call__(self, p: Poset, depth: int):
         self.cut = False
+        self.searched = set()
         if self._explore(p, depth) is not None:
             for move in self._moves_of(p):
                 if self._explore(move[3], depth + 1) is not None:
@@ -227,11 +241,31 @@ class _Explorer:
         if q.width() <= 2:
             return len(q.antichains()), 0
         known = self.memo.get(q)
-        if depth >= self.limit or known and depth + known[1] > self.limit:
+        remaining = self.limit - depth
+        if remaining <= 0 or known and known[1] > remaining:
             self.cut = True
             return None
-        if known or q in self.in_progress:
+        if known:
             return known
+        if q in self.in_progress:
+            self.looped = True
+            return None
+        if q in self.dead:
+            self.cut |= self.dead[q] >= remaining
+            return None
+        failed = self.failed.get(q)
+        if failed and remaining <= failed[0] and self.in_progress.isdisjoint(failed[1]):
+            self.cut = True
+            self.searched |= failed[1]
+            return None
+        return self._search(q, depth)
+
+    def _search(self, q: Poset, depth: int):
+        """Explore every move of q.  The flags and the searched posets of
+        the search below q are its own, and join the caller's after it."""
+        outer = self.cut, self.looped, self.searched
+        self.cut = self.looped = False
+        self.searched = {q}
         self.in_progress.add(q)
         values, steps = set(), []
         for _, _, a_count, child in self._moves_of(q):
@@ -244,6 +278,15 @@ class _Explorer:
             raise AssertionError(f"reduction paths disagree: {sorted(values)}")
         if values:
             self.memo[q] = values.pop(), min(steps)
+        elif self.cut and not self.looped:
+            self.failed[q] = self.limit - depth, frozenset(self.searched)
+        elif not self.looped:
+            self.dead[q] = 1 + max((self.dead[m[3]] for m in self._moves_of(q)),
+                                   default=-1)
+        self.cut |= outer[0]
+        self.looped |= outer[1]
+        outer[2].update(self.searched)
+        self.searched = outer[2]
         return self.memo.get(q)
 
 

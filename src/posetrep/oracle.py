@@ -1,13 +1,18 @@
 """Ground truth by exhaustion: enumerate all monotone subspace assignments
-over a small prime field, classify them up to base change, and certify the
-indecomposable ones through idempotent search in their endomorphism rings.
+over a small prime field, classify them up to base change, and decide
+which classes are indecomposable.
 
 Assignments are grouped into isomorphism classes by acting with the full
-GL(n, q) on subspace indices when n <= 3 and q^(n^2) <= 70 000; otherwise
-a seeded sample of the group is used and candidate classes are merged
-through verified isomorphism witnesses, with the census marked as sampled.
-Representatives are the lexicographically least canonical forms in their
-orbits.
+GL(n, q) on subspace indices when n <= 3 and q^(n^2) <= 70 000.  At such
+an exact dimension indecomposability is decided by the direct-sum rule,
+with no linear algebra: by Krull-Schmidt a class is decomposable exactly
+when its orbit holds X (+) Y for classes X and Y of dimensions k and
+n - k, 1 <= k <= n/2, and every dimension below an exact one is exact,
+so those classes are already listed.  Otherwise a seeded sample of the
+group is used, candidate classes are merged through verified isomorphism
+witnesses, indecomposability is decided by idempotent search in the
+endomorphism ring, and the census is marked as sampled.  Representatives
+are the lexicographically least canonical forms in their orbits.
 
 The group acts on integers, not matrices.  The lines of k^n are numbered
 by their representatives whose first nonzero entry is 1 (`_lines`), and a
@@ -15,18 +20,22 @@ subspace is the bitmask of the lines it contains, the zero subspace being
 0 (`_point_masks`); containment is `small & ~big == 0`.  A group element
 g is the permutation "line i goes to line j" under v -> v*g
 (`_line_permutations`), and the image of a subspace is the image of its
-mask under that permutation, looked up among the masks.  Lines, not all
-q^n vectors: a vector table would cost q^n per group element, which is
-out of reach at large q even for n = 1.  The number of subspaces of
-k^max_dim is capped (MAX_SUBSPACES) unless the guardrails are forced.
+mask under that permutation, looked up among the masks.  The images of
+one subspace under every element are made the first time an orbit needs
+them (`_image_rows`), as representatives hold few of the subspaces.
+Lines, not all q^n vectors: a vector table would cost q^n per group
+element, which is out of reach at large q even for n = 1.  The number of
+subspaces of k^max_dim is capped (MAX_SUBSPACES) unless the guardrails
+are forced.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass, field as dc_field
 from itertools import islice, product
-from operator import mul
+from operator import getitem, mul
 
 from .differentiation import nu_count
 from .errors import BudgetExceeded, GuardrailExceeded, Mismatch
@@ -185,18 +194,27 @@ def _sampled_group(field: Field, n: int, count: int, rng: random.Random):
     return islice(_line_permutations(p, n, draws()), count)
 
 
-def _subspace_action_tables(masks, group):
-    """Row g of the result maps subspace index i to the index of its image
-    under the line permutation g; each permutation is dropped once its row
-    is made."""
+def _image_rows(masks, group):
+    """The function j -> row j, which maps each element of `group`, in
+    order, to the index of the image of subspace j under it.  The group is
+    read here, once, and its line permutations are kept as arrays; a row
+    is made the first time it is asked for."""
     index = {m: i for i, m in enumerate(masks)}
-    members = [[i for i in range(m.bit_length()) if m >> i & 1] for m in masks]
-    tables = []
-    for perm in group:
-        bits = [1 << j for j in perm]
-        tables.append(tuple(index[sum(map(bits.__getitem__, lines))]
-                            for lines in members))
-    return tables
+    n_lines = masks[-1].bit_length()  # the last subspace is the whole space
+    perms = [array("H" if n_lines <= 1 << 16 else "L", perm) for perm in group]
+    bits = [1 << i for i in range(n_lines)]
+    rows = {}
+
+    def row(j):
+        made = rows.get(j)
+        if made is None:
+            mask = masks[j]
+            lines = [i for i in range(mask.bit_length()) if mask >> i & 1]
+            made = rows[j] = [index[sum([bits[perm[i]] for i in lines])]
+                              for perm in perms]
+        return made
+
+    return row
 
 
 def _monotone_assignments(poset: Poset, subs):
@@ -238,6 +256,11 @@ def _assignment_to_space(poset: Poset, field: Field, subs, assignment) -> SSpace
 
 @dataclass
 class DimCensus:
+    """The classes at one dimension.  At an exact dimension a class is
+    indecomposable unless it is a direct sum of two lower classes, so
+    n_undecided is 0; at a sampled one the verdict comes from idempotent
+    search and can be undecided."""
+
     dim: int
     n_classes: int = 0
     n_indecomposable: int = 0
@@ -275,37 +298,22 @@ class OracleCensus:
 
 
 def enumerate_indecomposables(cfg: EnumConfig) -> OracleCensus:
+    """The census of classes and indecomposable classes per dimension up
+    to cfg.max_dim.  At exact dimensions the verdicts come from the
+    direct-sum rule and no Hom system is solved; the endomorphism ring is
+    searched for idempotents only at sampled dimensions.  An S-space is
+    built only for the representatives that are kept or searched."""
     cfg.check()
     field = Field.prime(cfg.q)
     census = OracleCensus(cfg)
-    rng = random.Random(cfg.seed)
-    for n in range(1, cfg.max_dim + 1):
-        subs = all_subspaces(field, n)
-        exhaustive = _exhaustive_group(cfg.q, n)
-        if exhaustive:
-            group = _general_linear(field, n)
-        else:
-            group = _sampled_group(field, n, GROUP_SAMPLE, rng)
-            census.sampled = True
-        # images[j][g]: the index of the image of subspace j under element g
-        tables = _subspace_action_tables(_point_masks(subs), group)
-        images = list(zip(*tables)) or [()] * len(subs)
-        assignments = sorted(_monotone_assignments(cfg.poset, subs))
-        seen = set()
-        reps = []
-        for a in assignments:
-            if a in seen:
-                continue
-            orbit = set(zip(*[images[j] for j in a]))
-            orbit.add(a)
-            seen.update(orbit)
-            reps.append(min(orbit))
-        if not exhaustive:
-            reps = _merge_sampled_classes(cfg, field, subs, reps)
+    for n, subs, reps, split in _classes(cfg, field):
+        census.sampled |= split is None
         dim_c = DimCensus(dim=n, n_classes=len(reps))
         for rep in reps:
+            if split is not None and rep in split:
+                continue
             space = _assignment_to_space(cfg.poset, field, subs, rep)
-            verdict = is_indecomposable(space)
+            verdict = split is not None or is_indecomposable(space)
             if verdict is None:
                 dim_c.n_undecided += 1
             elif verdict:
@@ -313,6 +321,68 @@ def enumerate_indecomposables(cfg: EnumConfig) -> OracleCensus:
                 dim_c.reps.append(space)
         census.per_dim.append(dim_c)
     return census
+
+
+def _classes(cfg: EnumConfig, field: Field):
+    """For n = 1 .. cfg.max_dim: (n, the subspaces of k^n, one
+    representative per class, the split classes).  Where the group is
+    exhaustive the last item is the set of representatives whose orbit
+    holds a direct sum of two lower classes; where it is sampled it is
+    None, and the candidate classes are merged by isomorphism witnesses."""
+    rng = random.Random(cfg.seed)
+    subs = {}
+    classes = {}  # n -> every class representative at the exact dim n
+    for n in range(1, cfg.max_dim + 1):
+        subs[n] = all_subspaces(field, n)
+        exact = _exhaustive_group(cfg.q, n)
+        group = (_general_linear(field, n) if exact
+                 else _sampled_group(field, n, GROUP_SAMPLE, rng))
+        row = _image_rows(_point_masks(subs[n]), group)
+        assignments = sorted(_monotone_assignments(cfg.poset, subs[n]))
+        if exact:
+            reps, split = _orbits(assignments, row, _direct_sums(classes, subs, n))
+            classes[n] = reps
+            yield n, subs[n], reps, split
+        else:
+            reps, _ = _orbits(assignments, row, ())
+            yield n, subs[n], _merge_sampled_classes(cfg, field, subs[n], reps), None
+
+
+def _orbits(assignments, row, sums):
+    """One representative per orbit, the least assignment met in it, in
+    the order of the sorted `assignments`; and the set of those whose orbit
+    meets `sums`.  `row(j)` gives the images of subspace j."""
+    seen = set()
+    reps, split = [], set()
+    for a in assignments:
+        if a in seen:
+            continue
+        orbit = set(zip(*[row(j) for j in a]))
+        orbit.add(a)
+        seen.update(orbit)
+        rep = min(orbit)
+        reps.append(rep)
+        if not orbit.isdisjoint(sums):
+            split.add(rep)
+    return reps, split
+
+
+def _direct_sums(classes, subs, n: int) -> set:
+    """Every assignment X (+) Y in k^n = k^k (+) k^(n-k) with X a class of
+    dim k and Y one of dim n - k, 1 <= k <= n/2.  The block diagonal of
+    two echelon bases is an echelon basis, so the index of X(s) (+) Y(s)
+    is looked up by the padded rows of the two."""
+    index = {s.mat.rows: i for i, s in enumerate(subs[n])}
+    sums = set()
+    for k in range(1, n // 2 + 1):
+        zeros_k, zeros_rest = (0,) * k, (0,) * (n - k)
+        table = [[index[tuple(r + zeros_rest for r in x.mat.rows)
+                        + tuple(zeros_k + r for r in y.mat.rows)]
+                  for y in subs[n - k]] for x in subs[k]]
+        for x in classes[k]:
+            blocks = [table[i] for i in x]
+            sums.update(tuple(map(getitem, blocks, y)) for y in classes[n - k])
+    return sums
 
 
 def _merge_sampled_classes(cfg: EnumConfig, field: Field, subs, reps):

@@ -460,6 +460,107 @@ def test_nu_all_paths_completes_within_every_fitting_limit(limit):
     assert len(trace.steps) <= limit
 
 
+def test_nu_all_paths_searches_a_poset_again_only_with_more_depth(monkeypatch):
+    """A failed search is remembered, so a poset is searched again only at
+    a larger remaining depth than every earlier search of it."""
+    import posetrep.differentiation as differentiation
+
+    searches, explorers = {}, set()
+    search = differentiation._Explorer._search
+
+    def counted(self, q, depth):
+        explorers.add(self)
+        searches.setdefault(q, []).append(self.limit - depth)
+        return search(self, q, depth)
+
+    monkeypatch.setattr(differentiation._Explorer, "_search", counted)
+    trace = nu_count(chain_sum(1, 2, 3), strategy="all-paths", depth_limit=4)
+    assert trace.status == "ok" and trace.nu == 53
+    for remaining in searches.values():
+        assert all(a < b for a, b in zip(remaining, remaining[1:])), remaining
+    (explorer,) = explorers
+    assert explorer.failed and sum(map(len, searches.values())) > len(searches)
+
+
+class _Node:
+    """A stand-in poset for the explorer: a width, an antichain count and
+    a hash."""
+
+    def __init__(self, width, antichains):
+        self.w, self.a = width, antichains
+
+    def width(self):
+        return self.w
+
+    def antichains(self):
+        return [None] * self.a
+
+
+class _SearchAgain:
+    """The all-paths explorer without failure memory: every visit that
+    finds no memoised value searches again."""
+
+    def __init__(self, limit, moves):
+        self.limit, self.moves = limit, moves
+        self.memo, self.in_progress, self.cut = {}, set(), False
+
+    def __call__(self, p, depth):
+        self.cut = False
+        if self.explore(p, depth) is not None:
+            for move in self.moves[p]:
+                if self.explore(move[3], depth + 1) is not None:
+                    return move
+        return "depth-limit" if self.cut else "stuck"
+
+    def explore(self, q, depth):
+        if q.width() <= 2:
+            return len(q.antichains()), 0
+        known = self.memo.get(q)
+        if depth >= self.limit or known and depth + known[1] > self.limit:
+            self.cut = True
+            return None
+        if known or q in self.in_progress:
+            return known
+        self.in_progress.add(q)
+        values, steps = set(), []
+        for _, _, a_count, child in self.moves[q]:
+            below = self.explore(child, depth + 1)
+            if below is not None:
+                values.add(below[0] + a_count + 1)
+                steps.append(below[1] + 1)
+        self.in_progress.discard(q)
+        if len(values) > 1:
+            raise AssertionError("reduction paths disagree")
+        if values:
+            self.memo[q] = values.pop(), min(steps)
+        return self.memo.get(q)
+
+
+def test_nu_all_paths_failure_memory_answers_as_searching_again(monkeypatch):
+    """On random move graphs, loops included, the explorer that remembers
+    failures answers every query of a run as one that searches again."""
+    import posetrep.differentiation as differentiation
+
+    rng = random.Random(7)
+    for _ in range(300):
+        nodes = [_Node(rng.choice([2, 3, 3, 3]), rng.randint(1, 4))
+                 for _ in range(rng.randint(2, 8))]
+        moves = {q: [("p", "filter", rng.randint(0, 1), rng.choice(nodes))
+                     for _ in range(rng.choice([0, 1, 2, 2, 3]))] for q in nodes}
+        monkeypatch.setattr(differentiation, "_moves", lambda q: iter(moves[q]))
+        for limit in range(5):
+            mine, again = differentiation._Explorer(limit), _SearchAgain(limit, moves)
+            for depth in range(limit + 1):
+                for q in rng.sample(nodes, len(nodes)):
+                    answers = []
+                    for explorer in (mine, again):
+                        try:
+                            answers.append(explorer(q, depth))
+                        except AssertionError:
+                            answers.append("disagree")
+                    assert answers[0] == answers[1]
+
+
 def test_nu_step_tests_applicability_once(monkeypatch):
     import posetrep.differentiation as differentiation
 

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import random
 from itertools import product
 
@@ -9,14 +10,17 @@ from posetrep.linalg import QQ, Field, Matrix, Subspace
 from posetrep import oracle
 from posetrep.differentiation import applicability_width, derive_poset, nu_count
 from posetrep.oracle import (MAX_SUBSPACES, DimCensus, EnumConfig, OracleCensus,
-                             _general_linear, _monotone_assignments, _point_masks,
-                             _sampled_group, _subspace_action_tables, _subspace_count,
-                             all_subspaces, cross_check_nu, decompose_fully,
+                             _assignment_to_space, _classes, _general_linear,
+                             _image_rows, _monotone_assignments, _point_masks,
+                             _sampled_group, _subspace_count, all_subspaces,
+                             cross_check_nu, decompose_fully,
                              enumerate_indecomposables, is_indecomposable)
 from posetrep.poset import Poset
 from posetrep.randgen import random_poset, random_sspace
+from posetrep import sspace
 from posetrep.sspace import (SSpace, are_isomorphic, direct_sum, dualize,
                              simple_filter_space)
+from posetrep.verify import all_posets_up_to
 
 from helpers import antichain_poset, chain, chain_sum, poset_112
 
@@ -56,21 +60,30 @@ def _reference_tables(subs, matrices):
     return [tuple(index[s.image(g).mat.rows] for s in subs) for g in matrices]
 
 
+def _forced_tables(subs, group):
+    """Every image row, made in reverse order, turned into one table per
+    group element."""
+    row = _image_rows(_point_masks(subs), group)
+    rows = [row(j) for j in reversed(range(len(subs)))][::-1]
+    return list(zip(*rows))
+
+
 @pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (2, 3), (3, 2), (5, 2)])
 def test_group_action_matches_matrices(q, n):
     field = Field.prime(q)
     subs = all_subspaces(field, n)
-    got = _subspace_action_tables(_point_masks(subs), _general_linear(field, n))
+    got = _forced_tables(subs, _general_linear(field, n))
     assert got == _reference_tables(subs, _reference_general_linear(field, n))
 
 
 @pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (5, 3), (7, 2)])
 def test_sampled_group_action_matches_matrices(q, n):
-    """Same tables from the same draws: the rng ends in the same state."""
+    """Same tables from the same draws: the rng ends in the same state,
+    as the group is read when the rows are set up, before any row is made."""
     field = Field.prime(q)
     subs = all_subspaces(field, n)
     rng, ref_rng = random.Random(q * 10 + n), random.Random(q * 10 + n)
-    got = _subspace_action_tables(_point_masks(subs), _sampled_group(field, n, 150, rng))
+    got = _forced_tables(subs, _sampled_group(field, n, 150, rng))
     want = _reference_tables(subs, _reference_sampled_group(field, n, 150, ref_rng))
     assert got == want
     assert rng.getstate() == ref_rng.getstate()
@@ -313,8 +326,8 @@ def test_table_names_the_sampled_dimensions(q, max_dim, note):
 
 
 def test_table_names_several_sampled_dimensions():
-    """Over F_17 GL(2) and GL(3) are both sampled (the table alone, as the
-    dim-3 census takes seconds)."""
+    """Over F_17 GL(2) and GL(3) are both sampled (the table alone; the
+    census itself is pinned below)."""
     census = OracleCensus(EnumConfig(chain("a"), 17, 3),
                           [DimCensus(n) for n in (1, 2, 3)], sampled=True)
     assert census.table().endswith("\n(isomorphism classing sampled at dims 2, 3)")
@@ -350,3 +363,101 @@ def test_density_at_desk_scale():
         for rep in d.reps:
             assert any(are_isomorphic(rep, img, seed=4).is_iso
                        for img in images if img.dim == rep.dim)
+
+
+# The direct-sum rule at exact dimensions.
+
+@pytest.mark.parametrize("q,max_dim,max_points", [(2, 3, 4), (3, 2, 3), (5, 2, 3)])
+def test_direct_sum_verdicts_match_idempotent_search(q, max_dim, max_points):
+    """Every class representative at an exact dimension is split by the
+    direct-sum rule exactly when the End-ring search finds an idempotent."""
+    field = Field.prime(q)
+    for p in all_posets_up_to(max_points):
+        for n, subs, reps, split in _classes(EnumConfig(p, q, max_dim), field):
+            assert split is not None
+            for rep in reps:
+                space = _assignment_to_space(p, field, subs, rep)
+                assert is_indecomposable(space) is (rep not in split), (p, n, rep)
+
+
+def test_exact_dimensions_solve_no_hom_system(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Hom system was solved at an exact dimension")
+
+    monkeypatch.setattr(oracle, "is_indecomposable", refuse)
+    monkeypatch.setattr(sspace, "hom_space", refuse)
+    monkeypatch.setattr(sspace, "_hom_solutions", refuse)
+    census = enumerate_indecomposables(EnumConfig(poset_112(), 2, 3))
+    assert not census.sampled
+    assert [d.n_indecomposable for d in census.per_dim] == [12, 3, 0]
+    p = chain_sum(1, 1, 2)
+    report = cross_check_nu(p, EnumConfig(p, 2, 3))
+    assert report.oracle_total == report.nu_value == 15 and report.complete
+
+
+def test_image_rows_are_made_once():
+    subs = all_subspaces(F2, 3)
+    row = _image_rows(_point_masks(subs), _general_linear(F2, 3))
+    assert row(5) is row(5)
+    assert len(row(5)) == 168  # |GL(3, 2)|
+
+
+# Census outputs pinned before the direct-sum rule and the image rows came
+# in: per-dim counts, every representative's rows, and the table.
+
+def _census_text(census):
+    lines = []
+    for d in census.per_dim:
+        lines.append(f"{d.dim},{d.n_classes},{d.n_indecomposable},{d.n_undecided}")
+        for rep in d.reps:
+            lines.append(repr([rep.sub(s).mat.rows for s in rep.poset.elements]))
+    lines.append(census.table())
+    return "\n".join(lines)
+
+
+PINNED_CENSUS_SWEEPS = {
+    "F2-up-to-4-points-dim3": (
+        lambda: [(p, 2, 3) for p in all_posets_up_to(4)],
+        "2cf11c19de4a2d6e1abe81c85d3fc0fe074728caaffcd9ad52ff382dc6197f80"),
+    "F3-up-to-4-points-dim2": (
+        lambda: [(p, 3, 2) for p in all_posets_up_to(4)],
+        "2dc08baaaa1ec88796bed5940cccce63b8e11b0bb56bd847b85e744c6d749b4c"),
+    "F5-up-to-4-points-dim2": (
+        lambda: [(p, 5, 2) for p in all_posets_up_to(4)],
+        "1df4052e252828c945af159dc901bfd21b378bbb2c7ea32d4da300c3abc4abf4"),
+    "F2-5-points-dim3": (
+        lambda: [(p, 2, 3) for p in all_posets_up_to(5) if len(p) == 5],
+        "70110eb7bfc047673baf48604908206b0733864619d81d4adf0869eb0d9dcb5a"),
+    "F2-chains-dim4": (
+        lambda: [(chain(*"abc"[:k]), 2, 4) for k in (1, 2, 3)],
+        "2a8a1acc08312de8d4f1d876dc22a2d14e083e91cc00fe7670e646d63b31640a"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CENSUS_SWEEPS))
+def test_census_outputs_are_pinned(name):
+    cases, want = PINNED_CENSUS_SWEEPS[name]
+    digest = hashlib.sha256()
+    for p, q, max_dim in cases():
+        census = enumerate_indecomposables(EnumConfig(p, q, max_dim))
+        digest.update(_census_text(census).encode())
+    assert digest.hexdigest() == want
+
+
+@pytest.mark.parametrize("p,q,max_dim,table", [
+    (chain("a"), 17, 3,
+     "dim | #classes | #indecomposable\n"
+     "  1 |        2 |               2\n"
+     "  2 |        3 |               0\n"
+     "  3 |        4 |               0\n"
+     "(isomorphism classing sampled at dims 2, 3)"),
+    (chain("s", "t"), 2, 4,
+     "dim | #classes | #indecomposable\n"
+     "  1 |        3 |               3\n"
+     "  2 |        6 |               0\n"
+     "  3 |       10 |               0\n"
+     "  4 |       15 |               0\n"
+     "(isomorphism classing sampled at dim 4)"),
+], ids=["F17-one-point-dim3", "F2-two-chain-dim4"])
+def test_census_tables_are_pinned(p, q, max_dim, table):
+    assert enumerate_indecomposables(EnumConfig(p, q, max_dim)).table() == table
