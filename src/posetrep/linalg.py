@@ -21,6 +21,17 @@ Every elimination runs in `_rref`, which has one kernel per kind of field:
 Both give the same rows as any exact Gauss-Jordan elimination, because the
 RREF of a matrix is unique.
 
+Each subspace operation runs at most one elimination:
+
+* `Matrix.null_rows` eliminates the transpose with its columns reversed,
+  so that the kernel vectors read off it are already the RREF basis of
+  the kernel (Cohen, GTM 138, section 2.3); `annihilator` and
+  `solution_space` are such a kernel;
+* `intersect` is Zassenhaus's RREF of the rows [a | a] and [b | 0], and
+  runs none when an operand is 0 or the whole space;
+* `quotient_map` is written down from the RREF basis with no elimination,
+  and `preimage` is the kernel of the map followed by it.
+
 Entries enter a `Matrix` in one of two ways.  The public constructor
 `Matrix(field, rows, ncols)` coerces every entry and checks the shape; all
 input from files and callers goes through it.  The internal `Matrix._of`
@@ -328,23 +339,29 @@ class Matrix:
         return len(self.rref()[1])
 
     def null_rows(self) -> "Matrix":
-        """Basis rows of the left kernel {x : x * self = 0}; shape k x nrows."""
+        """The RREF basis of the left kernel {x : x * self = 0}; shape
+        k x nrows.  One elimination, of the transpose with its columns
+        reversed: the kernel vector of free column f is then 1 at f and
+        nonzero only at later pivot columns, so these vectors, in order of
+        f, are already the reduced row echelon form."""
         field = self.field
         p = field.p
         n = self.nrows
-        red, pivots = _rref(field, zip(*self.rows) if self.rows else [], n)
+        red, pivots = _rref(field, zip(*self.rows[::-1]) if self.rows else [], n)
         piv_set = set(pivots)
         zero, one = field.zero, field.one
         basis = []
-        for f in range(n):
+        for f in range(n - 1, -1, -1):  # reversed column f is column n-1-f
             if f in piv_set:
                 continue
             v = [zero] * n
-            v[f] = one
+            v[n - 1 - f] = one
             for row, pc in zip(red, pivots):
+                if pc > f:
+                    break
                 x = row[f]
                 if x:
-                    v[pc] = -x if p is None else p - x
+                    v[n - 1 - pc] = -x if p is None else p - x
             basis.append(tuple(v))
         return Matrix._of(field, tuple(basis), n)
 
@@ -467,17 +484,27 @@ class Subspace:
         return Subspace(self.field, self.ambient, vstack(self.mat, other.mat).rref()[0])
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Kernel of the stacked system: relations l*A + m*B = 0 give l*A."""
+        """Zassenhaus: one RREF of the rows [a | a] (a in self) and [b | 0]
+        (b in other).  A row whose pivot lies in the right half is [0 | x]
+        with x = a' in self and a' + b' = 0 for some b' in other, so x lies
+        in both; the right halves of those rows are the RREF of the
+        intersection.  No elimination runs when an operand is 0
+        or the whole space, as that operand decides the intersection."""
         self._check_compatible(other)
-        ra = self.mat.nrows
-        stacked = vstack(self.mat, other.mat)
-        rel = stacked.null_rows()
-        coeff = Matrix._of(self.field, tuple(r[:ra] for r in rel.rows), ra)
-        return Subspace(self.field, self.ambient, (coeff * self.mat).rref()[0])
+        if self.is_full() or other.is_zero():
+            return other
+        if other.is_full() or self.is_zero():
+            return self
+        n = self.ambient
+        zeros = (self.field.zero,) * n
+        rows = tuple(a + a for a in self.mat.rows) + tuple(b + zeros for b in other.mat.rows)
+        red, pivots = Matrix._of(self.field, rows, 2 * n).rref()
+        meet = tuple(r[n:] for r, c in zip(red.rows, pivots) if c >= n)
+        return Subspace(self.field, n, Matrix._of(self.field, meet, n))
 
     def annihilator(self) -> "Subspace":
         """{g in the dual : g(self) = 0}, in dual-basis coordinates."""
-        return Subspace(self.field, self.ambient, self.mat.transpose().null_rows().rref()[0])
+        return Subspace(self.field, self.ambient, self.mat.transpose().null_rows())
 
     def image(self, m: Matrix) -> "Subspace":
         """Image of this subspace under v |-> v*m."""
@@ -486,12 +513,13 @@ class Subspace:
         return Subspace(self.field, m.ncols, (self.mat * m).rref()[0])
 
     def preimage(self, m: Matrix) -> "Subspace":
-        """{x : x*m in self}; m maps k^nrows -> k^ambient."""
+        """{x : x*m in self}; m maps k^nrows -> k^ambient.  x*m lies in
+        self exactly when x*m*q = 0 for the quotient map q, so this is one
+        elimination, the left kernel of m*q."""
         if m.ncols != self.ambient:
             raise DimensionMismatch("map codomain mismatch")
-        ann = self.annihilator().mat
-        test = m * ann.transpose()
-        return Subspace(self.field, m.nrows, test.null_rows().rref()[0])
+        q, _ = self.quotient_map()
+        return Subspace(self.field, m.nrows, (m * q).null_rows())
 
     def complement_pivots(self):
         piv = set()
@@ -522,18 +550,25 @@ class Subspace:
         """(q, lift) for k^ambient -> k^(ambient-dim) with kernel self.
 
         q is ambient x d, lift is d x ambient, lift*q is the identity and
-        row span of lift is a complement of self.
+        row span of lift is a complement of self.  lift is the standard
+        basis at the non-pivot columns F, and q needs no elimination: e_f
+        for f in F is row f of lift, and e_p = R_i - sum of R_i[f] * e_f
+        over F for the basis row R_i with pivot p, so q is the identity on
+        the rows F and -R_i[F] on row p.
         """
         field = self.field
-        n = self.ambient
-        comp = self.complement()
-        basis = vstack(self.mat, comp)
-        if basis.nrows != n:
-            raise DimensionMismatch("degenerate basis")
-        binv = basis.inverse()
-        d = n - self.dim
-        q = Matrix._of(field, tuple(r[self.dim:] for r in binv.rows), d)
-        return q, comp
+        p = field.p
+        zero, one = field.zero, field.one
+        free = self.complement_pivots()
+        d = len(free)
+        rows = [None] * self.ambient
+        for k, f in enumerate(free):
+            rows[f] = (zero,) * k + (one,) + (zero,) * (d - k - 1)
+        for r in self.mat.rows:
+            lead = next(i for i, x in enumerate(r) if x)
+            rows[lead] = (tuple(-r[f] for f in free) if p is None
+                          else tuple(-r[f] % p for f in free))
+        return Matrix._of(field, tuple(rows), d), self.complement()
 
 
 def solution_space(field: Field, nvars: int, constraint_rows) -> Subspace:
@@ -541,4 +576,4 @@ def solution_space(field: Field, nvars: int, constraint_rows) -> Subspace:
     c = Matrix(field, constraint_rows, nvars)
     if c.nrows == 0:
         return Subspace.full(field, nvars)
-    return Subspace(field, nvars, c.transpose().null_rows().rref()[0])
+    return Subspace(field, nvars, c.transpose().null_rows())

@@ -23,6 +23,8 @@ g is the permutation "line i goes to line j" under v -> v*g
 mask under that permutation, looked up among the masks.  The images of
 one subspace under every element are made the first time an orbit needs
 them (`_image_rows`), as representatives hold few of the subspaces.
+At an exact dimension the subspaces, their masks and the permutations of
+all of GL(n, q) depend only on (q, n) and are made once (`_exact_action`).
 Lines, not all q^n vectors: a vector table would cost q^n per group
 element, which is out of reach at large q even for n = 1.  The number of
 subspaces of k^max_dim is capped (MAX_SUBSPACES) unless the guardrails
@@ -34,6 +36,7 @@ from __future__ import annotations
 import random
 from array import array
 from dataclasses import dataclass, field as dc_field
+from functools import cache
 from itertools import islice, product
 from operator import getitem, mul
 
@@ -142,10 +145,11 @@ def _point_masks(subs) -> list[int]:
 
 def _line_permutations(p: int, n: int, matrices):
     """For each n x n matrix g (rows of ints in [0, p)) that is invertible,
-    the list "line i goes to line perm[i]" under v -> v*g; a singular g,
+    the array "line i goes to line perm[i]" under v -> v*g; a singular g,
     which sends some representative to 0, is skipped."""
     lines = _lines(p, n)
     index = {v: i for i, v in enumerate(lines)}
+    typecode = "H" if len(lines) <= 1 << 16 else "L"
     # Line i is e_lead + c * (line k) with k > i, or e_lead when c = 0, so
     # going backwards v*g is g[lead] + c * (line k)*g, one row operation.
     steps = []
@@ -170,7 +174,7 @@ def _line_permutations(p: int, n: int, matrices):
                 w = [y * inv % p for y in w]
             perm[i] = index[tuple(w)]
         else:
-            yield perm
+            yield array(typecode, perm)
 
 
 def _general_linear(field: Field, n: int):
@@ -194,14 +198,25 @@ def _sampled_group(field: Field, n: int, count: int, rng: random.Random):
     return islice(_line_permutations(p, n, draws()), count)
 
 
+@cache
+def _exact_action(q: int, n: int):
+    """(the subspaces of k^n, their line masks, all of GL(n, q) as line
+    permutations) for an exact dimension.  These depend only on (q, n),
+    so they are made once; a sampled group depends on the rng and is drawn
+    on every call."""
+    field = Field.prime(q)
+    subs = tuple(all_subspaces(field, n))
+    return subs, _point_masks(subs), tuple(_general_linear(field, n))
+
+
 def _image_rows(masks, group):
     """The function j -> row j, which maps each element of `group`, in
-    order, to the index of the image of subspace j under it.  The group is
-    read here, once, and its line permutations are kept as arrays; a row
-    is made the first time it is asked for."""
+    order, to the index of the image of subspace j under it.  The group (an
+    iterable of line permutations) is read here, once; a row is made the
+    first time it is asked for."""
     index = {m: i for i, m in enumerate(masks)}
     n_lines = masks[-1].bit_length()  # the last subspace is the whole space
-    perms = [array("H" if n_lines <= 1 << 16 else "L", perm) for perm in group]
+    perms = list(group)
     bits = [1 << i for i in range(n_lines)]
     rows = {}
 
@@ -217,13 +232,13 @@ def _image_rows(masks, group):
     return row
 
 
-def _monotone_assignments(poset: Poset, subs):
-    """All order-respecting choices of a subspace index per element,
-    emitted as tuples aligned with poset.elements."""
+def _monotone_assignments(poset: Poset, masks):
+    """All order-respecting choices of a subspace index per element, the
+    subspaces given by their line masks (`_point_masks`), emitted as
+    tuples aligned with poset.elements."""
     n_elems = len(poset.elements)
     if n_elems == 0:
         return [()]
-    masks = _point_masks(subs)
     order = poset.linear_extension()
     below = {s: [t for t in order if poset.lt(t, s)] for s in order}
     chosen = {}
@@ -333,12 +348,15 @@ def _classes(cfg: EnumConfig, field: Field):
     subs = {}
     classes = {}  # n -> every class representative at the exact dim n
     for n in range(1, cfg.max_dim + 1):
-        subs[n] = all_subspaces(field, n)
         exact = _exhaustive_group(cfg.q, n)
-        group = (_general_linear(field, n) if exact
-                 else _sampled_group(field, n, GROUP_SAMPLE, rng))
-        row = _image_rows(_point_masks(subs[n]), group)
-        assignments = sorted(_monotone_assignments(cfg.poset, subs[n]))
+        if exact:
+            subs[n], masks, group = _exact_action(cfg.q, n)
+        else:
+            subs[n] = all_subspaces(field, n)
+            masks = _point_masks(subs[n])
+            group = _sampled_group(field, n, GROUP_SAMPLE, rng)
+        row = _image_rows(masks, group)
+        assignments = sorted(_monotone_assignments(cfg.poset, masks))
         if exact:
             reps, split = _orbits(assignments, row, _direct_sums(classes, subs, n))
             classes[n] = reps
@@ -412,7 +430,7 @@ def decompose_fully(v: SSpace) -> list[SSpace]:
     if verdict:
         return [v]
     image = Subspace.full(v.field, v.dim).image(e.mat)
-    kernel = Subspace(v.field, v.dim, e.mat.null_rows().rref()[0])
+    kernel = Subspace(v.field, v.dim, e.mat.null_rows())
     pieces = []
     for part in (image, kernel):
         assign = {s: v.sub(s).preimage(part.mat) for s in v.poset.elements}

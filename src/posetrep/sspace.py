@@ -165,7 +165,7 @@ class SMorphism:
         return True
 
     def is_iso(self) -> bool:
-        return self.mat.is_invertible() and self.inverse() is not None
+        return self.inverse() is not None
 
     def inverse(self):
         """Inverse morphism if the matrix inverts and the inverse respects
@@ -180,7 +180,7 @@ class SMorphism:
 
     def kernel(self):
         """(kernel S-space, proper mono into the source)."""
-        k = self.mat.null_rows().rref()[0]
+        k = self.mat.null_rows()
         amb = k.nrows
         assign = {s: self.source.sub(s).preimage(k)
                   for s in self.source.poset.elements}
@@ -456,7 +456,7 @@ def _endo_solutions_fixing(f: SMorphism) -> list[SMorphism]:
     u = f.source
     pairs = [(u.sub(s), u.sub(s)) for s in u.poset.elements]
     # h then f = 0: the image of h lies in the left kernel of f
-    kernel = Subspace(u.field, u.dim, f.mat.null_rows().rref()[0])
+    kernel = Subspace(u.field, u.dim, f.mat.null_rows())
     pairs.append((Subspace.full(u.field, u.dim), kernel))
     return _unflatten(u, u, _hom_solutions(u, u, pairs).mat.rows)
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from posetrep.errors import DimensionMismatch, FieldMismatch, InvalidScalar, PosetRepError
+from posetrep import linalg
 from posetrep.linalg import QQ, Field, Matrix, Subspace, _rref, solution_space, vstack
 
 F2 = Field.prime(2)
@@ -125,7 +126,8 @@ def test_kernels_match_reference_elimination(field):
             assert red.ncols == ncols and red.nrows == len(ref)
             assert m.rank() == len(ref_pivots)
             null = m.null_rows()
-            assert null.rows == tuple(reference_null_rows(field, rows, nrows))
+            ref_null, _ = reference_rref(field, reference_null_rows(field, rows, nrows), nrows)
+            assert null.rows == tuple(ref_null)
             assert null.ncols == nrows
             for out in (red, null):
                 assert_canonical(field, out)
@@ -139,6 +141,94 @@ def test_kernels_match_reference_elimination(field):
                     assert_canonical(field, inv)
                 else:
                     assert inv is None
+
+
+def reference_subspace(field, ambient, rows):
+    return Subspace(field, ambient, Matrix._of(field, tuple(reference_rref(field, rows, ambient)[0]),
+                                               ambient))
+
+
+def reference_intersect(a, b):
+    """The two-step route: the relations l*A + m*B = 0, then the RREF of l*A."""
+    field, ra = a.field, a.dim
+    rel = reference_null_rows(field, a.mat.rows + b.mat.rows, ra + b.dim)
+    coeff = Matrix._of(field, tuple(r[:ra] for r in rel), ra)
+    return reference_subspace(field, a.ambient, (coeff * a.mat).rows)
+
+
+def reference_annihilator(s):
+    return reference_subspace(s.field, s.ambient,
+                              reference_null_rows(s.field, s.mat.transpose().rows, s.ambient))
+
+
+def reference_preimage(s, m):
+    """Kernel of m times the transposed RREF annihilator, made canonical."""
+    test = m * reference_annihilator(s).mat.transpose()
+    return reference_subspace(s.field, m.nrows, reference_null_rows(s.field, test.rows, m.nrows))
+
+
+def reference_solution_space(field, nvars, rows):
+    if not rows:
+        return Subspace.full(field, nvars)
+    cols = list(zip(*rows)) if nvars else []
+    return reference_subspace(field, nvars, reference_null_rows(field, cols, nvars))
+
+
+def reference_quotient(s):
+    """q from the inverse of the basis [s; complement], by Gauss-Jordan on [B | I]."""
+    field, n = s.field, s.ambient
+    basis = s.mat.rows + s.complement().rows
+    aug = [row + tuple(field.one if i == j else field.zero for j in range(n))
+           for i, row in enumerate(basis)]
+    red, _ = reference_rref(field, aug, 2 * n)
+    return Matrix._of(field, tuple(r[n + s.dim:] for r in red), n - s.dim)
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F3, F5, F65521], ids=repr)
+def test_subspace_operations_match_two_step_route_with_one_elimination(field, monkeypatch):
+    calls = []
+    kernel = linalg._rref
+
+    def counted(*args):
+        calls.append(args[2])
+        return kernel(*args)
+
+    monkeypatch.setattr(linalg, "_rref", counted)
+
+    def eliminations(run):
+        calls.clear()
+        out = run()
+        return out, len(calls)
+
+    rng = random.Random(20 + (field.p or 0))
+    for trial in range(6):
+        for nrows, ncols in SHAPES:
+            a = Subspace.from_rows(field, ncols, random_rows(rng, field, nrows, ncols))
+            b = Subspace.from_rows(field, ncols, random_rows(rng, field, ncols, ncols))
+            m = Matrix._of(field, tuple(random_rows(rng, field, nrows, ncols)), ncols)
+            cons = random_rows(rng, field, nrows, ncols)
+
+            null, count = eliminations(m.null_rows)
+            assert count == 1
+            assert null.rows == tuple(reference_rref(
+                field, reference_null_rows(field, m.rows, nrows), nrows)[0])
+            for x, y in ((a, b), (b, a), (a, a)):
+                trivial = any(s.is_zero() or s.is_full() for s in (x, y))
+                meet, count = eliminations(lambda: x.intersect(y))
+                assert count == (0 if trivial else 1)
+                assert meet == reference_intersect(x, y)
+                assert_canonical(field, meet.mat)
+            ann, count = eliminations(a.annihilator)
+            assert count == 1 and ann == reference_annihilator(a)
+            pre, count = eliminations(lambda: a.preimage(m))
+            assert count == 1 and pre == reference_preimage(a, m)
+            sol, count = eliminations(lambda: solution_space(field, ncols, cons))
+            assert count == (1 if cons else 0)
+            assert sol == reference_solution_space(field, ncols, cons)
+            (q, lift), count = eliminations(a.quotient_map)
+            assert count == 0 and q == reference_quotient(a) and lift == a.complement()
+            for out in (ann.mat, pre.mat, sol.mat, q):
+                assert_canonical(field, out)
 
 
 def test_coerce_maps_rationals_into_prime_fields():

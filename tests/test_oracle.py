@@ -109,7 +109,7 @@ def test_monotone_assignments_match_brute_force():
                  if all(subs[dict(zip(p.elements, a))[t]].contains(
                             subs[dict(zip(p.elements, a))[s]])
                         for s in p.elements for t in p.elements if p.lt(s, t))]
-        assert sorted(_monotone_assignments(p, subs)) == brute
+        assert sorted(_monotone_assignments(p, _point_masks(subs))) == brute
 
 
 def test_subspace_cap():
@@ -354,7 +354,7 @@ def test_density_at_desk_scale():
     images = []
     for n in (0, 1, 2):
         subs = all_subspaces(F2, n)
-        for a in _monotone_assignments(p, subs):
+        for a in _monotone_assignments(p, _point_masks(subs)):
             v = _assignment_to_space(p, F2, subs, a)
             if any(piece.is_full_at("x") for piece in decompose_fully(v)):
                 continue
@@ -400,6 +400,32 @@ def test_image_rows_are_made_once():
     row = _image_rows(_point_masks(subs), _general_linear(F2, 3))
     assert row(5) is row(5)
     assert len(row(5)) == 168  # |GL(3, 2)|
+
+
+def test_exact_group_is_made_once_per_field_and_dimension(monkeypatch):
+    """GL(n, q) and the subspaces it acts on are listed once per (q, n);
+    a sampled group is drawn again on every census, from its own rng."""
+    made, drawn = [], []
+    general_linear, sampled_group = oracle._general_linear, oracle._sampled_group
+    monkeypatch.setattr(oracle, "_general_linear",
+                        lambda field, n: made.append((field.p, n)) or general_linear(field, n))
+    monkeypatch.setattr(oracle, "_sampled_group",
+                        lambda field, n, *a: drawn.append((field.p, n)) or sampled_group(field, n, *a))
+    oracle._exact_action.cache_clear()
+    try:
+        p = chain(*"ab")
+        first = [_census_text(enumerate_indecomposables(EnumConfig(p, 2, 4)))
+                 for _ in range(2)]
+        assert first[0] == first[1]
+        assert made == [(2, 1), (2, 2), (2, 3)]
+        assert drawn == [(2, 4), (2, 4)]
+        again = _census_text(enumerate_indecomposables(EnumConfig(poset_112(), 2, 2)))
+        assert made == [(2, 1), (2, 2), (2, 3)]
+        oracle._exact_action.cache_clear()
+        assert _census_text(enumerate_indecomposables(EnumConfig(poset_112(), 2, 2))) == again
+        assert made == [(2, 1), (2, 2), (2, 3), (2, 1), (2, 2)]
+    finally:
+        oracle._exact_action.cache_clear()
 
 
 # Census outputs pinned before the direct-sum rule and the image rows came

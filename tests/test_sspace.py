@@ -146,6 +146,31 @@ def test_embedding_with_wrong_image_is_not_proper():
     assert not f.is_proper()
 
 
+def test_is_iso_is_decided_by_the_inverse_alone(monkeypatch):
+    """is_iso runs only what inverse() runs: one elimination for the matrix
+    inverse, and then images only to check that the inverse is a morphism."""
+    from posetrep import linalg
+
+    calls = []
+    kernel = linalg._rref
+    monkeypatch.setattr(linalg, "_rref", lambda *a: calls.append(a) or kernel(*a))
+    p = antichain_poset("x", "y")
+    v = SSpace(p, QQ, 2, {"x": Subspace.from_rows(QQ, 2, [[1, 0]])})
+    u = SSpace(p, QQ, 2, {})
+    cases = [(SMorphism.identity(v), True), (SMorphism(v, v, Matrix(QQ, [[2, 0], [1, 3]])), True),
+             (SMorphism(v, v, Matrix(QQ, [[1, 0], [0, 0]])), False),
+             (SMorphism.zero(v, v), False), (SMorphism(u, v, Matrix.identity(QQ, 2)), False)]
+    for f, iso in cases:
+        singular = f.mat.inverse() is None
+        calls.clear()
+        f.inverse()
+        by_inverse = len(calls)
+        calls.clear()
+        assert f.is_iso() is iso
+        assert len(calls) == by_inverse
+        assert singular is (len(calls) == 1)
+
+
 # kernels and cokernels --------------------------------------------------------
 
 
