@@ -29,7 +29,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
 from .errors import NotApplicable
-from .linalg import Subspace
+from .linalg import Matrix, Subspace
 from .poset import Poset, applicability_width, derived_carrier, derived_set
 from .sspace import SMorphism, SSpace, _hom_solutions, e_functor_map
 
@@ -80,7 +80,7 @@ def diff_space(v: SSpace, point: str, mode: str, derived: DerivedPoset = None) -
     vp = v.sub(point)
     assign = {}
     if mode == "filter":
-        q, _ = vp.quotient_map()
+        q = vp.quotient_map()
         for label in derived.result.elements:
             meet = Subspace.full(v.field, v.dim)
             for m in derived.members_of(label):
@@ -136,11 +136,11 @@ def factor_ideal_dim(u: SSpace, v: SSpace, point: str, mode: str) -> int:
     (mode "trivial": U(p) <= Ker f)."""
     if mode not in ("full", "trivial"):
         raise ValueError(f"mode must be full or trivial, got {mode}")
-    pairs = [(u.sub(s), v.sub(s)) for s in u.poset.elements]
+    pairs = [(u.sub(s), v.sub(s).quotient_map()) for s in u.poset.elements]
     if mode == "full":
-        pairs.append((Subspace.full(u.field, u.dim), v.sub(point)))
-    else:
-        pairs.append((u.sub(point), Subspace.zero(v.field, v.dim)))
+        pairs.append((Subspace.full(u.field, u.dim), v.sub(point).quotient_map()))
+    else:  # the identity is the quotient map of the zero target
+        pairs.append((u.sub(point), Matrix.identity(v.field, v.dim)))
     return _hom_solutions(u, v, pairs).dim
 
 

@@ -37,8 +37,9 @@ Entries enter a `Matrix` in one of two ways.  The public constructor
 input from files and callers goes through it.  The internal `Matrix._of`
 takes a tuple of tuples whose entries are already canonical (a Fraction
 over Q, an int in [0, p) over F_p) and checks nothing, so it is used only
-on entries computed from canonical entries: in this module, and in
-`sspace` on the rows of a `solution_space`.
+on entries computed from canonical entries: in this module, on the
+constraint rows that `sspace._hom_solutions` reduces as it builds them,
+and in `sspace` on the rows of a `solution_space`.
 """
 
 from __future__ import annotations
@@ -518,8 +519,7 @@ class Subspace:
         elimination, the left kernel of m*q."""
         if m.ncols != self.ambient:
             raise DimensionMismatch("map codomain mismatch")
-        q, _ = self.quotient_map()
-        return Subspace(self.field, m.nrows, (m * q).null_rows())
+        return Subspace(self.field, m.nrows, (m * self.quotient_map()).null_rows())
 
     def complement_pivots(self):
         piv = set()
@@ -546,15 +546,15 @@ class Subspace:
         inner = Subspace(self.field, self.dim, coords.rref()[0])
         return inner.complement() * self.mat
 
-    def quotient_map(self):
-        """(q, lift) for k^ambient -> k^(ambient-dim) with kernel self.
+    def quotient_map(self) -> Matrix:
+        """q : k^ambient -> k^(ambient-dim) with kernel self, ambient x d.
 
-        q is ambient x d, lift is d x ambient, lift*q is the identity and
-        row span of lift is a complement of self.  lift is the standard
-        basis at the non-pivot columns F, and q needs no elimination: e_f
-        for f in F is row f of lift, and e_p = R_i - sum of R_i[f] * e_f
-        over F for the basis row R_i with pivot p, so q is the identity on
-        the rows F and -R_i[F] on row p.
+        Its columns cut self out: x lies in self iff x*q = 0.  The lift
+        `complement()`, the standard basis at the non-pivot columns F,
+        has complement()*q the identity, and q needs no elimination: e_f
+        for f in F is mapped to the f-th unit vector, and e_p = R_i - sum
+        of R_i[f] * e_f over F for the basis row R_i with pivot p, so q is
+        the identity on the rows F and -R_i[F] on row p.
         """
         field = self.field
         p = field.p
@@ -568,12 +568,13 @@ class Subspace:
             lead = next(i for i, x in enumerate(r) if x)
             rows[lead] = (tuple(-r[f] for f in free) if p is None
                           else tuple(-r[f] % p for f in free))
-        return Matrix._of(field, tuple(rows), d), self.complement()
+        return Matrix._of(field, tuple(rows), d)
 
 
 def solution_space(field: Field, nvars: int, constraint_rows) -> Subspace:
-    """All x in k^nvars with c . x = 0 for every constraint row c."""
-    c = Matrix(field, constraint_rows, nvars)
+    """All x in k^nvars with c . x = 0 for every constraint row c; the rows
+    must be canonical, as `sspace._hom_solutions` builds them (no coercion)."""
+    c = Matrix._of(field, tuple(constraint_rows), nvars)
     if c.nrows == 0:
         return Subspace.full(field, nvars)
     return Subspace(field, nvars, c.transpose().null_rows())

@@ -190,7 +190,7 @@ class SMorphism:
     def cokernel(self):
         """(cokernel S-space, proper epi from the target)."""
         image = Subspace.full(self.source.field, self.source.dim).image(self.mat)
-        q, _ = image.quotient_map()
+        q = image.quotient_map()
         assign = {s: self.target.sub(s).image(q)
                   for s in self.target.poset.elements}
         cok = SSpace(self.target.poset, self.target.field, q.ncols, assign, validate=False)
@@ -231,32 +231,27 @@ class HomSpace:
 
 def _hom_solutions(u: SSpace, v: SSpace, pairs) -> Subspace:
     """The matrices f : k^dim_U -> k^dim_V, flattened row by row, with
-    f(B) <= G for every (B, G) in pairs: the one solver behind Hom spaces
-    and their subspaces."""
-    return solution_space(u.field, u.dim * v.dim, _flat_constraints_for(u, v, pairs))
-
-
-def _flat_constraints_for(u: SSpace, v: SSpace, pairs):
-    """Constraint rows over flattened matrix entries, one per (basis vector
-    of a source subspace, annihilator vector of a target subspace): the
-    row of (b, g) holds b[i] * g[j] at i * v.dim + j.  Over F_p the
-    products are left unreduced; `solution_space` coerces every entry."""
+    b * f * c = 0 for each row b of B and column c of C, for every pair (B, C)
+    of a source subspace and a matrix whose columns cut out the target (its
+    quotient map).  The row of (b, c) holds b[i] * c[j] at i * dim_V + j,
+    reduced as it is built: the one constraint builder behind Hom spaces
+    and their subspaces, solved by one elimination."""
+    p = u.field.p
     nv = v.dim
     zero = u.field.zero
     width = u.dim * nv
     rows = []
-    for bsub, gsub in pairs:
-        anns = [[(j, gj) for j, gj in enumerate(g) if gj]
-                for g in gsub.annihilator().mat.rows]
+    for bsub, cut in pairs:
+        cols = [[(j, cj) for j, cj in enumerate(c) if cj] for c in zip(*cut.rows)]
         for b in bsub.mat.rows:
             terms = [(i * nv, bi) for i, bi in enumerate(b) if bi]
-            for g in anns:
+            for c in cols:
                 row = [zero] * width
                 for base, bi in terms:
-                    for j, gj in g:
-                        row[base + j] = bi * gj
+                    for j, cj in c:
+                        row[base + j] = bi * cj if p is None else bi * cj % p
                 rows.append(row)
-    return rows
+    return solution_space(u.field, width, rows)
 
 
 def _unflatten(u: SSpace, v: SSpace, flat_rows):
@@ -269,10 +264,10 @@ def _unflatten(u: SSpace, v: SSpace, flat_rows):
 
 
 def hom_space(u: SSpace, v: SSpace) -> HomSpace:
-    """Basis of all S-space morphisms u -> v, found by solving the linear
-    constraint system f(U(s)) <= V(s)."""
+    """Basis of all S-space morphisms u -> v: the solutions of f(U(s)) <= V(s),
+    written f(U(s)) * q_s = 0 for the quotient map q_s of each V(s)."""
     _check_same_category(u, v)
-    pairs = [(u.sub(s), v.sub(s)) for s in u.poset.elements]
+    pairs = [(u.sub(s), v.sub(s).quotient_map()) for s in u.poset.elements]
     sol = _hom_solutions(u, v, pairs)
     return HomSpace(u, v, tuple(_unflatten(u, v, sol.mat.rows)), sol)
 
@@ -350,7 +345,7 @@ def e_sub(v: SSpace, p) -> tuple[SSpace, SMorphism]:
 
 def e_quot(v: SSpace, p) -> tuple[SSpace, SMorphism]:
     """(E_p v, the structural proper epi pi_p)."""
-    q, _ = v.sub(p).quotient_map()
+    q = v.sub(p).quotient_map()
     assign = {s: v.sub(s).image(q) for s in v.poset.elements}
     ep = SSpace(v.poset, v.field, q.ncols, assign, validate=False)
     return ep, SMorphism(v, ep, q, validate=False)
@@ -367,8 +362,7 @@ def e_functor_map(f: SMorphism, p, mode: str) -> SMorphism:
     if mode == "quot":
         eu, pu = e_quot(u, p)
         ev, pv = e_quot(v, p)
-        _, lift = u.sub(p).quotient_map()
-        return SMorphism(eu, ev, lift * f.mat * pv.mat, validate=False)
+        return SMorphism(eu, ev, u.sub(p).complement() * f.mat * pv.mat, validate=False)
     raise ValueError(f"mode must be sub or quot, got {mode}")
 
 
@@ -454,10 +448,9 @@ def _endo_solutions_fixing(f: SMorphism) -> list[SMorphism]:
     """Basis of {h in End(source) : h then f = 0}; the solutions of
     g then f = f are exactly id + this space."""
     u = f.source
-    pairs = [(u.sub(s), u.sub(s)) for s in u.poset.elements]
-    # h then f = 0: the image of h lies in the left kernel of f
-    kernel = Subspace(u.field, u.dim, f.mat.null_rows())
-    pairs.append((Subspace.full(u.field, u.dim), kernel))
+    pairs = [(u.sub(s), u.sub(s).quotient_map()) for s in u.poset.elements]
+    # h then f = 0: the columns of f cut out the left kernel of f
+    pairs.append((Subspace.full(u.field, u.dim), f.mat))
     return _unflatten(u, u, _hom_solutions(u, u, pairs).mat.rows)
 
 

@@ -267,7 +267,7 @@ def test_hom_dimension_quotient_law():
 def phi_matrix(v: SSpace, point):
     """Explicit isomorphism D(E_p v) -> E^p(D v): precompose with the
     structural projection, in dual coordinates."""
-    q, _ = v.sub(point).quotient_map()
+    q = v.sub(point).quotient_map()
     ann = v.sub(point).annihilator()
     return ann.express_rows(q.transpose())
 

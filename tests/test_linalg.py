@@ -225,8 +225,8 @@ def test_subspace_operations_match_two_step_route_with_one_elimination(field, mo
             sol, count = eliminations(lambda: solution_space(field, ncols, cons))
             assert count == (1 if cons else 0)
             assert sol == reference_solution_space(field, ncols, cons)
-            (q, lift), count = eliminations(a.quotient_map)
-            assert count == 0 and q == reference_quotient(a) and lift == a.complement()
+            q, count = eliminations(a.quotient_map)
+            assert count == 0 and q == reference_quotient(a)
             for out in (ann.mat, pre.mat, sol.mat, q):
                 assert_canonical(field, out)
 
@@ -360,7 +360,7 @@ def test_exactness_no_floats():
                    vstack(w.mat, u.mat), w.intersect(u).mat, w.plus(u).mat,
                    w.preimage(m).mat, w.image(m).mat, w.annihilator().mat,
                    w.express_rows(w.intersect(u).mat), w.complement(),
-                   w.complement_within(w.intersect(u)), *w.quotient_map()]
+                   w.complement_within(w.intersect(u)), w.quotient_map()]
         for out in results:
             assert_canonical(field, out)
 
@@ -370,7 +370,7 @@ def test_quotient_map_contract():
     for _ in range(40):
         n = rng.randrange(0, 5)
         u = rand_subspace(rng, QQ, n)
-        q, lift = u.quotient_map()
+        q, lift = u.quotient_map(), u.complement()
         d = n - u.dim
         assert q.nrows == n and q.ncols == d
         assert lift * q == Matrix.identity(QQ, d)

@@ -122,6 +122,74 @@ def test_end_of_simples_sum_matches_comparable_pairs_two_chain():
     assert hom_dim(big, big) == 6
 
 
+def reference_hom_solutions(u, v, pairs):
+    """The route through annihilators: one elimination per target G for its
+    annihilator, the unreduced products b[i] * g[j] as the rows, and every
+    entry coerced again by the public Matrix constructor."""
+    nv, width = v.dim, u.dim * v.dim
+    rows = [[b[k // nv] * g[k % nv] for k in range(width)]
+            for bsub, target in pairs
+            for g in target.annihilator().mat.rows for b in bsub.mat.rows]
+    if not rows:
+        return Subspace.full(u.field, width), rows
+    cons = Matrix(u.field, rows, width)
+    return Subspace(u.field, width, cons.transpose().null_rows()), rows
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F5], ids=repr)
+def test_hom_systems_are_one_elimination(field, monkeypatch):
+    from posetrep import linalg
+    from posetrep.differentiation import factor_ideal_dim
+    from posetrep.sspace import _endo_solutions_fixing
+
+    calls = []
+    kernel = linalg._rref
+
+    def counted(*args):
+        calls.append(args[2])
+        return kernel(*args)
+
+    monkeypatch.setattr(linalg, "_rref", counted)
+
+    def eliminations(run):
+        calls.clear()
+        out = run()
+        return out, len(calls)
+
+    def check(count, rows):
+        assert count <= 1 and (count == 1 or not rows)
+
+    rng = random.Random(31 + (field.p or 0))
+    for _ in range(20):
+        p = random_poset(rng, 4)
+        u = random_sspace(rng, p, field, 3)
+        v = random_sspace(rng, p, field, 3)
+        point = rng.choice(p.elements)
+        pairs = [(u.sub(s), v.sub(s)) for s in p.elements]
+
+        hom, count = eliminations(lambda: hom_space(u, v))
+        ref, rows = reference_hom_solutions(u, v, pairs)
+        check(count, rows)
+        assert hom.flat == ref
+
+        full = (Subspace.full(field, u.dim), v.sub(point))
+        trivial = (u.sub(point), Subspace.zero(field, v.dim))
+        for mode, extra in (("full", full), ("trivial", trivial)):
+            dim, count = eliminations(lambda: factor_ideal_dim(u, v, point, mode))
+            ref, rows = reference_hom_solutions(u, v, pairs + [extra])
+            check(count, rows)
+            assert dim == ref.dim
+
+        f = random_morphism(rng, hom)
+        ideal, count = eliminations(lambda: _endo_solutions_fixing(f))
+        kernel_of_f = Subspace(field, u.dim, f.mat.null_rows())
+        ref, rows = reference_hom_solutions(
+            u, u, [(u.sub(s), u.sub(s)) for s in p.elements]
+            + [(Subspace.full(field, u.dim), kernel_of_f)])
+        check(count, rows)
+        assert [sum(h.mat.rows, ()) for h in ideal] == list(ref.mat.rows)
+
+
 # properness ------------------------------------------------------------------
 
 
@@ -365,7 +433,7 @@ def test_e_vanishing_and_factorizations():
         if sub_zero and quota_trivial < 20:
             quota_trivial += 1
             eu, pi = e_quot(u, pt)
-            _, lift = u.sub(pt).quotient_map()
+            lift = u.sub(pt).complement()
             tail = SMorphism(eu, v, lift * f.mat)
             assert eu.is_trivial_at(pt)
             assert pi.then(tail) == f
