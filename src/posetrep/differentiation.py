@@ -82,16 +82,14 @@ def diff_space(v: SSpace, point: str, mode: str, derived: DerivedPoset = None) -
     if mode == "filter":
         q = vp.quotient_map()
         for label in derived.result.elements:
-            meet = Subspace.full(v.field, v.dim)
-            for m in derived.members_of(label):
-                meet = meet.intersect(v.sub(m))
+            meet = Subspace.full(v.field, v.dim).intersect(
+                *(v.sub(m) for m in derived.members_of(label)))
             assign[label] = meet.image(q)
         return SSpace(derived.result, v.field, q.ncols, assign, validate=False)
     b = vp.mat
     for label in derived.result.elements:
-        join = Subspace.zero(v.field, v.dim)
-        for m in derived.members_of(label):
-            join = join.plus(v.sub(m))
+        join = Subspace.zero(v.field, v.dim).plus(
+            *(v.sub(m) for m in derived.members_of(label)))
         assign[label] = join.preimage(b)
     return SSpace(derived.result, v.field, b.nrows, assign, validate=False)
 

@@ -49,11 +49,8 @@ def induce(v: SSpace, target: Poset) -> SSpace:
     _check_subposet(v.poset, target)
     assign = {}
     for s in target.elements:
-        total = Subspace.zero(v.field, v.dim)
-        for r in v.poset.elements:
-            if target.leq(r, s):
-                total = total.plus(v.sub(r))
-        assign[s] = total
+        assign[s] = Subspace.zero(v.field, v.dim).plus(
+            *(v.sub(r) for r in v.poset.elements if target.leq(r, s)))
     return SSpace(target, v.field, v.dim, assign, validate=False)
 
 
@@ -62,11 +59,8 @@ def coinduce(v: SSpace, target: Poset) -> SSpace:
     _check_subposet(v.poset, target)
     assign = {}
     for s in target.elements:
-        total = Subspace.full(v.field, v.dim)
-        for r in v.poset.elements:
-            if target.leq(s, r):
-                total = total.intersect(v.sub(r))
-        assign[s] = total
+        assign[s] = Subspace.full(v.field, v.dim).intersect(
+            *(v.sub(r) for r in v.poset.elements if target.leq(s, r)))
     return SSpace(target, v.field, v.dim, assign, validate=False)
 
 
@@ -208,11 +202,8 @@ def is_socle_projective(m: IncidenceRep) -> bool:
 def radical_at(v: SSpace, t) -> Subspace:
     """Sum of the subspaces strictly below t; t = None stands for the
     adjoined top, which lies above every element."""
-    total = Subspace.zero(v.field, v.dim)
-    for s in v.poset.elements:
-        if t is None or v.poset.lt(s, t):
-            total = total.plus(v.sub(s))
-    return total
+    return Subspace.zero(v.field, v.dim).plus(
+        *(v.sub(s) for s in v.poset.elements if t is None or v.poset.lt(s, t)))
 
 
 def projective_cover(v: SSpace) -> tuple[SSpace, SMorphism]:
@@ -230,7 +221,7 @@ def _cover_with_parts(v: SSpace):
     rows = []
     for t in list(v.poset.elements) + [None]:
         space = Subspace.full(v.field, v.dim) if t is None else v.sub(t)
-        comp = space.complement_within(radical_at(v, t).intersect(space))
+        comp = space.complement_within(radical_at(v, t))
         for row in comp.rows:
             parts.append(t)
             rows.append(row)
@@ -310,14 +301,9 @@ def semisimple_decompose(v: SSpace) -> SemisimpleDecomposition:
     parts = zero_space(p, fld)
     rows = []
     for a in p.antichains():
-        inside = Subspace.full(fld, n)
-        for s in a:
-            inside = inside.intersect(v.sub(s))
+        inside = Subspace.full(fld, n).intersect(*(v.sub(s) for s in a))
         filt = p.generated_filter(a)
-        outside = Subspace.zero(fld, n)
-        for s in p.elements:
-            if s not in filt:
-                outside = outside.plus(v.sub(s))
+        outside = Subspace.zero(fld, n).plus(*(v.sub(s) for s in p.elements if s not in filt))
         comp = inside.complement_within(outside.intersect(inside))
         if comp.nrows:
             mult[a] = comp.nrows

@@ -27,10 +27,13 @@ Each subspace operation runs at most one elimination:
   so that the kernel vectors read off it are already the RREF basis of
   the kernel (Cohen, GTM 138, section 2.3); `annihilator` and
   `solution_space` are such a kernel;
-* `intersect` is Zassenhaus's RREF of the rows [a | a] and [b | 0], and
-  runs none when an operand is 0 or the whole space;
 * `quotient_map` is written down from the RREF basis with no elimination,
-  and `preimage` is the kernel of the map followed by it.
+  and `preimage` is the kernel of the map followed by it;
+* `intersect` of any number of operands is one such kernel, the left
+  kernel of their quotient maps set side by side, and runs none when an
+  operand is 0 or at most one is neither 0 nor the whole space;
+* `plus` of any number of operands is one RREF of the stacked rows of
+  the nonzero ones, and runs none when at most one is nonzero.
 
 Entries enter a `Matrix` in one of two ways.  The public constructor
 `Matrix(field, rows, ncols)` coerces every entry and checks the shape; all
@@ -45,6 +48,7 @@ and in `sspace` on the rows of a `solution_space`.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 
@@ -115,9 +119,6 @@ class Field:
         if x.denominator % p == 0:
             raise InvalidScalar(f"{x} has no value in F{p}: {p} divides its denominator")
         return x.numerator * pow(x.denominator, p - 2, p) % p
-
-    def add(self, a, b):
-        return a + b if self.p is None else (a + b) % self.p
 
     def sub(self, a, b):
         return a - b if self.p is None else (a - b) % self.p
@@ -480,28 +481,35 @@ class Subspace:
             coords.append(c)
         return Matrix._of(self.field, tuple(coords), self.dim)
 
-    def plus(self, other: "Subspace") -> "Subspace":
-        self._check_compatible(other)
-        return Subspace(self.field, self.ambient, vstack(self.mat, other.mat).rref()[0])
+    def plus(self, *others: "Subspace") -> "Subspace":
+        """The sum of this subspace and the others: one RREF of the stacked
+        rows of the nonzero operands, and none when at most one is nonzero."""
+        for other in others:
+            self._check_compatible(other)
+        parts = [s for s in (self, *others) if not s.is_zero()]
+        if len(parts) <= 1:
+            return parts[0] if parts else self
+        return Subspace(self.field, self.ambient, vstack(*(s.mat for s in parts)).rref()[0])
 
-    def intersect(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus: one RREF of the rows [a | a] (a in self) and [b | 0]
-        (b in other).  A row whose pivot lies in the right half is [0 | x]
-        with x = a' in self and a' + b' = 0 for some b' in other, so x lies
-        in both; the right halves of those rows are the RREF of the
-        intersection.  No elimination runs when an operand is 0
-        or the whole space, as that operand decides the intersection."""
-        self._check_compatible(other)
-        if self.is_full() or other.is_zero():
-            return other
-        if other.is_full() or self.is_zero():
-            return self
-        n = self.ambient
-        zeros = (self.field.zero,) * n
-        rows = tuple(a + a for a in self.mat.rows) + tuple(b + zeros for b in other.mat.rows)
-        red, pivots = Matrix._of(self.field, rows, 2 * n).rref()
-        meet = tuple(r[n:] for r, c in zip(red.rows, pivots) if c >= n)
-        return Subspace(self.field, n, Matrix._of(self.field, meet, n))
+    def intersect(self, *others: "Subspace") -> "Subspace":
+        """The intersection of this subspace and the others: x lies in every
+        operand iff x*q = 0 for the quotient map q of each, so this is one
+        elimination, the left kernel of those maps set side by side.  A
+        full operand adds no columns; no elimination runs when an operand
+        is 0 or at most one is neither 0 nor the whole space."""
+        for other in others:
+            self._check_compatible(other)
+        parts = (self, *others)
+        for s in parts:
+            if s.is_zero():
+                return s
+        proper = [s for s in parts if not s.is_full()]
+        if len(proper) <= 1:
+            return proper[0] if proper else self
+        maps = [s.quotient_map() for s in proper]
+        rows = tuple(tuple(chain.from_iterable(r)) for r in zip(*(q.rows for q in maps)))
+        side = Matrix._of(self.field, rows, sum(q.ncols for q in maps))
+        return Subspace(self.field, self.ambient, side.null_rows())
 
     def annihilator(self) -> "Subspace":
         """{g in the dual : g(self) = 0}, in dual-basis coordinates."""

@@ -39,10 +39,8 @@ def random_sspace(rng: random.Random, poset: Poset, field: Field, max_dim: int =
     order = poset.linear_extension()
     assign = {}
     for s in order:
-        base = Subspace.zero(field, n)
-        for t in poset.elements:
-            if poset.lt(t, s):
-                base = base.plus(assign[t])
+        base = Subspace.zero(field, n).plus(
+            *(assign[t] for t in poset.elements if poset.lt(t, s)))
         extra = [random_vector(rng, field, n) for _ in range(rng.randrange(0, n + 1))]
         assign[s] = base.plus(Subspace.from_rows(field, n, extra)) if extra else base
     return SSpace(poset, field, n, assign)

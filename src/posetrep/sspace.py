@@ -463,9 +463,7 @@ def is_right_minimal(f: SMorphism) -> bool:
     ideal = [h.mat for h in _endo_solutions_fixing(f)]
     w = Subspace.full(u.field, u.dim)
     while not w.is_zero():
-        shrunk = Subspace.zero(u.field, u.dim)
-        for h in ideal:
-            shrunk = shrunk.plus(w.image(h))
+        shrunk = Subspace.zero(u.field, u.dim).plus(*(w.image(h) for h in ideal))
         if shrunk.dim == w.dim:
             return False
         w = shrunk

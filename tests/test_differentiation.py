@@ -19,6 +19,7 @@ from posetrep.verify import all_posets_up_to
 
 from helpers import antichain_poset, chain, chain_sum, example510, poset_112
 
+F2 = Field.prime(2)
 F5 = Field.prime(5)
 
 
@@ -170,6 +171,31 @@ def test_diff_matches_composite():
         derived = derive_poset(p, point, mode)
         assert diff_space(v, point, mode, derived) == \
             diff_space_composite(v, point, mode, derived)
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F5], ids=["Q", "F2", "F5"])
+def test_diff_space_is_two_eliminations_per_label(field, monkeypatch):
+    """One for the meet (join) of a label's members, one for its image
+    (preimage)."""
+    from posetrep import linalg
+
+    calls = []
+    kernel = linalg._rref
+
+    def counted(*args):
+        calls.append(args[2])
+        return kernel(*args)
+
+    monkeypatch.setattr(linalg, "_rref", counted)
+    rng = random.Random(17 + (field.p or 0))
+    for mode in ("filter", "ideal"):
+        for _ in range(15):
+            p, point, _ = applicable_instance(rng, field, mode)
+            v = random_sspace(rng, p, field, 4)
+            derived = derive_poset(p, point, mode)
+            calls.clear()
+            diff_space(v, point, mode, derived)
+            assert len(calls) <= 2 * len(derived.result)
 
 
 def test_diff_additive():

@@ -9,7 +9,7 @@ from posetrep.functors import (IncidenceRep, coinduce,
                                colift_along_filter, decompose_projective,
                                induce, injective_envelope,
                                is_socle_projective, lift_along_ideal, phi,
-                               projective_cover, psi, restrict,
+                               projective_cover, psi, radical_at, restrict,
                                restrict_morphism, semisimple_decompose,
                                sorted_by)
 from posetrep.linalg import QQ, Field, Matrix, Subspace
@@ -102,6 +102,37 @@ def test_induce_empty_sum_and_coinduce_empty_intersection():
     assert down.sub("s") == down.sub("t")
     w = SSpace(p.restrict(["s"]), QQ, 2, {"s": Subspace.from_rows(QQ, 2, [[0, 1]])})
     assert coinduce(w, p).sub("t").is_full()
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F5], ids=["Q", "F2", "F5"])
+def test_sums_and_meets_are_one_elimination_per_element(field, monkeypatch):
+    from posetrep import linalg
+
+    calls = []
+    kernel = linalg._rref
+
+    def counted(*args):
+        calls.append(args[2])
+        return kernel(*args)
+
+    monkeypatch.setattr(linalg, "_rref", counted)
+
+    def eliminations(run):
+        calls.clear()
+        out = run()
+        return out, len(calls)
+
+    rng = random.Random(13 + (field.p or 0))
+    for _ in range(20):
+        p = random_poset(rng, 6)
+        v = random_sspace(rng, p.restrict(random_subset(rng, p)), field, 4)
+        for functor in (induce, coinduce):
+            out, count = eliminations(lambda: functor(v, p))
+            assert count <= len(out.poset)
+        w = random_sspace(rng, p, field, 4)
+        for t in list(p.elements) + [None]:
+            _, count = eliminations(lambda: radical_at(w, t))
+            assert count <= 1
 
 
 def test_adjunction_is_a_matrix_identity():

@@ -201,6 +201,7 @@ def test_subspace_operations_match_two_step_route_with_one_elimination(field, mo
         return out, len(calls)
 
     rng = random.Random(20 + (field.p or 0))
+    third_rng = random.Random(40 + (field.p or 0))  # leaves the draws from rng as they were
     for trial in range(6):
         for nrows, ncols in SHAPES:
             a = Subspace.from_rows(field, ncols, random_rows(rng, field, nrows, ncols))
@@ -218,6 +219,22 @@ def test_subspace_operations_match_two_step_route_with_one_elimination(field, mo
                 assert count == (0 if trivial else 1)
                 assert meet == reference_intersect(x, y)
                 assert_canonical(field, meet.mat)
+            c = Subspace.from_rows(field, ncols, random_rows(third_rng, field, nrows, ncols))
+            zero, full = Subspace.zero(field, ncols), Subspace.full(field, ncols)
+            for x, y, z in ((a, b, c), (c, a, b), (a, zero, b), (zero, c, zero),
+                            (full, a, c), (a, full, full), (zero, full, c), (full, c, zero)):
+                ops = (x, y, z)
+                nonzero = sum(not s.is_zero() for s in ops)
+                total, count = eliminations(lambda: x.plus(y, z))
+                assert count == (0 if nonzero <= 1 else 1)
+                assert total == reference_subspace(field, ncols, x.mat.rows + y.mat.rows
+                                                   + z.mat.rows)
+                proper = sum(not (s.is_zero() or s.is_full()) for s in ops)
+                meet, count = eliminations(lambda: x.intersect(y, z))
+                assert count == (0 if nonzero < 3 or proper <= 1 else 1)
+                assert meet == reference_intersect(reference_intersect(x, y), z)
+                for out in (total, meet):
+                    assert_canonical(field, out.mat)
             ann, count = eliminations(a.annihilator)
             assert count == 1 and ann == reference_annihilator(a)
             pre, count = eliminations(lambda: a.preimage(m))
@@ -396,6 +413,15 @@ def test_field_and_dimension_errors():
     c = Subspace.from_rows(QQ, 3, [[1, 0, 0]])
     with pytest.raises(DimensionMismatch):
         a.intersect(c)
+    # n-ary forms check every operand before a 0 or full operand decides
+    zero, full = Subspace.zero(QQ, 2), Subspace.full(QQ, 2)
+    for op in ("plus", "intersect"):
+        for first in (zero, full, a):
+            for early in (zero, full):
+                with pytest.raises(FieldMismatch):
+                    getattr(first, op)(early, b)
+                with pytest.raises(DimensionMismatch):
+                    getattr(first, op)(early, c)
 
 
 def test_vstack_and_null_rows_edges():
