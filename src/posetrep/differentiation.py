@@ -25,8 +25,10 @@ applies at p, with the mirror recursion in ideal mode, and bottoms out at
 from __future__ import annotations
 
 import hashlib
+from collections import deque
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
+from math import inf
 
 from .errors import NotApplicable
 from .linalg import Matrix, Subspace
@@ -190,102 +192,69 @@ def _first_move(p: Poset, depth: int):
     return next(_moves(p), "stuck")
 
 
-class _Explorer:
-    """The all-paths chooser.  At the first poset it explores every move
-    below it and checks that all completing paths agree on nu; it returns
-    the first move whose child completes within the depth limit, or why
-    none does: "depth-limit" when the limit cut the search, else "stuck".
-    Each poset's moves are derived once, and its nu is memoised with the
-    fewest steps that reach it, so a value is reused only where it still
-    fits under the limit.
-
-    A failed search is remembered too, unless it met a poset in progress,
-    for such a failure depends on the path.  A search that failed uncut
-    marks a dead poset: no path from it completes at any depth, and a
-    later visit is cut exactly when its height, the longest path its search
-    took, does not fit under the remaining depth.  A search the limit cut
-    fails again, cut, at no more remaining depth, as long as none of the
-    posets it searched is in progress: derived posets can meet again, so a
-    path cut short may hide a loop back to one of them."""
+class _Sweep:
+    """The all-paths chooser.  Its first call sweeps every path from the
+    start poset in two breadth-first passes.  The forward pass numbers each
+    poset when it first meets it and derives the moves of each one of
+    width > 2 once, leaving those at the depth limit unexpanded.  The
+    backward pass, from the posets of width <= 2 over the reversed moves,
+    gives each poset its fewest steps and its nu by a child one step
+    closer; every completing move must give that nu.  A call takes the
+    first move whose child's fewest steps fit the depth left, or says why
+    none does: "depth-limit" when a poset was left unexpanded, else
+    "stuck", for then no path completes at any limit."""
 
     def __init__(self, depth_limit: int):
-        self.limit = depth_limit
-        self.moves = {}  # poset -> list of its moves
-        self.memo = {}  # poset -> (nu, fewest steps to width <= 2)
-        self.dead = {}  # poset -> height of its uncut failed search
-        self.failed = {}  # poset -> (remaining depth, posets searched) of a cut search
-        self.in_progress = set()
-        self.cut = False  # whether the current search met the limit
-        self.looped = False  # whether it met a poset in progress
-        self.searched = set()  # the posets the current search searched
+        self.limit, self.ids = depth_limit, {}  # ids: poset -> its number
 
     def __call__(self, p: Poset, depth: int):
-        self.cut = False
-        self.searched = set()
-        if self._explore(p, depth) is not None:
-            for move in self._moves_of(p):
-                if self._explore(move[3], depth + 1) is not None:
-                    return move
+        if not self.ids:
+            self._sweep(p, self.limit - depth)
+        for point, mode, a_count, child in self.moves[self.ids[p]]:
+            if self.steps[child] < self.limit - depth:
+                return point, mode, a_count, self.posets[child]
         return "depth-limit" if self.cut else "stuck"
 
-    def _moves_of(self, q: Poset) -> list:
-        if q not in self.moves:
-            self.moves[q] = list(_moves(q))
-        return self.moves[q]
+    def _sweep(self, start: Poset, remaining: int):
+        ids, posets, moves = self.ids, [], {}  # moves: number -> moves to numbers
+        steps, nu, parents = [], [], []  # parents: number -> (parent, a-count)
 
-    def _explore(self, q: Poset, depth: int):
-        """(nu, steps) of q when a path from depth completes within the
-        limit, else None."""
-        if q.width() <= 2:
-            return len(q.antichains()), 0
-        known = self.memo.get(q)
-        remaining = self.limit - depth
-        if remaining <= 0 or known and known[1] > remaining:
-            self.cut = True
-            return None
-        if known:
-            return known
-        if q in self.in_progress:
-            self.looped = True
-            return None
-        if q in self.dead:
-            self.cut |= self.dead[q] >= remaining
-            return None
-        failed = self.failed.get(q)
-        if failed and remaining <= failed[0] and self.in_progress.isdisjoint(failed[1]):
-            self.cut = True
-            self.searched |= failed[1]
-            return None
-        return self._search(q, depth)
+        def meet(q):
+            ids[q] = len(posets)
+            posets.append(q)
+            narrow = q.width() <= 2
+            steps.append(0 if narrow else inf)
+            nu.append(len(q.antichains()) if narrow else None)
+            parents.append([])
+            return ids[q]
 
-    def _search(self, q: Poset, depth: int):
-        """Explore every move of q.  The flags and the searched posets of
-        the search below q are its own, and join the caller's after it."""
-        outer = self.cut, self.looped, self.searched
-        self.cut = self.looped = False
-        self.searched = {q}
-        self.in_progress.add(q)
-        values, steps = set(), []
-        for _, _, a_count, child in self._moves_of(q):
-            below = self._explore(child, depth + 1)
-            if below is not None:
-                values.add(below[0] + a_count + 1)
-                steps.append(below[1] + 1)
-        self.in_progress.discard(q)
-        if len(values) > 1:
-            raise AssertionError(f"reduction paths disagree: {sorted(values)}")
-        if values:
-            self.memo[q] = values.pop(), min(steps)
-        elif self.cut and not self.looped:
-            self.failed[q] = self.limit - depth, frozenset(self.searched)
-        elif not self.looped:
-            self.dead[q] = 1 + max((self.dead[m[3]] for m in self._moves_of(q)),
-                                   default=-1)
-        self.cut |= outer[0]
-        self.looped |= outer[1]
-        outer[2].update(self.searched)
-        self.searched = outer[2]
-        return self.memo.get(q)
+        level = [meet(start)]
+        for _ in range(remaining):
+            deeper = []
+            for i in level:
+                if steps[i] == 0:
+                    continue
+                moves[i] = []
+                for point, mode, a_count, child in _moves(posets[i]):
+                    j = ids.get(child)
+                    if j is None:
+                        j = meet(child)
+                        deeper.append(j)
+                    moves[i].append((point, mode, a_count, j))
+                    parents[j].append((i, a_count))
+            level = deeper
+        queue = deque(i for i, s in enumerate(steps) if s == 0)
+        while queue:
+            j = queue.popleft()
+            for i, a_count in parents[j]:
+                value = nu[j] + a_count + 1
+                if nu[i] is None:
+                    nu[i], steps[i] = value, steps[j] + 1
+                    queue.append(i)
+                elif nu[i] != value:
+                    raise AssertionError(f"reduction paths disagree: {sorted((nu[i], value))}")
+        self.posets, self.moves, self.steps = posets, moves, steps
+        self.cut = any(steps[i] > 0 for i in level)  # a wide poset left at the limit
 
 
 def nu_count(p: Poset, strategy: str = "first", depth_limit: int = 64) -> ReductionTrace:
@@ -296,16 +265,17 @@ def nu_count(p: Poset, strategy: str = "first", depth_limit: int = 64) -> Reduct
     depth limit; each step charges |a(complement)| + 1.  Strategy "first"
     takes the first applicable move, filter mode before ideal mode and
     points in label order, and tests no move after it.  Strategy
-    "all-paths" explores every move, checks that all completing paths
-    agree, and takes the first move that completes within the limit.  A
-    trace that ends without an answer says why: "depth-limit" when the
-    limit stopped the loop or cut the all-paths search, "stuck" when no
-    move applies, none completes, or the loop meets a poset again.
+    "all-paths" sweeps every path within the limit breadth-first, checks
+    that all completing paths agree, and takes the first move that
+    completes within the limit.  A trace that ends without an answer says
+    why: "depth-limit" when the limit stopped the loop or the sweep,
+    "stuck" when no move applies or the loop meets a poset again, and
+    under all-paths when no path completes at any limit.
     Any other strategy is a ValueError.
     """
     if strategy not in ("first", "all-paths"):
         raise ValueError(f"strategy must be first or all-paths, got {strategy}")
-    choose = _first_move if strategy == "first" else _Explorer(depth_limit)
+    choose = _first_move if strategy == "first" else _Sweep(depth_limit)
     trace = ReductionTrace()
     current = p
     seen = {p}

@@ -529,17 +529,17 @@ class Subspace:
             raise DimensionMismatch("map codomain mismatch")
         return Subspace(self.field, m.nrows, (m * self.quotient_map()).null_rows())
 
-    def complement_pivots(self):
-        piv = set()
-        for row in self.mat.rows:
-            piv.add(next(i for i, x in enumerate(row) if x))
-        return [j for j in range(self.ambient) if j not in piv]
+    def _pivots(self):
+        """The pivot column of each basis row, and the other columns."""
+        leads = [next(i for i, x in enumerate(r) if x) for r in self.mat.rows]
+        piv = set(leads)
+        return leads, [j for j in range(self.ambient) if j not in piv]
 
     def complement(self) -> Matrix:
         """Standard basis rows at the non-pivot coordinates; spans a complement."""
         field = self.field
         rows = []
-        for j in self.complement_pivots():
+        for j in self._pivots()[1]:
             v = [field.zero] * self.ambient
             v[j] = field.one
             rows.append(tuple(v))
@@ -567,13 +567,12 @@ class Subspace:
         field = self.field
         p = field.p
         zero, one = field.zero, field.one
-        free = self.complement_pivots()
+        leads, free = self._pivots()
         d = len(free)
         rows = [None] * self.ambient
         for k, f in enumerate(free):
             rows[f] = (zero,) * k + (one,) + (zero,) * (d - k - 1)
-        for r in self.mat.rows:
-            lead = next(i for i, x in enumerate(r) if x)
+        for r, lead in zip(self.mat.rows, leads):
             rows[lead] = (tuple(-r[f] for f in free) if p is None
                           else tuple(-r[f] % p for f in free))
         return Matrix._of(field, tuple(rows), d)

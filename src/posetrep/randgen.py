@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 import string
 
-from .linalg import Field, Subspace
+from .linalg import Field, Matrix, Subspace, vstack
 from .poset import Poset
 
 
@@ -38,11 +38,11 @@ def random_sspace(rng: random.Random, poset: Poset, field: Field, max_dim: int =
     n = rng.randrange(0, max_dim + 1)
     order = poset.linear_extension()
     assign = {}
-    for s in order:
-        base = Subspace.zero(field, n).plus(
-            *(assign[t] for t in poset.elements if poset.lt(t, s)))
-        extra = [random_vector(rng, field, n) for _ in range(rng.randrange(0, n + 1))]
-        assign[s] = base.plus(Subspace.from_rows(field, n, extra)) if extra else base
+    for s in order:  # one elimination: the rows below s with the new ones
+        extra = Matrix(field, [random_vector(rng, field, n)
+                               for _ in range(rng.randrange(0, n + 1))], n)
+        below = (assign[t].mat for t in poset.elements if poset.lt(t, s))
+        assign[s] = Subspace(field, n, vstack(*below, extra).rref()[0])
     return SSpace(poset, field, n, assign)
 
 

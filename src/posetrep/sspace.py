@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import (FieldMismatch, InvalidMorphism, MonotonicityViolation,
                      PosetMismatch, UnknownLabel)
-from .linalg import Field, Matrix, Subspace, solution_space
+from .linalg import Field, Matrix, Subspace, solution_space, vstack
 from .poset import Poset
 
 
@@ -461,9 +461,11 @@ def is_right_minimal(f: SMorphism) -> bool:
     is 0 (nilpotent) or stops shrinking (not): at most dim U rounds."""
     u = f.source
     ideal = [h.mat for h in _endo_solutions_fixing(f)]
+    if not ideal:
+        return True
     w = Subspace.full(u.field, u.dim)
-    while not w.is_zero():
-        shrunk = Subspace.zero(u.field, u.dim).plus(*(w.image(h) for h in ideal))
+    while not w.is_zero():  # one elimination of the stacked images per round
+        shrunk = Subspace(u.field, u.dim, vstack(*(w.mat * h for h in ideal)).rref()[0])
         if shrunk.dim == w.dim:
             return False
         w = shrunk

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import random
 
@@ -486,31 +487,9 @@ def test_nu_all_paths_completes_within_every_fitting_limit(limit):
     assert len(trace.steps) <= limit
 
 
-def test_nu_all_paths_searches_a_poset_again_only_with_more_depth(monkeypatch):
-    """A failed search is remembered, so a poset is searched again only at
-    a larger remaining depth than every earlier search of it."""
-    import posetrep.differentiation as differentiation
-
-    searches, explorers = {}, set()
-    search = differentiation._Explorer._search
-
-    def counted(self, q, depth):
-        explorers.add(self)
-        searches.setdefault(q, []).append(self.limit - depth)
-        return search(self, q, depth)
-
-    monkeypatch.setattr(differentiation._Explorer, "_search", counted)
-    trace = nu_count(chain_sum(1, 2, 3), strategy="all-paths", depth_limit=4)
-    assert trace.status == "ok" and trace.nu == 53
-    for remaining in searches.values():
-        assert all(a < b for a, b in zip(remaining, remaining[1:])), remaining
-    (explorer,) = explorers
-    assert explorer.failed and sum(map(len, searches.values())) > len(searches)
-
-
 class _Node:
-    """A stand-in poset for the explorer: a width, an antichain count and
-    a hash."""
+    """A stand-in poset for the sweep: a width, an antichain count and a
+    hash."""
 
     def __init__(self, width, antichains):
         self.w, self.a = width, antichains
@@ -522,69 +501,98 @@ class _Node:
         return [None] * self.a
 
 
-class _SearchAgain:
-    """The all-paths explorer without failure memory: every visit that
-    finds no memoised value searches again."""
+def _all_paths_by_walks(start, moves, limit):
+    """What all-paths answers on a move graph, from its walks: the status,
+    the moves taken and nu, or "disagree".  The walks from start of at
+    most `limit` moves give each node's shortest distance, and the swept
+    nodes are those of width > 2 nearer than the limit; the walks that
+    stay among swept nodes and end at width <= 2 give each node's values."""
+    narrow = lambda q: q.width() <= 2
+    dist, ends = {start: 0}, [start]
+    for d in range(1, limit + 1):  # the ends of the walks of d moves
+        ends = {c for q in ends if not narrow(q) for *_, c in moves[q]}
+        for c in ends:
+            dist.setdefault(c, d)
+    swept = {q for q, d in dist.items() if d < limit and not narrow(q)}
 
-    def __init__(self, limit, moves):
-        self.limit, self.moves = limit, moves
-        self.memo, self.in_progress, self.cut = {}, set(), False
+    @functools.lru_cache(maxsize=None)
+    def walks(q, n):
+        """(moves, nu) of each completing walk from q of at most n moves."""
+        if narrow(q):
+            return frozenset({(0, len(q.antichains()))})
+        if q not in swept or n == 0:
+            return frozenset()
+        return frozenset((k + 1, v + a + 1) for _, _, a, c in moves[q]
+                         for k, v in walks(c, n - 1))
 
-    def __call__(self, p, depth):
-        self.cut = False
-        if self.explore(p, depth) is not None:
-            for move in self.moves[p]:
-                if self.explore(move[3], depth + 1) is not None:
-                    return move
-        return "depth-limit" if self.cut else "stuck"
-
-    def explore(self, q, depth):
-        if q.width() <= 2:
-            return len(q.antichains()), 0
-        known = self.memo.get(q)
-        if depth >= self.limit or known and depth + known[1] > self.limit:
-            self.cut = True
-            return None
-        if known or q in self.in_progress:
-            return known
-        self.in_progress.add(q)
-        values, steps = set(), []
-        for _, _, a_count, child in self.moves[q]:
-            below = self.explore(child, depth + 1)
-            if below is not None:
-                values.add(below[0] + a_count + 1)
-                steps.append(below[1] + 1)
-        self.in_progress.discard(q)
-        if len(values) > 1:
-            raise AssertionError("reduction paths disagree")
-        if values:
-            self.memo[q] = values.pop(), min(steps)
-        return self.memo.get(q)
+    # a disagreement shows on walks of at most len(swept) + 1 moves
+    if any(len({v for _, v in walks(q, len(swept) + 1)}) > 1 for q in swept):
+        return "disagree"
+    taken, current = [], start
+    while not narrow(current):
+        left = limit - len(taken)
+        fits = [m for m in moves[current] if left > 0 and walks(m[3], left - 1)]
+        if not fits:
+            wide_at_limit = any(d == limit and not narrow(q) for q, d in dist.items())
+            return "depth-limit" if wide_at_limit or left == 0 else "stuck", taken
+        taken.append(fits[0][:3])
+        current = fits[0][3]
+    (value,) = {v for _, v in walks(start, limit)}
+    return "ok", taken, value
 
 
-def test_nu_all_paths_failure_memory_answers_as_searching_again(monkeypatch):
-    """On random move graphs, loops included, the explorer that remembers
-    failures answers every query of a run as one that searches again."""
+def test_nu_all_paths_matches_the_walks_of_random_move_graphs(monkeypatch):
+    """On seeded random move graphs, loops included, all-paths answers as
+    the brute-force count over walks: fewest steps and nu from the walks,
+    the first move whose child completes within the depth left, and
+    "depth-limit" exactly when a width > 2 node lies at the limit."""
     import posetrep.differentiation as differentiation
 
     rng = random.Random(7)
+    seen = set()
     for _ in range(300):
         nodes = [_Node(rng.choice([2, 3, 3, 3]), rng.randint(1, 4))
                  for _ in range(rng.randint(2, 8))]
-        moves = {q: [("p", "filter", rng.randint(0, 1), rng.choice(nodes))
-                     for _ in range(rng.choice([0, 1, 2, 2, 3]))] for q in nodes}
+        moves = {q: [(f"p{k}", "filter", rng.randint(0, 1), rng.choice(nodes))
+                     for k in range(rng.choice([0, 1, 2, 2, 3]))] for q in nodes}
         monkeypatch.setattr(differentiation, "_moves", lambda q: iter(moves[q]))
-        for limit in range(5):
-            mine, again = differentiation._Explorer(limit), _SearchAgain(limit, moves)
-            for depth in range(limit + 1):
-                for q in rng.sample(nodes, len(nodes)):
-                    answers = []
-                    for explorer in (mine, again):
-                        try:
-                            answers.append(explorer(q, depth))
-                        except AssertionError:
-                            answers.append("disagree")
-                    assert answers[0] == answers[1]
+        for limit in (0, 1, 2, 3, 4, 5, 8):
+            start = rng.choice(nodes)
+            expected = _all_paths_by_walks(start, moves, limit)
+            if expected == "disagree":
+                with pytest.raises(AssertionError):
+                    nu_count(start, strategy="all-paths", depth_limit=limit)
+                seen.add(expected)
+                continue
+            trace = nu_count(start, strategy="all-paths", depth_limit=limit)
+            taken = [(s.point, s.mode, s.nonempty_antichains) for s in trace.steps]
+            assert (trace.status, taken, trace.nu)[:len(expected)] == expected
+            seen.add(trace.status)
+    assert seen == {"ok", "depth-limit", "stuck", "disagree"}
+
+
+def test_nu_all_paths_takes_a_move_only_if_its_child_fits(monkeypatch):
+    """s moves to c and to d, c moves to d, d moves to a width-2 node.  At
+    limit 2, c needs both steps left after the first, so s moves to d."""
+    import posetrep.differentiation as differentiation
+
+    s, c, d, t = _Node(3, 1), _Node(3, 1), _Node(3, 1), _Node(2, 4)
+    moves = {s: [("c", "filter", 0, c), ("d", "filter", 1, d)],
+             c: [("d", "filter", 0, d)], d: [("t", "filter", 0, t)]}
+    monkeypatch.setattr(differentiation, "_moves", lambda q: iter(moves[q]))
+    trace = nu_count(s, strategy="all-paths", depth_limit=2)
+    assert trace.status == "ok" and trace.nu == 4 + 1 + 2
+    assert [step.point for step in trace.steps] == ["d", "t"]
+
+
+def test_nu_all_paths_stuck_once_the_sweep_expands_everything():
+    """On a, b, c, d, e with a < e and b < e no path reaches width 2.  By
+    limit 3 the sweep has expanded every poset it can reach, so from there
+    all-paths says "stuck"; below that the limit left posets unexpanded."""
+    p = Poset.build(list("abcde"), [("a", "e"), ("b", "e")])
+    statuses = [nu_count(p, strategy="all-paths", depth_limit=limit).status
+                for limit in (1, 2, 3, 64)]
+    assert statuses == ["depth-limit", "depth-limit", "stuck", "stuck"]
 
 
 def test_nu_step_tests_applicability_once(monkeypatch):

@@ -14,7 +14,7 @@ from itertools import product
 import pytest
 
 from posetrep.functors import injective_envelope, projective_cover
-from posetrep.linalg import QQ, Field, Matrix, Subspace
+from posetrep.linalg import QQ, Field, Matrix, Subspace, vstack
 from posetrep.randgen import random_morphism, random_poset, random_sspace
 from posetrep.sspace import (SMorphism, SSpace, direct_sum, hom_space,
                              is_left_minimal, is_right_minimal,
@@ -119,6 +119,42 @@ def test_minimality_matches_enumeration(family, q):
     assert compared >= 15
     assert seen == ({True} if family in (_covers, _covers_with_fixing_ideal)
                     else {True, False})
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_minimality_is_one_elimination_per_round(q, monkeypatch):
+    """After the one elimination of the Hom solve, each round of W = the
+    sum of the images W h over the ideal is one elimination."""
+    from posetrep import linalg
+
+    field = Field.prime(q)
+    rng = random.Random(7 * q)
+    calls = []
+    kernel = linalg._rref
+
+    def counted(*args):
+        calls.append(args[2])
+        return kernel(*args)
+
+    wide_ideals = 0
+    for _ in range(10):
+        for f in _covers_with_fixing_ideal(rng, field) + _cover_plus_zero(rng, field):
+            u = f.source
+            ideal = _ideal(hom_space(u, u), lambda h: h * f.mat, u.dim * f.target.dim)
+            wide_ideals += len(ideal) >= 2
+            rounds, w = 0, Matrix.identity(field, u.dim)
+            while ideal and w.nrows:
+                rounds += 1
+                shrunk = vstack(*(w * h for h in ideal)).rref()[0]
+                if shrunk.nrows == w.nrows:
+                    break
+                w = shrunk
+            monkeypatch.setattr(linalg, "_rref", counted)
+            calls.clear()
+            is_right_minimal(f)
+            monkeypatch.setattr(linalg, "_rref", kernel)
+            assert len(calls) <= 1 + rounds
+    assert wide_ideals
 
 
 def test_minimality_over_q_sees_a_scaled_idempotent():

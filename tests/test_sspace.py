@@ -60,6 +60,28 @@ def test_random_generator_always_validates():
         validate_sspace(random_sspace(rng, p, field, 4))
 
 
+@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+def test_random_generator_is_one_elimination_per_element(field, monkeypatch):
+    """Each element's subspace is one RREF of the rows below it together
+    with its new random rows."""
+    from posetrep import linalg
+
+    calls = []
+    kernel = linalg._rref
+
+    def counted(*args):
+        calls.append(args[2])
+        return kernel(*args)
+
+    monkeypatch.setattr(linalg, "_rref", counted)
+    rng = random.Random(3)
+    for _ in range(50):
+        p = random_poset(rng, 6)
+        calls.clear()
+        random_sspace(rng, p, field, 4)
+        assert len(calls) <= len(p)
+
+
 # hom spaces -----------------------------------------------------------------
 
 
