@@ -16,7 +16,7 @@ from .differentiation import derive_poset, diff_space, nu_count, serialize_trace
 from .errors import PosetRepError, WriteError
 from .functors import coinduce, induce, restrict
 from .oracle import EnumConfig, cross_check_nu, enumerate_indecomposables
-from .sspace import dualize, e_quot, e_sub, hom_space, validate_sspace
+from .sspace import dualize, e_quot, e_sub, hom_space
 from .verify import DEFAULT_SEED, REGISTRY, run_suite
 
 
@@ -49,8 +49,7 @@ def _load_any(path: str):
 
 def cmd_check(args) -> int:
     obj = _load_any(args.path)
-    if hasattr(obj, "assign"):
-        validate_sspace(obj)
+    if hasattr(obj, "assign"):  # load_sspace has already checked monotonicity
         print(f"ok: S-space over {len(obj.poset)} elements, "
               f"field {obj.field}, ambient dim {obj.dim}")
     else:

@@ -35,10 +35,6 @@ class NotAnIdeal(PosetRepError):
     pass
 
 
-class NotAFilter(PosetRepError):
-    pass
-
-
 # exact linear algebra
 
 class DimensionMismatch(PosetRepError):

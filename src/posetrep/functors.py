@@ -1,6 +1,5 @@
-"""Restriction, induction, coinduction, the lifting constructions along
-ideals and filters, the bridge to socle-projective incidence-algebra
-modules, and projectivization.
+"""Restriction, induction, coinduction, lifting along ideals, the bridge
+to socle-projective incidence-algebra modules, and projectivization.
 
 Restriction forgets subspaces; induction fills a forgotten element with
 the sum of the subspaces below it, coinduction with the intersection of
@@ -13,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .errors import NoUniqueTop, NotAFilter, NotAnIdeal, PosetMismatch
+from .errors import NoUniqueTop, NotAnIdeal, PosetMismatch
 from .linalg import Field, Matrix, Subspace
 from .poset import Poset
 from .sspace import (SMorphism, SSpace, direct_sum, dualize, projective_space,
@@ -30,11 +29,6 @@ def restrict(v: SSpace, labels) -> SSpace:
     sub = v.poset.restrict(labels)
     assign = {s: v.sub(s) for s in sub.elements if s in keep}
     return SSpace(sub, v.field, v.dim, assign, validate=False)
-
-
-def restrict_morphism(f: SMorphism, labels) -> SMorphism:
-    return SMorphism(restrict(f.source, labels), restrict(f.target, labels),
-                     f.mat, validate=False)
 
 
 def _check_subposet(small: Poset, big: Poset):
@@ -65,7 +59,7 @@ def coinduce(v: SSpace, target: Poset) -> SSpace:
 
 
 # ---------------------------------------------------------------------------
-# lifting constructions
+# lifting along ideals
 
 
 def lift_along_ideal(f: SMorphism, v: SSpace, ideal_labels) -> tuple[SSpace, SMorphism]:
@@ -87,26 +81,6 @@ def lift_along_ideal(f: SMorphism, v: SSpace, ideal_labels) -> tuple[SSpace, SMo
             assign[t] = v.sub(t).preimage(f.mat)
     lifted = SSpace(big, u.field, u.dim, assign)
     return lifted, SMorphism(lifted, v, f.mat)
-
-
-def colift_along_filter(g: SMorphism, u: SSpace, filter_labels) -> tuple[SSpace, SMorphism]:
-    """Dual lift: R a filter of the carrier of u, g : restrict(u, R) -> V;
-    forgotten subspaces become images g(U(t))."""
-    big = u.poset
-    r = set(filter_labels)
-    if not big.is_filter(r):
-        raise NotAFilter(sorted(r))
-    if set(g.target.poset.elements) != r or g.source != restrict(u, sorted_by(big, r)):
-        raise PosetMismatch("g must map restrict(u, R) into an R-space")
-    v = g.target
-    assign = {}
-    for t in big.elements:
-        if t in r:
-            assign[t] = v.sub(t)
-        else:
-            assign[t] = u.sub(t).image(g.mat)
-    colifted = SSpace(big, v.field, v.dim, assign)
-    return colifted, SMorphism(u, colifted, g.mat)
 
 
 def sorted_by(p: Poset, labels) -> list:
@@ -137,21 +111,6 @@ class IncidenceRep:
 
     def map_between(self, s, t) -> Matrix:
         return self.maps[(s, t)]
-
-    def validate(self):
-        p = self.poset
-        for s in p.elements:
-            ident = self.maps[(s, s)]
-            if ident != Matrix.identity(ident.field, self.dims[s]):
-                raise PosetMismatch(f"map at ({s},{s}) is not the identity")
-        for s in p.elements:
-            for t in p.elements:
-                if not p.leq(s, t):
-                    continue
-                for u in p.elements:
-                    if p.leq(t, u):
-                        if self.maps[(s, t)] * self.maps[(t, u)] != self.maps[(s, u)]:
-                            raise PosetMismatch(f"composition fails via {s},{t},{u}")
 
 
 def psi(v: SSpace, top_label=None) -> IncidenceRep:
@@ -254,11 +213,6 @@ def decompose_projective(v: SSpace) -> ProjectiveDecomposition:
     for t in parts:
         mult[t] = mult.get(t, 0) + 1
     return ProjectiveDecomposition(True, mult, epi)
-
-
-def decompose_injective(v: SSpace) -> ProjectiveDecomposition:
-    """Injective counterpart through duality."""
-    return decompose_projective(dualize(v))
 
 
 def injective_envelope(v: SSpace) -> tuple[SSpace, SMorphism]:

@@ -120,22 +120,6 @@ class Field:
             raise InvalidScalar(f"{x} has no value in F{p}: {p} divides its denominator")
         return x.numerator * pow(x.denominator, p - 2, p) % p
 
-    def sub(self, a, b):
-        return a - b if self.p is None else (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b if self.p is None else (a * b) % self.p
-
-    def inv(self, a):
-        if self.p is None:
-            return Fraction(1) / a
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def parse(self, token: str):
         token = token.strip()
         if self.p is None:

@@ -41,10 +41,10 @@ from itertools import islice, product
 from operator import getitem, mul
 
 from .differentiation import nu_count
-from .errors import BudgetExceeded, GuardrailExceeded, Mismatch
+from .errors import BudgetExceeded, GuardrailExceeded, Mismatch, PosetMismatch
 from .linalg import Field, Matrix, Subspace
 from .poset import Poset
-from .sspace import SSpace, _indecomposability, are_isomorphic, is_indecomposable
+from .sspace import SSpace, are_isomorphic, is_indecomposable
 
 MAX_DIM = 4
 MAX_POSET = 6
@@ -418,27 +418,6 @@ def _merge_sampled_classes(cfg: EnumConfig, field: Field, subs, reps):
     return kept
 
 
-def decompose_fully(v: SSpace) -> list[SSpace]:
-    """Split into indecomposable pieces by repeated idempotent splitting;
-    raises BudgetExceeded when indecomposability is undecided (an
-    endomorphism ring too big to search, or over Q)."""
-    if v.dim == 0:
-        return []
-    verdict, end, e = _indecomposability(v)
-    if verdict is None:
-        raise BudgetExceeded(f"endomorphism ring of dim {end.dim}")
-    if verdict:
-        return [v]
-    image = Subspace.full(v.field, v.dim).image(e.mat)
-    kernel = Subspace(v.field, v.dim, e.mat.null_rows())
-    pieces = []
-    for part in (image, kernel):
-        assign = {s: v.sub(s).preimage(part.mat) for s in v.poset.elements}
-        piece = SSpace(v.poset, v.field, part.dim, assign, validate=False)
-        pieces.extend(decompose_fully(piece))
-    return pieces
-
-
 @dataclass
 class CensusReport:
     poset: Poset
@@ -462,7 +441,10 @@ def cross_check_nu(p: Poset, cfg: EnumConfig) -> CensusReport:
 
     The oracle can only ever find at most nu classes; finding more is an
     implementation bug and raises Mismatch.  Equality is reported together
-    with the dimension bound that justifies it for the instance."""
+    with the dimension bound that justifies it for the instance.  cfg must
+    configure the census of p itself, else PosetMismatch."""
+    if cfg.poset != p:
+        raise PosetMismatch("the census config is for a different poset")
     cfg.check()  # before the recursion, which can run for minutes
     trace = nu_count(p)
     census = enumerate_indecomposables(cfg)

@@ -189,9 +189,6 @@ class Poset:
     def lt(self, a: Label, b: Label) -> bool:
         return a != b and self.leq(a, b)
 
-    def comparable(self, a: Label, b: Label) -> bool:
-        return self.leq(a, b) or self.leq(b, a)
-
     def __len__(self):
         return len(self.elements)
 
@@ -238,21 +235,8 @@ class Poset:
     def down(self, p: Label) -> frozenset:
         return self.generated_ideal([p])
 
-    def is_filter(self, labels) -> bool:
-        return self.generated_filter(labels) == set(labels)
-
     def is_ideal(self, labels) -> bool:
         return self.generated_ideal(labels) == set(labels)
-
-    def min_of(self, labels) -> Antichain:
-        mask = self._mask(set(labels))
-        return tuple(sorted(self.elements[i] for i in _bits(mask)
-                            if self._down[i] & mask == 1 << i))
-
-    def max_of(self, labels) -> Antichain:
-        mask = self._mask(set(labels))
-        return tuple(sorted(self.elements[i] for i in _bits(mask)
-                            if self._up[i] & mask == 1 << i))
 
     # antichains ---------------------------------------------------------
 
@@ -296,12 +280,11 @@ class Poset:
 
     def _matching(self, mask: int):
         """A maximum matching of the elements of mask to strict successors
-        in mask, as (pred_of, succ_of) over element indices: augmenting
-        paths from each element in element order, successors tried in
-        element order."""
+        in mask, as the matched predecessor of each element index (None
+        when unmatched): augmenting paths from each element in element
+        order, successors tried in element order."""
         up = self._up
-        pred_of = [None] * len(self.elements)  # matched predecessor of each element
-        succ_of = [None] * len(self.elements)  # matched successor of each element
+        pred_of = [None] * len(self.elements)
         seen = 0
 
         def augment(a):
@@ -316,7 +299,6 @@ class Poset:
                 b = bit.bit_length() - 1
                 if pred_of[b] is None or augment(pred_of[b]):
                     pred_of[b] = a
-                    succ_of[a] = b
                     return True
             return False
 
@@ -324,34 +306,18 @@ class Poset:
             seen = 0
             augment(a)
         augment = None  # the closure refers to itself; drop the cycle now
-        return pred_of, succ_of
-
-    def chain_cover(self) -> list[list[Label]]:
-        """A minimum partition into chains, each listed bottom to top.
-
-        Matching every element to a strict successor joins them into
-        chains, and a maximum matching leaves the fewest chains, which by
-        Dilworth's theorem is the width.  Chains come in the element order
-        of their bottoms.
-        """
-        pred_of, succ_of = self._matching((1 << len(self.elements)) - 1)
-        chains = []
-        for a, pred in enumerate(pred_of):
-            if pred is None:
-                chain = [a]
-                while succ_of[chain[-1]] is not None:
-                    chain.append(succ_of[chain[-1]])
-                chains.append([self.elements[i] for i in chain])
-        return chains
+        return pred_of
 
     def width(self) -> int:
         return self._width_in((1 << len(self.elements)) - 1)
 
     def _width_in(self, mask: int) -> int:
         """The width of the subposet on mask: its size less the pairs of
-        a maximum matching, one chain per element left without a match
-        from below."""
-        pred_of, _ = self._matching(mask)
+        a maximum matching.  Matching each element to a strict successor
+        joins the elements into chains, one per element left without a
+        match from below; a maximum matching leaves the fewest chains,
+        which by Dilworth's theorem is the width."""
+        pred_of = self._matching(mask)
         return mask.bit_count() - len(pred_of) + pred_of.count(None)
 
     def linear_extension(self) -> list[Label]:
@@ -379,9 +345,6 @@ class Poset:
         top = 1 << len(self.elements)
         return Poset(self.elements + (label,), [u | top for u in self._up] + [top],
                      self._down + (2 * top - 1,))
-
-    def adjoin_bottom(self, label: Label = "0") -> "Poset":
-        return self.opposite().adjoin_top(label).opposite()
 
     def fresh_label(self, base: Label) -> Label:
         label = base
@@ -422,15 +385,6 @@ class Poset:
 def _check_mode(mode: str):
     if mode not in ("meet", "join"):
         raise ValueError(f"mode must be meet or join, got {mode}")
-
-
-def antichain_leq(p: Poset, a, b, mode: str) -> bool:
-    """Compare two antichains of p in the given semilattice order: under
-    meet, B lies in the filter <A>; under join, A lies in the ideal (B)."""
-    _check_mode(mode)
-    if mode == "meet":
-        return p._mask(b) & ~_union(p._up, p._mask(a)) == 0
-    return p._mask(a) & ~_union(p._down, p._mask(b)) == 0
 
 
 def _render_unique(derived: list[DerivedLabel]) -> list[str]:

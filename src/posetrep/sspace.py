@@ -57,12 +57,6 @@ class SSpace:
         except KeyError:
             raise UnknownLabel(s) from None
 
-    def is_trivial_at(self, s) -> bool:
-        return self.sub(s).is_zero()
-
-    def is_full_at(self, s) -> bool:
-        return self.sub(s).is_full()
-
     def __eq__(self, other):
         return (isinstance(other, SSpace) and self.poset == other.poset
                 and self.field == other.field and self.dim == other.dim
@@ -178,24 +172,6 @@ class SMorphism:
         except InvalidMorphism:
             return None
 
-    def kernel(self):
-        """(kernel S-space, proper mono into the source)."""
-        k = self.mat.null_rows()
-        amb = k.nrows
-        assign = {s: self.source.sub(s).preimage(k)
-                  for s in self.source.poset.elements}
-        ker = SSpace(self.source.poset, self.source.field, amb, assign, validate=False)
-        return ker, SMorphism(ker, self.source, k, validate=False)
-
-    def cokernel(self):
-        """(cokernel S-space, proper epi from the target)."""
-        image = Subspace.full(self.source.field, self.source.dim).image(self.mat)
-        q = image.quotient_map()
-        assign = {s: self.target.sub(s).image(q)
-                  for s in self.target.poset.elements}
-        cok = SSpace(self.target.poset, self.target.field, q.ncols, assign, validate=False)
-        return cok, SMorphism(self.target, cok, q, validate=False)
-
     def dualize(self) -> "SMorphism":
         return SMorphism(dualize(self.target), dualize(self.source),
                          self.mat.transpose(), validate=False)
@@ -289,25 +265,10 @@ def simple_filter_space(poset: Poset, field: Field, antichain) -> SSpace:
     return SSpace(poset, field, 1, assign, validate=False)
 
 
-def simple_ideal_space(poset: Poset, field: Field, antichain) -> SSpace:
-    """k^A: one-dimensional, trivial exactly on the ideal generated by A."""
-    a = poset.check_antichain(antichain)
-    i = poset.generated_ideal(a)
-    assign = {s: Subspace.zero(field, 1) if s in i else Subspace.full(field, 1)
-              for s in poset.elements}
-    return SSpace(poset, field, 1, assign, validate=False)
-
-
 def projective_space(poset: Poset, field: Field, t=None) -> SSpace:
     """P_t = k_{t} for t in S, or the all-zero-subspace projective k_{} for
     t = None (the adjoined top)."""
     return simple_filter_space(poset, field, () if t is None else (t,))
-
-
-def injective_space(poset: Poset, field: Field, t=None) -> SSpace:
-    """I_t = k^{t} for t in S, or the everywhere-full injective k^{} for
-    t = None (the adjoined bottom)."""
-    return simple_ideal_space(poset, field, () if t is None else (t,))
 
 
 # ---------------------------------------------------------------------------
@@ -493,23 +454,16 @@ def find_idempotent(end: HomSpace):
     return None
 
 
-def _indecomposability(v: SSpace):
-    """(`is_indecomposable(v)`, End(v) if computed, the idempotent found
-    when the verdict is False on a nonzero v)."""
-    if v.dim <= 1:
-        return v.dim == 1, None, None
-    end = hom_space(v, v)
-    if end.dim == 1:
-        return True, end, None
-    if v.field.p is None or v.field.p ** end.dim > END_CAP:
-        return None, end, None
-    e = find_idempotent(end)
-    return e is None, end, e
-
-
 def is_indecomposable(v: SSpace):
     """True when End(v) is certified to have no idempotent besides 0 and
     1: dim End = 1 over any field, or an exhausted search over F_p.  False
     for the zero space or a found idempotent.  None when undecided: over Q
     with dim End > 1, or when the search would exceed END_CAP elements."""
-    return _indecomposability(v)[0]
+    if v.dim <= 1:
+        return v.dim == 1
+    end = hom_space(v, v)
+    if end.dim == 1:
+        return True
+    if v.field.p is None or v.field.p ** end.dim > END_CAP:
+        return None
+    return find_idempotent(end) is None

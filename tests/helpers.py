@@ -1,6 +1,9 @@
-"""Fixed posets the suites keep coming back to."""
+"""Fixed posets the suites keep coming back to, and the references some
+suites compare the package against, written on its public order queries."""
 
+from posetrep.linalg import Subspace
 from posetrep.poset import Poset
+from posetrep.sspace import SSpace
 
 
 def chain(*labels):
@@ -36,3 +39,33 @@ def example510():
 def poset_112():
     """Disjoint union of two points and a 2-chain."""
     return Poset.build(["x", "y", "u", "v"], [("u", "v")])
+
+
+def minimal(p, labels):
+    """The minimal elements of labels, sorted: for a filter, the antichain
+    that generates it."""
+    labels = set(labels)
+    return tuple(sorted(x for x in labels if not any(p.lt(y, x) for y in labels)))
+
+
+def maximal(p, labels):
+    """The maximal elements of labels, sorted: for an ideal, the antichain
+    that generates it."""
+    labels = set(labels)
+    return tuple(sorted(x for x in labels if not any(p.lt(x, y) for y in labels)))
+
+
+def antichain_leq(p, a, b, mode):
+    """Two antichains of p in the meet or join semilattice order: under
+    meet, B lies in the filter <A>; under join, A lies in the ideal (B)."""
+    if mode == "meet":
+        return set(b) <= p.generated_filter(a)
+    return set(a) <= p.generated_ideal(b)
+
+
+def ideal_simple(p, field, antichain):
+    """k^A: one-dimensional, zero exactly on the ideal that A generates;
+    the dual of k_A on the opposite poset."""
+    ideal = p.generated_ideal(antichain)
+    return SSpace(p, field, 1, {s: Subspace.zero(field, 1) if s in ideal
+                                else Subspace.full(field, 1) for s in p.elements})

@@ -1,12 +1,16 @@
 """Every public module-level function and every public method of a
-posetrep class has a caller, no module reads the environment, and the
-order masks of a Poset are read only inside poset.py.
+posetrep class has a caller in the program, no module reads the
+environment, and the order masks of a Poset are read only inside poset.py.
 
-A public function or method counts as used when its name appears in src/
-or tests/ anywhere outside its own definition: a call, an import, an
-attribute access, or a registry entry.  A recursive call inside its own
-body does not count.  Settings come from arguments only, so that a result
-never depends on an environment variable.
+Only the package (src/posetrep) and the benchmark harness (bench/) count as
+callers; a test is not one.  The package's __init__.py only re-exports
+names, so it is not read either.  A module-level function counts as used
+when its name is read (a bare name or a ``.name`` attribute) outside its
+own definition; a recursive call inside its own body does not count.  A
+method, classmethod, staticmethod or property counts as used only through
+an attribute access ``.name``, so a local variable, a flag or an imported
+function of the same spelling does not hide it.  Settings come from
+arguments only, so that a result never depends on an environment variable.
 """
 
 import ast
@@ -18,7 +22,10 @@ from pathlib import Path
 import posetrep
 
 PACKAGE_DIR = Path(posetrep.__file__).resolve().parent
-ROOTS = [PACKAGE_DIR, Path(__file__).resolve().parent]
+TESTS_DIR = Path(__file__).resolve().parent
+ROOTS = [PACKAGE_DIR, TESTS_DIR]
+CALLERS = [path for path in sorted(PACKAGE_DIR.glob("*.py")) if path.name != "__init__.py"]
+CALLERS += sorted((TESTS_DIR.parent / "bench").glob("*.py"))
 
 
 METHOD_KINDS = (classmethod, staticmethod, property)
@@ -44,9 +51,9 @@ def _public_definitions():
 
 
 def _names_used(tree, skip=()):
-    """Identifiers referenced in tree, leaving out the body of the
-    definition whose enclosing class and function names are skip."""
-    used = set()
+    """(bare names, attribute names) read in tree, leaving out the body of
+    the definition whose enclosing class and function names are skip."""
+    names, attributes = set(), set()
     stack = [(tree, ())]
     while stack:
         node, path = stack.pop()
@@ -55,29 +62,27 @@ def _names_used(tree, skip=()):
             if path == skip:
                 continue
         if isinstance(node, ast.Name):
-            used.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            used.add(node.attr)
-        elif isinstance(node, ast.alias):
-            used.add(node.name.rsplit(".", 1)[-1])
+            attributes.add(node.attr)
         stack.extend((child, path) for child in ast.iter_child_nodes(node))
-    return used
+    return names, attributes
 
 
 def test_every_public_function_is_referenced():
     """Module-level functions and the methods of posetrep classes alike."""
-    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
-             for root in ROOTS for path in sorted(root.glob("*.py"))}
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in CALLERS}
     everywhere = {path: _names_used(tree) for path, tree in trees.items()}
     unused = []
     for module_name, skip in _public_definitions():
         home = PACKAGE_DIR / (module_name.rsplit(".", 1)[-1] + ".py")
-        found = any(skip[-1] in (_names_used(tree, skip) if path == home
-                                 else everywhere[path])
-                    for path, tree in trees.items())
+        used = [_names_used(tree, skip) if path == home else everywhere[path]
+                for path, tree in trees.items()]
+        found = any(skip[-1] in attributes or (len(skip) == 1 and skip[-1] in names)
+                    for names, attributes in used)
         if not found:
             unused.append(f"{module_name}.{'.'.join(skip)}")
-    assert not unused, f"public functions and methods nothing references: {unused}"
+    assert not unused, f"public functions and methods nothing in the program calls: {unused}"
 
 
 ENVIRONMENT_READERS = {"environ", "getenv", "environb", "getenvb"}

@@ -52,6 +52,35 @@ def test_check_strict_self_relation(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_check_sspace_validates_monotonicity_once(tmp_path, capsys, monkeypatch):
+    """Loading checks monotonicity; check reports a violation in one stderr
+    line and exit 1, and checks a valid space only the once."""
+    (tmp_path / "two.poset").write_text("elements: s t\nrelations: s<t\n")
+    bad = tmp_path / "bad.ssp"
+    bad.write_text("field: Q\nposet: two.poset\ndim: 2\nspace s: 1,0\nspace t: 0,1\n")
+    assert main(["check", str(bad)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("MonotonicityViolation"), captured.err
+    assert captured.out == ""
+
+    calls = []
+    real = posetrep.sspace.validate_sspace
+
+    def counting(v):
+        calls.append(v)
+        return real(v)
+
+    # the CLI may hold its own reference to the check: count that one too
+    monkeypatch.setattr(posetrep.sspace, "validate_sspace", counting)
+    monkeypatch.setattr(posetrep.cli, "validate_sspace", counting, raising=False)
+    good = tmp_path / "good.ssp"
+    good.write_text("field: Q\nposet: two.poset\ndim: 2\nspace s: 1,0\nspace t: 1,0\n")
+    assert main(["check", str(good)]) == 0
+    assert "ok: S-space over 2 elements" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["derive"])

@@ -52,7 +52,7 @@ def test_derive_example510():
     assert set(d.result.elements) == {"a", "b", "c", "d", "f", "d^f"}
     assert d.result.covers() == [("d^f", "d"), ("d^f", "f")]
     for isolated in ("a", "b", "c"):
-        assert all(not d.result.comparable(isolated, other)
+        assert all(not d.result.leq(isolated, other) and not d.result.leq(other, isolated)
                    for other in d.result.elements if other != isolated)
 
 

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from posetrep.errors import BudgetExceeded, GuardrailExceeded
+from posetrep.errors import GuardrailExceeded, PosetMismatch
 from posetrep.linalg import QQ, Field, Matrix, Subspace
 from posetrep import oracle
 from posetrep.differentiation import applicability_width, derive_poset, nu_count
@@ -13,13 +13,13 @@ from posetrep.oracle import (MAX_SUBSPACES, DimCensus, EnumConfig, OracleCensus,
                              _assignment_to_space, _classes, _general_linear,
                              _image_rows, _monotone_assignments, _point_masks,
                              _sampled_group, _subspace_count, all_subspaces,
-                             cross_check_nu, decompose_fully,
-                             enumerate_indecomposables, is_indecomposable)
+                             cross_check_nu, enumerate_indecomposables,
+                             is_indecomposable)
 from posetrep.poset import Poset
-from posetrep.randgen import random_poset, random_sspace
+from posetrep.randgen import random_poset
 from posetrep import sspace
 from posetrep.sspace import (SSpace, are_isomorphic, direct_sum, dualize,
-                             simple_filter_space)
+                             hom_space, simple_filter_space)
 from posetrep.verify import all_posets_up_to
 
 from helpers import antichain_poset, chain, chain_sum, poset_112
@@ -140,7 +140,7 @@ def test_cross_check_refuses_before_the_recursion(monkeypatch):
 CYCLE_FREE_CALLS = {
     "census-dim3": lambda: enumerate_indecomposables(EnumConfig(poset_112(), 2, 3)),
     "antichains": lambda: poset_112().antichains(),
-    "chain-cover": lambda: poset_112().chain_cover(),
+    "chain-cover": lambda: poset_112().width(),
     "nu-first": lambda: nu_count(poset_112()),
     "nu-all-paths": lambda: nu_count(antichain_poset("x", "y", "z"), strategy="all-paths"),
     "nu-all-paths-122": lambda: nu_count(chain_sum(1, 2, 2), strategy="all-paths"),
@@ -214,7 +214,6 @@ def test_dim2_three_antichain_space_is_indecomposable():
         "z": Subspace.from_rows(F2, 2, [[1, 1]]),
     })
     assert is_indecomposable(v) is True
-    from posetrep.sspace import hom_space
     assert hom_space(v, v).dim == 1
 
 
@@ -228,13 +227,20 @@ def test_indecomposability_over_q():
         "z": Subspace.from_rows(QQ, 2, [[1, 1]]),
     })
     assert is_indecomposable(lines) is True
-    assert decompose_fully(lines) == [lines]
     ka = simple_filter_space(chain("s", "t"), QQ, ("s",))
     assert is_indecomposable(ka) is True
     square = direct_sum(ka, ka)
     assert is_indecomposable(square) is None
-    with pytest.raises(BudgetExceeded):
-        decompose_fully(square)
+
+
+def test_cross_check_refuses_a_config_for_another_poset():
+    """The census must be of the poset whose recursion it is checked against."""
+    p = chain_sum(1, 1, 1)
+    for other in (chain("a"), chain_sum(1, 1, 2), p.opposite().restrict(["a0", "b0"])):
+        with pytest.raises(PosetMismatch):
+            cross_check_nu(p, EnumConfig(other, 2, 2))
+    same = Poset.build(["c0", "b0", "a0"], [])
+    assert cross_check_nu(p, EnumConfig(same, 2, 2)).complete
 
 
 def test_cross_check_three_antichain():
@@ -257,37 +263,6 @@ def test_cross_check_112():
     assert report.nu_value == 15
     assert report.oracle_total == 15
     assert report.complete
-
-
-def test_krull_schmidt_shuffle_independence():
-    rng = random.Random(1)
-    rounds = 0
-    while rounds < 8:
-        p = random_poset(rng, 4)
-        v = random_sspace(rng, p, F2, 3)
-        if v.dim == 0:
-            continue
-        rounds += 1
-        pieces = decompose_fully(v)
-        assert sum(x.dim for x in pieces) == v.dim
-        rebuilt = pieces[0]
-        for piece in pieces[1:]:
-            rebuilt = direct_sum(rebuilt, piece)
-        assert are_isomorphic(rebuilt, v, seed=2).is_iso
-        # shuffle: split a base-changed copy and match pieces pairwise
-        g = None
-        while g is None or not g.is_invertible():
-            g = Matrix(F2, [[rng.randrange(2) for _ in range(v.dim)]
-                            for _ in range(v.dim)], v.dim)
-        moved = SSpace(p, F2, v.dim, {s: v.sub(s).image(g) for s in p.elements})
-        other = decompose_fully(moved)
-        assert len(other) == len(pieces)
-        unused = list(other)
-        for piece in pieces:
-            hit = next((o for o in unused
-                        if are_isomorphic(piece, o, seed=3).is_iso), None)
-            assert hit is not None
-            unused.remove(hit)
 
 
 def test_duality_preserves_census():
@@ -341,6 +316,18 @@ def test_dim1_classes_are_the_simples():
         assert census.per_dim[0].n_indecomposable == len(p.antichains())
 
 
+def has_summand_full_at(v, point):
+    """Over F_2: whether v has a nonzero direct summand W with W(point) = W,
+    that is an idempotent e != 0 of End(v) whose image lies in V(point)."""
+    end = hom_space(v, v)
+    whole = Subspace.full(F2, v.dim)
+    for coeffs in product((0, 1), repeat=end.dim):
+        e = end.combination(coeffs)
+        if not e.is_zero() and e * e == e and v.sub(point).contains(whole.image(e)):
+            return True
+    return False
+
+
 def test_density_at_desk_scale():
     """Every derived-poset space the oracle finds at dim <= 2 is the image
     of an enumerated space with no summand full at the point."""
@@ -356,7 +343,7 @@ def test_density_at_desk_scale():
         subs = all_subspaces(F2, n)
         for a in _monotone_assignments(p, _point_masks(subs)):
             v = _assignment_to_space(p, F2, subs, a)
-            if any(piece.is_full_at("x") for piece in decompose_fully(v)):
+            if has_summand_full_at(v, "x"):
                 continue
             images.append(diff_space(v, "x", "filter", derived))
     for d in target_census.per_dim:
