@@ -7,11 +7,11 @@ projectivization (functors), the two differentiation algorithms
 """
 
 from .linalg import Field, Matrix, QQ, Subspace
-from .poset import DerivedLabel, Poset, antichain_semilattice, derived_carrier
+from .poset import Poset, derived_carrier
 from .sspace import SMorphism, SSpace, hom_space
 
 __all__ = [
     "Field", "Matrix", "QQ", "Subspace",
-    "DerivedLabel", "Poset", "antichain_semilattice", "derived_carrier",
+    "Poset", "derived_carrier",
     "SMorphism", "SSpace", "hom_space",
 ]

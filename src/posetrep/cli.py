@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 domain error (the error class name is printed
-verbatim), 2 usage error (argparse).  All randomized subcommands take
---seed; verify defaults to the fixed suite seed so runs are reproducible.
+verbatim), 2 usage error (argparse).  verify, the one randomized
+subcommand, takes --seed and defaults to the fixed suite seed so runs
+are reproducible.
 """
 
 from __future__ import annotations
@@ -134,8 +135,7 @@ def cmd_nu(args) -> int:
 
 def cmd_oracle(args) -> int:
     p = fileio.load_poset(args.path)
-    cfg = EnumConfig(p, q=args.field, max_dim=args.maxdim, seed=args.seed,
-                     force=args.force)
+    cfg = EnumConfig(p, q=args.field, max_dim=args.maxdim, force=args.force)
     if args.cross_check:
         report = cross_check_nu(p, cfg)
         print(report.text())
@@ -226,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("path")
     c.add_argument("--field", type=int, default=2)
     c.add_argument("--maxdim", type=_int_at_least(1), default=2)
-    c.add_argument("--seed", type=int, default=0)
     c.add_argument("--force", action="store_true", help="override the guardrails")
     c.add_argument("--reps", help="directory for representative .ssp files")
     c.add_argument("--cross-check", action="store_true",

@@ -10,11 +10,13 @@ what remains of the carrier S_<p> = <p> u a^(S \\ <p>) after deleting the
 principal ideal generated by p there (p itself together with every
 antichain that meets (p)).  Ideal mode is the mirror image inside the join
 semilattice.  ``derive_poset`` builds S_p straight from this formula, and
-the carrier only on demand.  The differentiation functor on spaces
-quotients the ambient space by V(p) in filter mode and cuts down to V(p)
-in ideal mode; it is implemented both by the direct formulas and as the
-composite restrict . E_p . coinduce (restrict . E^p . induce) through the
-carrier, and the two paths are cross-checked in the test suite.
+the carrier only on demand; ``DerivedPoset.members`` maps each label of
+S_p to its sorted member tuple, all that the functors read.  The
+differentiation functor on spaces quotients the ambient space by V(p) in
+filter mode and cuts down to V(p) in ideal mode; it is implemented both
+by the direct formulas and as the composite restrict . E_p . coinduce
+(restrict . E^p . induce) through the carrier, and the two paths are
+cross-checked in the test suite.
 
 The count nu(S) of indecomposables satisfies
 nu(S) = nu(S_p) + |a(S \\ <p>)| + 1 whenever filter differentiation
@@ -42,11 +44,8 @@ class DerivedPoset:
     point: str
     mode: str  # "filter" | "ideal"
     result: Poset
-    label_map: dict  # rendered label -> DerivedLabel
+    members: dict  # label -> its sorted member tuple
     a_count: int  # |a(S \ <p>)| resp. |a(S \ (p))|
-
-    def members_of(self, label) -> tuple:
-        return self.label_map[label].members
 
     @cached_property
     def carrier(self) -> Poset:
@@ -65,8 +64,6 @@ def derive_poset(p: Poset, point: str, mode: str) -> DerivedPoset:
     (``poset.derived_set``); requires the complement of the principal
     filter (ideal) to have width at most two.  The carrier S_<p> is built
     only when its attribute is first read."""
-    if mode not in ("filter", "ideal"):
-        raise ValueError(f"mode must be filter or ideal, got {mode}")
     w = applicability_width(p, point, mode)
     if w > 2:
         raise NotApplicable(w)
@@ -85,13 +82,13 @@ def diff_space(v: SSpace, point: str, mode: str, derived: DerivedPoset = None) -
         q = vp.quotient_map()
         for label in derived.result.elements:
             meet = Subspace.full(v.field, v.dim).intersect(
-                *(v.sub(m) for m in derived.members_of(label)))
+                *(v.sub(m) for m in derived.members[label]))
             assign[label] = meet.image(q)
         return SSpace(derived.result, v.field, q.ncols, assign, validate=False)
     b = vp.mat
     for label in derived.result.elements:
         join = Subspace.zero(v.field, v.dim).plus(
-            *(v.sub(m) for m in derived.members_of(label)))
+            *(v.sub(m) for m in derived.members[label]))
         assign[label] = join.preimage(b)
     return SSpace(derived.result, v.field, b.nrows, assign, validate=False)
 

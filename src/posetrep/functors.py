@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .errors import NoUniqueTop, NotAnIdeal, PosetMismatch
-from .linalg import Field, Matrix, Subspace
+from .linalg import Matrix, Subspace
 from .poset import Poset
 from .sspace import (SMorphism, SSpace, direct_sum, dualize, projective_space,
                      simple_filter_space, zero_space)
@@ -184,16 +184,10 @@ def _cover_with_parts(v: SSpace):
         for row in comp.rows:
             parts.append(t)
             rows.append(row)
-    p = direct_sum_of_projectives(v.poset, v.field, parts)
+    p = direct_sum(zero_space(v.poset, v.field),
+                   *(projective_space(v.poset, v.field, t) for t in parts))
     epi = SMorphism(p, v, Matrix(v.field, rows, v.dim))
     return p, epi, parts
-
-
-def direct_sum_of_projectives(poset: Poset, fld: Field, parts) -> SSpace:
-    total = zero_space(poset, fld)
-    for t in parts:
-        total = direct_sum(total, projective_space(poset, fld, t))
-    return total
 
 
 @dataclass(frozen=True)
@@ -252,7 +246,7 @@ def semisimple_decompose(v: SSpace) -> SemisimpleDecomposition:
     """
     p, fld, n = v.poset, v.field, v.dim
     mult = {}
-    parts = zero_space(p, fld)
+    simples = []
     rows = []
     for a in p.antichains():
         inside = Subspace.full(fld, n).intersect(*(v.sub(s) for s in a))
@@ -262,8 +256,8 @@ def semisimple_decompose(v: SSpace) -> SemisimpleDecomposition:
         if comp.nrows:
             mult[a] = comp.nrows
             rows += comp.rows
-            for _ in range(comp.nrows):
-                parts = direct_sum(parts, simple_filter_space(p, fld, a))
+            simples += [simple_filter_space(p, fld, a)] * comp.nrows
+    parts = direct_sum(zero_space(p, fld), *simples)
     witness = SMorphism(parts, v, Matrix._of(fld, tuple(rows), n))
     if not witness.is_iso():
         return SemisimpleDecomposition("not_semisimple")

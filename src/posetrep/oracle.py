@@ -8,8 +8,8 @@ an exact dimension indecomposability is decided by the direct-sum rule,
 with no linear algebra: by Krull-Schmidt a class is decomposable exactly
 when its orbit holds X (+) Y for classes X and Y of dimensions k and
 n - k, 1 <= k <= n/2, and every dimension below an exact one is exact,
-so those classes are already listed.  Otherwise a seeded sample of the
-group is used, candidate classes are merged through verified isomorphism
+so those classes are already listed.  Otherwise a fixed-seed sample of
+the group is used, candidate classes are merged through verified isomorphism
 witnesses, indecomposability is decided by idempotent search in the
 endomorphism ring, and the census is marked as sampled.  Representatives
 are the lexicographically least canonical forms in their orbits.
@@ -60,7 +60,6 @@ class EnumConfig:
     poset: Poset
     q: int = 2
     max_dim: int = 2
-    seed: int = 0
     force: bool = False
 
     def check(self):
@@ -344,7 +343,7 @@ def _classes(cfg: EnumConfig, field: Field):
     exhaustive the last item is the set of representatives whose orbit
     holds a direct sum of two lower classes; where it is sampled it is
     None, and the candidate classes are merged by isomorphism witnesses."""
-    rng = random.Random(cfg.seed)
+    rng = random.Random(0)
     subs = {}
     classes = {}  # n -> every class representative at the exact dim n
     for n in range(1, cfg.max_dim + 1):
@@ -411,7 +410,7 @@ def _merge_sampled_classes(cfg: EnumConfig, field: Field, subs, reps):
     kept_spaces = []
     for rep, space in zip(reps, spaces):
         if not any(space.dims_profile() == other.dims_profile()
-                   and are_isomorphic(space, other, seed=cfg.seed, budget=20_000).is_iso
+                   and are_isomorphic(space, other, budget=20_000).is_iso
                    for other in kept_spaces):
             kept.append(rep)
             kept_spaces.append(space)

@@ -1,5 +1,8 @@
 """Finite posets: order closure, filters/ideals, antichains, and the
-antichain semilattices that derived carriers live in.
+derived carriers R u a(S \\ R) inside the antichain semilattices.  The
+semilattice of nonempty antichains is the carrier over R = [], and an
+item of a carrier is its sorted member tuple; names are rendered from
+those tuples only when a carrier is built.
 
 Conventions for the two semilattice orders on antichains, with A on the
 left and B on the right:
@@ -18,8 +21,6 @@ a subset of that ideal.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import (CycleDetected, DuplicateLabel, NotAnAntichain,
                      UnknownLabel)
@@ -63,42 +64,6 @@ def _transpose(rows, n: int) -> list[int]:
         for j in _bits(row):
             out[j] |= bit
     return out
-
-
-@dataclass(frozen=True)
-class DerivedLabel:
-    """An element of an antichain semilattice: an original point, or the
-    meet/join of an antichain with at least two members."""
-
-    kind: str  # "orig" | "meet" | "join"
-    members: tuple[Label, ...]
-
-    def __post_init__(self):
-        if self.kind == "orig":
-            if len(self.members) != 1:
-                raise ValueError("orig label has exactly one member")
-        elif self.kind in ("meet", "join"):
-            if len(self.members) < 2:
-                raise ValueError("meet/join needs at least two members")
-        elif self.kind != "empty":
-            raise ValueError(f"bad kind {self.kind}")
-
-    @classmethod
-    def of_antichain(cls, members, kind: str) -> "DerivedLabel":
-        members = tuple(sorted(members))
-        if not members:
-            return cls("empty", ())
-        if len(members) == 1:
-            return cls("orig", members)
-        return cls(kind, members)
-
-    def render(self) -> str:
-        if self.kind == "orig":
-            return self.members[0]
-        if self.kind == "empty":
-            return "{}"
-        sep = "^" if self.kind == "meet" else "v"
-        return sep.join(self.members)
 
 
 class Poset:
@@ -254,11 +219,11 @@ class Poset:
             raise NotAnAntichain(tuple(members))
         return tuple(sorted(set(members)))
 
-    def antichains(self, nonempty_only: bool = False) -> list[Antichain]:
-        """All antichains, in lexicographic order of sorted member tuples."""
-        return self._antichains((1 << len(self.elements)) - 1, nonempty_only)
+    def antichains(self) -> list[Antichain]:
+        """All antichains, the empty one first, in lexicographic order."""
+        return self._antichains((1 << len(self.elements)) - 1)
 
-    def _antichains(self, mask: int, nonempty_only: bool) -> list[Antichain]:
+    def _antichains(self, mask: int) -> list[Antichain]:
         """The antichains inside mask, by backtracking over the members in
         label order; each branch carries the mask of the later members
         that no chosen one blocks, so a node's children are its set bits."""
@@ -276,7 +241,7 @@ class Poset:
                 k = rest.bit_length() - 1
                 rest ^= 1 << k
                 stack.append((current + (labels[k],), free & -(2 << k) & ~blocks[k]))
-        return out[1:] if nonempty_only else out
+        return out
 
     def _matching(self, mask: int):
         """A maximum matching of the elements of mask to strict successors
@@ -382,20 +347,23 @@ class Poset:
 # antichain semilattices and derived carriers
 
 
-def _check_mode(mode: str):
-    if mode not in ("meet", "join"):
-        raise ValueError(f"mode must be meet or join, got {mode}")
+def _orient(p: Poset, mode: str):
+    """(p._up, p._down) in filter mode, (p._down, p._up) in ideal mode."""
+    if mode not in ("filter", "ideal"):
+        raise ValueError(f"mode must be filter or ideal, got {mode}")
+    return (p._up, p._down) if mode == "filter" else (p._down, p._up)
 
 
-def _render_unique(derived: list[DerivedLabel]) -> list[str]:
-    """Stable rendered names for derived labels, in their order; a meet or
-    join whose name is already in use (possible after iterated derivation)
-    gets primes."""
-    used = {d.members[0] for d in derived if d.kind == "orig"}
+def _render_unique(items, sep: str) -> list[str]:
+    """Stable names for member tuples, in their order: a point keeps its
+    label, and an antichain of two or more is its members joined by sep,
+    primed while the name is already in use (possible after iterated
+    derivation)."""
+    used = {a[0] for a in items if len(a) == 1}
     names = []
-    for d in derived:
-        name = d.render()
-        if d.kind != "orig":
+    for a in items:
+        name = sep.join(a)
+        if len(a) > 1:
             while name in used:
                 name += "'"
         used.add(name)
@@ -405,7 +373,8 @@ def _render_unique(derived: list[DerivedLabel]) -> list[str]:
 
 def _assemble(base: Poset, masks, labels, mode: str) -> Poset:
     """The poset on the antichains of base with the given member masks,
-    named by labels and ordered by the semilattice rule.
+    named by labels and ordered by the meet (mode "filter") or join (mode
+    "ideal") semilattice rule.
 
     With rows[k] the antichains lying in the filter (meet) or ideal (join)
     that antichain k generates, the meet order reads rows as up-sets and
@@ -413,12 +382,11 @@ def _assemble(base: Poset, masks, labels, mode: str) -> Poset:
     has a member outside it, so rows[k] is every antichain less those
     holding a point outside the region of k.
     """
-    _check_mode(mode)
+    cones = _orient(base, mode)[0]
     holding = [0] * len(base)  # point -> the antichains that hold it
     for k, m in enumerate(masks):
         for i in _bits(m):
             holding[i] |= 1 << k
-    cones = base._up if mode == "meet" else base._down
     all_antichains, all_points = (1 << len(masks)) - 1, (1 << len(base)) - 1
     rows = []
     for m in masks:
@@ -427,50 +395,35 @@ def _assemble(base: Poset, masks, labels, mode: str) -> Poset:
             row &= ~holding[i]
         rows.append(row)
     cols = _transpose(rows, len(rows))
-    up, down = (rows, cols) if mode == "meet" else (cols, rows)
+    up, down = (rows, cols) if mode == "filter" else (cols, rows)
     return Poset(labels, up, down)
-
-
-def antichain_semilattice(p: Poset, mode: str, nonempty_only: bool = True):
-    """The meet semilattice (mode "meet") or join semilattice (mode "join")
-    of antichains; with nonempty_only the empty antichain is dropped.
-
-    Returns (poset, label_map).  Singleton antichains keep their original
-    labels, so p embeds as a subposet.
-    """
-    items = sorted(p.antichains(nonempty_only=nonempty_only),
-                   key=lambda a: (len(a) > 1, a))
-    derived = [DerivedLabel.of_antichain(a, mode) for a in items]
-    names = _render_unique(derived)
-    poset = _assemble(p, [p._mask(a) for a in items], names, mode)
-    return poset, dict(zip(names, derived))
 
 
 def _carrier(p: Poset, region: int, mode: str, avoid: int = 0):
     """The items of the carrier R u a(S \\ R) over the region mask R that
-    do not meet the mask avoid: each point of R, then each nonempty
-    antichain of the rest, in the meet (mode "filter") or join semilattice.
-    Names are rendered over every item of the carrier, so that they are
-    the carrier's names, primes included.  Returns (poset, label_map,
-    the number of antichain items of the carrier).
+    do not meet the mask avoid, each its sorted member tuple: each point
+    of R, then each nonempty antichain of the rest, in the meet (mode
+    "filter") or join semilattice.  Names are rendered over every item of
+    the carrier, so that they are the carrier's names, primes included.
+    Returns (poset, members: name -> item, the number of antichain items).
     """
-    sl_mode = "meet" if mode == "filter" else "join"
-    derived = [DerivedLabel("orig", (x,)) for x in p._members(region)]
-    masks = [1 << i for i in _bits(region)]
-    for a in p._antichains((1 << len(p)) - 1 & ~region, nonempty_only=True):
-        derived.append(DerivedLabel.of_antichain(a, sl_mode))
-        masks.append(p._mask(a))
-    names = _render_unique(derived)
+    items = [(x,) for x in p._members(region)]
+    items += p._antichains((1 << len(p)) - 1 & ~region)[1:]
+    names = _render_unique(items, "^" if mode == "filter" else "v")
+    masks = [p._mask(a) for a in items]
     keep = [k for k, m in enumerate(masks) if not m & avoid]
-    poset = _assemble(p, [masks[k] for k in keep], [names[k] for k in keep], sl_mode)
-    return poset, {names[k]: derived[k] for k in keep}, len(masks) - region.bit_count()
+    poset = _assemble(p, [masks[k] for k in keep], [names[k] for k in keep], mode)
+    return poset, {names[k]: items[k] for k in keep}, len(items) - region.bit_count()
 
 
 def derived_carrier(p: Poset, r, mode: str):
     """S_R = R u a^(S \\ R) inside the meet semilattice (mode "filter"),
     or S^R = R u a_v(S \\ R) inside the join semilattice (mode "ideal").
+    Over R = [] it is the semilattice of nonempty antichains; the empty
+    one (top of the meet order, bottom of the join order) is left out.
 
-    Returns (poset, label_map).
+    Returns (poset, members), members mapping each label to its sorted
+    member tuple.
     """
     return _carrier(p, p._mask(r), mode)[:2]
 
@@ -478,7 +431,7 @@ def derived_carrier(p: Poset, r, mode: str):
 def _cones(p: Poset, point: Label, mode: str) -> tuple[int, int]:
     """The masks of <p> and (p) in filter mode, of (p) and <p> in ideal mode."""
     i = p._i(point)
-    return (p._up[i], p._down[i]) if mode == "filter" else (p._down[i], p._up[i])
+    return tuple(rows[i] for rows in _orient(p, mode))
 
 
 def applicability_width(p: Poset, point: Label, mode: str) -> int:
@@ -491,7 +444,7 @@ def derived_set(p: Poset, point: Label, mode: str):
     mirror S^p in ideal mode: the carrier S_<p> (S^(p)) less the items
     that meet (p) (<p>), which form the principal ideal (filter) of p.
 
-    Returns (poset, label_map, a-count), with the a-count |a(S \\ <p>)|
+    Returns (poset, members, a-count), with the a-count |a(S \\ <p>)|
     (|a(S \\ (p))|), one per antichain item of the carrier.
     """
     region, avoid = _cones(p, point, mode)

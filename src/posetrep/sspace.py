@@ -281,19 +281,24 @@ def dualize(v: SSpace) -> SSpace:
     return SSpace(v.poset.opposite(), v.field, v.dim, assign, validate=False)
 
 
-def direct_sum(u: SSpace, v: SSpace) -> SSpace:
-    _check_same_category(u, v)
-    n, m = u.dim, v.dim
-    field = u.field
-    zero = field.zero
+def direct_sum(first: SSpace, *rest: SSpace) -> SSpace:
+    """The direct sum of one or more spaces, on the block diagonal.  The
+    block diagonal of RREF bases is in RREF, so no elimination is run."""
+    for v in rest:
+        _check_same_category(first, v)
+    spaces = (first,) + rest
+    field, dim, zero = first.field, sum(v.dim for v in spaces), first.field.zero
 
-    def shift(sub_u, sub_v):
-        rows = [tuple(r) + (zero,) * m for r in sub_u.mat.rows]
-        rows += [(zero,) * n + tuple(r) for r in sub_v.mat.rows]
-        return Subspace.from_rows(field, n + m, rows)
+    def block(s):
+        rows, before = [], 0
+        for v in spaces:
+            left, right = (zero,) * before, (zero,) * (dim - before - v.dim)
+            rows += [left + r + right for r in v.sub(s).mat.rows]
+            before += v.dim
+        return Subspace(field, dim, Matrix._of(field, tuple(rows), dim))
 
-    assign = {s: shift(u.sub(s), v.sub(s)) for s in u.poset.elements}
-    return SSpace(u.poset, field, n + m, assign, validate=False)
+    assign = {s: block(s) for s in first.poset.elements}
+    return SSpace(first.poset, field, dim, assign, validate=False)
 
 
 def e_sub(v: SSpace, p) -> tuple[SSpace, SMorphism]:

@@ -22,7 +22,7 @@ from .functors import (IncidenceRep, coinduce, decompose_projective, induce,
                        semisimple_decompose, sorted_by)
 from .linalg import QQ, Field, Matrix, Subspace
 from .oracle import EnumConfig, enumerate_indecomposables
-from .poset import DerivedLabel, Poset, antichain_semilattice, derived_carrier
+from .poset import Poset, derived_carrier
 from .randgen import random_morphism, random_poset, random_sspace
 from .sspace import (SMorphism, SSpace, direct_sum, dualize, e_functor_map,
                      e_quot, e_sub, hom_dim, hom_space, is_left_minimal,
@@ -98,7 +98,7 @@ def check_functor_identities(rng: random.Random, cases: int) -> CheckOutcome:
         out.expect(co_l.flat == co_r.flat, f"coind adjunction at case {i}")
         carrier, _ = derived_carrier(p, [x for x in p.elements if x not in t], "filter")
         hat_labels = [x for x in carrier.elements if x not in set(p.elements) - set(t)]
-        hat, _ = antichain_semilattice(p.restrict(t), "meet", nonempty_only=True)
+        hat = derived_carrier(p.restrict(t), [], "filter")[0]
         out.expect(restrict(coinduce(v, carrier), hat_labels)
                    == coinduce(restrict(v, sorted_by(p, t)), hat),
                    f"carrier composite at case {i}")
@@ -190,14 +190,9 @@ def check_minmax_square(rng: random.Random, cases: int) -> CheckOutcome:
         d_ideal = derive_poset(p.opposite(), point, "ideal")
         lhs = dualize(diff_space(v, point, "filter", d_filter))
         rhs = diff_space(dualize(v), point, "ideal", d_ideal)
-        rename = {}
-        good = True
-        for lab, dl in d_ideal.label_map.items():
-            twin = dl if dl.kind == "orig" else DerivedLabel("meet", dl.members)
-            match = [m for m, dm in d_filter.label_map.items() if dm == twin]
-            good = good and len(match) == 1
-            if match:
-                rename[lab] = match[0]
+        by_members = {m: lab for lab, m in d_filter.members.items()}
+        rename = {lab: by_members.get(m) for lab, m in d_ideal.members.items()}
+        good = None not in rename.values()
         out.expect(good, f"derived posets fail to match at case {done}")
         if good:
             moved = SSpace(lhs.poset, rhs.field, rhs.dim,
@@ -234,7 +229,7 @@ def check_projectivization_fixed_points(rng: random.Random, cases: int) -> Check
             out.expect(coinduce(restrict(w, p.elements), carrier) == w,
                        f"pr3 fixed point at case {done}")
         else:
-            hat, _ = antichain_semilattice(p, "meet", nonempty_only=True)
+            hat = derived_carrier(p, [], "filter")[0]
             v = random_sspace(rng, p, field, 4)
             w = coinduce(v, hat)
             out.expect(decompose_projective(w).projective,
@@ -406,7 +401,8 @@ def check_simples_census(rng: random.Random, cases: int) -> CheckOutcome:
                    f"dim-1 count off for {q.elements}")
         out.expect(census.per_dim[1].n_indecomposable == 0,
                    f"unexpected dim-2 indecomposable for {q.elements}")
-        sl, _ = antichain_semilattice(q, "meet", nonempty_only=False)
+        # the empty antichain is the top of the meet order
+        sl = derived_carrier(q, [], "filter")[0].adjoin_top("{}")
         comparable = sum(1 for a in sl.elements for b in sl.elements if sl.leq(b, a))
         by_pairs = 0
         simples = [simple_filter_space(q, F2, a) for a in q.antichains()]

@@ -1,5 +1,9 @@
 """Fixed posets the suites keep coming back to, and the references some
-suites compare the package against, written on its public order queries."""
+suites compare the package against: order references written on its
+public order queries, and a Gauss-Jordan RREF on scalar arithmetic of
+its own."""
+
+from fractions import Fraction
 
 from posetrep.linalg import Subspace
 from posetrep.poset import Poset
@@ -69,3 +73,41 @@ def ideal_simple(p, field, antichain):
     ideal = p.generated_ideal(antichain)
     return SSpace(p, field, 1, {s: Subspace.zero(field, 1) if s in ideal
                                 else Subspace.full(field, 1) for s in p.elements})
+
+
+# Scalar arithmetic of the reference RREF, kept apart from the package:
+# a Fraction over Q, a residue in [0, p) over F_p.
+
+def _sub(field, a, b):
+    return a - b if field.p is None else (a - b) % field.p
+
+
+def _mul(field, a, b):
+    return a * b if field.p is None else a * b % field.p
+
+
+def _inv(field, a):
+    return Fraction(1) / a if field.p is None else pow(a, field.p - 2, field.p)
+
+
+def reference_rref(field, rows, ncols):
+    """Gauss-Jordan one scalar operation per entry: the reference the
+    specialised kernels in linalg._rref must match."""
+    work = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(work)) if work[i][c] != field.zero), None)
+        if pr is None:
+            continue
+        work[r], work[pr] = work[pr], work[r]
+        scale = _inv(field, work[r][c])
+        work[r] = [_mul(field, scale, x) for x in work[r]]
+        lead = work[r]
+        for i in range(len(work)):
+            if i != r and work[i][c] != field.zero:
+                f = work[i][c]
+                work[i] = [_sub(field, x, _mul(field, f, y)) for x, y in zip(work[i], lead)]
+        pivots.append(c)
+        r += 1
+    return [tuple(row) for row in work[:r]], pivots

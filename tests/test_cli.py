@@ -216,6 +216,16 @@ def test_oracle_guardrail(tmp_path, capsys):
     assert "GuardrailExceeded" in capsys.readouterr().err
 
 
+def test_oracle_takes_no_seed(three_file, capsys):
+    """The sampled census always draws from seed 0; --seed is not an option."""
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", three_file, "--seed", "3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--seed" in captured.err
+    assert captured.out == ""
+
+
 def test_verify_smoke(capsys):
     assert main(["verify", "--cases", "4",
                  "--only", "diff-direct-vs-composite,nu-path-independence"]) == 0

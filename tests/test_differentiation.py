@@ -11,7 +11,7 @@ from posetrep.differentiation import (applicability_width, derive_poset,
                                       poset_fingerprint, serialize_trace)
 from posetrep.errors import NotApplicable
 from posetrep.linalg import QQ, Field, Matrix, Subspace
-from posetrep.poset import DerivedLabel, Poset, derived_carrier
+from posetrep.poset import Poset, derived_carrier
 from posetrep.randgen import random_morphism, random_poset, random_sspace
 from posetrep.sspace import (SMorphism, SSpace, are_isomorphic, direct_sum,
                              dualize, hom_dim, hom_space,
@@ -76,7 +76,8 @@ def test_derive_not_applicable():
 
 def _derived_the_long_way(p, point, mode):
     """Reference S_p: the whole carrier S_<p> (S^(p)), less the principal
-    ideal (filter) of p there, restricted; with its label map and a-count."""
+    ideal (filter) of p there, restricted; with its member tuples and
+    a-count."""
     region = p.up(point) if mode == "filter" else p.down(point)
     carrier, cmap = derived_carrier(p, region, mode)
     cut = carrier.down(point) if mode == "filter" else carrier.up(point)
@@ -86,11 +87,11 @@ def _derived_the_long_way(p, point, mode):
 
 def _assert_derives_as_the_long_way(p, point, mode):
     d = derive_poset(p, point, mode)
-    carrier, result, label_map, a_count = _derived_the_long_way(p, point, mode)
+    carrier, result, members, a_count = _derived_the_long_way(p, point, mode)
     assert d.result.elements == result.elements
     assert d.result.covers() == result.covers()
     assert d.result == result
-    assert list(d.label_map.items()) == list(label_map.items())
+    assert list(d.members.items()) == list(members.items())
     assert d.a_count == a_count
     return d, carrier
 
@@ -135,12 +136,9 @@ def test_derive_ideal_mode_mirrors_filter_on_opposite():
         p, point, _ = applicable_instance(rng, QQ, mode="ideal")
         d_ideal = derive_poset(p, point, "ideal")
         d_op = derive_poset(p.opposite(), point, "filter")
-        rename = {}
-        for lab, dl in d_op.label_map.items():
-            twin = dl if dl.kind == "orig" else DerivedLabel("join", dl.members)
-            match = [m for m, dm in d_ideal.label_map.items() if dm == twin]
-            assert len(match) == 1
-            rename[lab] = match[0]
+        by_members = {m: lab for lab, m in d_ideal.members.items()}
+        assert len(by_members) == len(d_ideal.members)
+        rename = {lab: by_members[m] for lab, m in d_op.members.items()}
         for a in d_op.result.elements:
             for b in d_op.result.elements:
                 assert d_op.result.leq(a, b) == d_ideal.result.leq(rename[b], rename[a])
@@ -337,12 +335,9 @@ def test_differentiation_commutes_with_duality():
         d_ideal = derive_poset(p.opposite(), point, "ideal")
         lhs = dualize(diff_space(v, point, "filter", d_filter))
         rhs = diff_space(dualize(v), point, "ideal", d_ideal)
-        rename = {}
-        for lab, dl in d_ideal.label_map.items():
-            twin = dl if dl.kind == "orig" else DerivedLabel("meet", dl.members)
-            match = [m for m, dm in d_filter.label_map.items() if dm == twin]
-            assert len(match) == 1
-            rename[lab] = match[0]
+        by_members = {m: lab for lab, m in d_filter.members.items()}
+        assert len(by_members) == len(d_filter.members)
+        rename = {lab: by_members[m] for lab, m in d_ideal.members.items()}
         moved = relabel_like(rhs, lhs.poset, rename)
         res = are_isomorphic(lhs, moved, seed=11)
         assert res.is_iso
@@ -390,12 +385,12 @@ def test_nu_112_manual_second_path():
     d1 = derive_poset(p, "u", "filter")
     a1 = 5  # nonempty antichains of {x, y, v} minus... checked below
     rest1 = p.restrict([s for s in p.elements if s not in p.up("u")])
-    assert len(rest1.antichains(nonempty_only=True)) == 3
+    assert len(rest1.antichains()[1:]) == 3
     s_u = d1.result
     assert s_u.width() == 3
     d2 = derive_poset(s_u, "v", "filter")
     rest2 = s_u.restrict([s for s in s_u.elements if s not in s_u.up("v")])
-    second_charge = len(rest2.antichains(nonempty_only=True))
+    second_charge = len(rest2.antichains()[1:])
     terminal = d2.result
     assert terminal.width() <= 2
     total = len(terminal.antichains()) + (second_charge + 1) + (3 + 1)

@@ -12,7 +12,7 @@ from posetrep.functors import (IncidenceRep, coinduce, decompose_projective,
                                semisimple_decompose, sorted_by)
 from posetrep.linalg import QQ, Field, Matrix, Subspace
 from posetrep.oracle import all_subspaces
-from posetrep.poset import antichain_semilattice, derived_carrier
+from posetrep.poset import derived_carrier
 from posetrep.randgen import random_morphism, random_poset, random_sspace
 from posetrep.sspace import (SMorphism, SSpace, are_isomorphic, direct_sum,
                              dualize, hom_space, is_left_minimal,
@@ -186,7 +186,7 @@ def test_composite_identity_through_derived_carrier():
         carrier, _ = derived_carrier(p, [x for x in p.elements if x not in t], "filter")
         hat_labels = [x for x in carrier.elements if x not in set(p.elements) - set(t)]
         lhs = restrict(coinduce(v, carrier), hat_labels)
-        hat, _ = antichain_semilattice(p.restrict(t), "meet", nonempty_only=True)
+        hat = derived_carrier(p.restrict(t), [], "filter")[0]
         rhs = coinduce(restrict(v, sorted_by(p, t)), hat)
         assert lhs == rhs
 
@@ -381,7 +381,7 @@ def test_coinduce_to_semilattice_is_projective_when_width_at_most_2():
         p = random_poset(rng, 5)
         if p.width() > 2:
             continue
-        hat, _ = antichain_semilattice(p, "meet", nonempty_only=True)
+        hat = derived_carrier(p, [], "filter")[0]
         v = random_sspace(rng, p, QQ, 4)
         w = coinduce(v, hat)
         res = decompose_projective(w)
@@ -395,7 +395,7 @@ def test_projective_fixed_point_criterion():
         p = random_poset(rng, 4)
         if p.width() > 2:
             continue
-        hat, _ = antichain_semilattice(p, "meet", nonempty_only=True)
+        hat = derived_carrier(p, [], "filter")[0]
         w = random_sspace(rng, hat, QQ, 3)
         res = decompose_projective(w)
         fixed = (w == coinduce(restrict(w, p.elements), hat))

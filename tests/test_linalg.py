@@ -7,6 +7,8 @@ from posetrep.errors import DimensionMismatch, FieldMismatch, InvalidScalar, Pos
 from posetrep import linalg
 from posetrep.linalg import QQ, Field, Matrix, Subspace, _rref, solution_space, vstack
 
+from helpers import _inv, _mul, _sub, reference_rref
+
 F2 = Field.prime(2)
 F3 = Field.prime(3)
 F5 = Field.prime(5)
@@ -17,21 +19,6 @@ def rand_subspace(rng, field, n):
     k = rng.randrange(0, n + 1)
     rows = [[field.coerce(rng.randrange(-3, 4)) for _ in range(n)] for _ in range(k)]
     return Subspace.from_rows(field, n, rows)
-
-
-# Scalar arithmetic of the references below, kept apart from the package:
-# a Fraction over Q, a residue in [0, p) over F_p.
-
-def _sub(field, a, b):
-    return a - b if field.p is None else (a - b) % field.p
-
-
-def _mul(field, a, b):
-    return a * b if field.p is None else a * b % field.p
-
-
-def _inv(field, a):
-    return Fraction(1) / a if field.p is None else pow(a, field.p - 2, field.p)
 
 
 def column_elimination_rank(field, rows, ncols):
@@ -52,29 +39,6 @@ def column_elimination_rank(field, rows, ncols):
                 rank += 1
                 break
     return rank
-
-
-def reference_rref(field, rows, ncols):
-    """Gauss-Jordan one scalar operation per entry: the reference the
-    specialised kernels in linalg._rref must match."""
-    work = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(work)) if work[i][c] != field.zero), None)
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        scale = _inv(field, work[r][c])
-        work[r] = [_mul(field, scale, x) for x in work[r]]
-        lead = work[r]
-        for i in range(len(work)):
-            if i != r and work[i][c] != field.zero:
-                f = work[i][c]
-                work[i] = [_sub(field, x, _mul(field, f, y)) for x, y in zip(work[i], lead)]
-        pivots.append(c)
-        r += 1
-    return [tuple(row) for row in work[:r]], pivots
 
 
 def reference_null_rows(field, rows, nrows):

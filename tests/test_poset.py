@@ -2,9 +2,9 @@ import random
 
 import pytest
 
+from posetrep.differentiation import derive_poset
 from posetrep.errors import CycleDetected, DuplicateLabel, UnknownLabel
-from posetrep.poset import (DerivedLabel, Poset, antichain_semilattice,
-                            applicability_width, derived_carrier)
+from posetrep.poset import Poset, applicability_width, derived_carrier, derived_set
 from posetrep.randgen import random_poset
 from posetrep.verify import all_posets_up_to
 
@@ -65,7 +65,8 @@ def test_antichains_two_chain():
 
 def test_antichains_restricted_example510():
     p = example510().restrict(["d", "e", "f", "g"])
-    got = set(p.antichains(nonempty_only=True))
+    assert p.antichains()[0] == ()
+    got = set(p.antichains()[1:])
     assert got == {("d",), ("e",), ("f",), ("g",), ("d", "f"), ("e", "f")}
     assert len(got) == 6
     assert p.width() == 2
@@ -73,22 +74,29 @@ def test_antichains_restricted_example510():
 
 def test_antichains_three_antichain():
     p = antichain_poset("x", "y", "z")
-    assert len(p.antichains(nonempty_only=True)) == 7
+    assert len(p.antichains()[1:]) == 7
     assert p.width() == 3
 
 
 def test_meet_semilattice_two_incomparable():
     p = antichain_poset("d", "f")
-    sl, label_map = antichain_semilattice(p, "meet", nonempty_only=True)
+    sl, members = derived_carrier(p, [], "filter")
     assert set(sl.elements) == {"d", "f", "d^f"}
     assert sl.lt("d^f", "d") and sl.lt("d^f", "f")
     assert not sl.leq("d", "f") and not sl.leq("f", "d")
-    assert label_map["d^f"] == DerivedLabel("meet", ("d", "f"))
+    assert members == {"d": ("d",), "d^f": ("d", "f"), "f": ("f",)}
 
 
 def test_meet_semilattice_two_chain_with_empty():
-    sl, _ = antichain_semilattice(chain("s", "t"), "meet", nonempty_only=False)
-    assert len(sl) == 3
+    """The carrier over [] leaves out the empty antichain, the top of the
+    meet order; adjoined as the top, it completes A(S)."""
+    p = chain("s", "t")
+    carrier, members = derived_carrier(p, [], "filter")
+    assert members == {"s": ("s",), "t": ("t",)}
+    for a in members.values():
+        assert antichain_leq(p, a, (), "meet") and not antichain_leq(p, (), a, "meet")
+    sl = carrier.adjoin_top("{}")
+    assert len(sl) == len(p.antichains()) == 3
     assert sl.lt("s", "t") and sl.lt("t", "{}") and sl.lt("s", "{}")
 
 
@@ -96,14 +104,11 @@ def test_join_semilattice_is_meet_of_opposite():
     rng = random.Random(1)
     for _ in range(25):
         p = random_poset(rng, 5)
-        jn, jmap = antichain_semilattice(p, "join", nonempty_only=True)
-        mt, mmap = antichain_semilattice(p.opposite(), "meet", nonempty_only=True)
-        rename = {}
-        for lab, d in jmap.items():
-            twin = d if d.kind == "orig" else DerivedLabel("meet", d.members)
-            match = [m for m, dm in mmap.items() if dm == twin]
-            assert len(match) == 1
-            rename[lab] = match[0]
+        jn, jmap = derived_carrier(p, [], "ideal")
+        mt, mmap = derived_carrier(p.opposite(), [], "filter")
+        by_members = {m: lab for lab, m in mmap.items()}
+        assert len(by_members) == len(mmap)
+        rename = {lab: by_members[m] for lab, m in jmap.items()}
         assert set(rename.values()) == set(mt.elements)
         for a in jn.elements:
             for b in jn.elements:
@@ -208,7 +213,7 @@ def test_principal_ideal_of_point_in_meet_semilattice():
         p = random_poset(rng, 5)
         x = rng.choice(p.elements)
         down = p.down(x)
-        for a in p.antichains(nonempty_only=True):
+        for a in p.antichains()[1:]:
             below = antichain_leq(p, a, (x,), "meet")
             assert below == bool(set(a) & down)
             if set(a) <= down:
@@ -221,23 +226,27 @@ def test_semilattice_extremes():
     rng = random.Random(5)
     for _ in range(25):
         p = random_poset(rng, 5)
-        sl, lmap = antichain_semilattice(p, "meet", nonempty_only=False)
-        empties = [x for x in sl.elements if lmap[x].kind == "empty"]
-        assert len(empties) == 1
-        top = empties[0]
-        assert all(sl.leq(x, top) for x in sl.elements)
-        bottom = [x for x in sl.elements
-                  if all(sl.leq(x, y) for y in sl.elements)]
-        assert len(bottom) == 1
-        assert lmap[bottom[0]].members == minimal(p, p.elements) or \
-            lmap[bottom[0]] == DerivedLabel.of_antichain(minimal(p, p.elements), "meet")
+        for mode, sl_mode, extreme in (("filter", "meet", minimal), ("ideal", "join", maximal)):
+            sl, members = derived_carrier(p, [], mode)
+            assert sorted(members.values()) == p.antichains()[1:]
+            # the empty antichain, left out, is the top of the meet order
+            # and the bottom of the join order
+            for a in members.values():
+                assert antichain_leq(p, a, (), "meet") and antichain_leq(p, (), a, "join")
+            # min S is the one bottom of the meet order, max S the one top
+            # of the join order (the bottom of its opposite)
+            if mode == "ideal":
+                sl = sl.opposite()
+            ends = [x for x in sl.elements if all(sl.leq(x, y) for y in sl.elements)]
+            assert len(ends) == 1
+            assert members[ends[0]] == extreme(p, p.elements)
 
 
 def test_singleton_embedding_matches_base_order():
     rng = random.Random(6)
     for _ in range(25):
         p = random_poset(rng, 5)
-        sl, _ = antichain_semilattice(p, "meet", nonempty_only=True)
+        sl = derived_carrier(p, [], "filter")[0]
         for a in p.elements:
             for b in p.elements:
                 assert sl.leq(a, b) == p.leq(a, b)
@@ -245,12 +254,25 @@ def test_singleton_embedding_matches_base_order():
 
 def test_iterated_derivation_label_collision_gets_prime():
     base = Poset.build(["x", "y", "x^y"], [("x^y", "x"), ("x^y", "y")])
-    sl, lmap = antichain_semilattice(base, "meet", nonempty_only=True)
+    sl, members = derived_carrier(base, [], "filter")
     labels = set(sl.elements)
     assert "x^y" in labels and "x^y'" in labels
-    assert lmap["x^y"] == DerivedLabel("orig", ("x^y",))
-    assert lmap["x^y'"] == DerivedLabel("meet", ("x", "y"))
+    assert members["x^y"] == ("x^y",)
+    assert members["x^y'"] == ("x", "y")
     assert sl.lt("x^y", "x^y'")
+
+
+def test_mode_is_checked_at_every_entry():
+    """A mode other than filter or ideal is refused, not read as ideal;
+    derive_poset relies on the same check."""
+    p = antichain_poset("x", "y", "z")
+    calls = [lambda: derived_carrier(p, ["x"], "bogus"),
+             lambda: derived_set(p, "x", "bogus"),
+             lambda: applicability_width(p, "x", "bogus"),
+             lambda: derive_poset(p, "x", "bogus")]
+    for call in calls:
+        with pytest.raises(ValueError, match="mode must be filter or ideal, got bogus"):
+            call()
 
 
 def test_poset_112_shape():
@@ -291,7 +313,7 @@ def test_chain_cover_of_derived_posets():
     p = example510()
     for x in p.elements:
         sub = p.restrict([y for y in p.elements if y != x])
-        _check_chain_cover(antichain_semilattice(sub, "meet")[0])
+        _check_chain_cover(derived_carrier(sub, [], "filter")[0])
 
 
 def test_equality_and_hash_ignore_element_order():
@@ -419,7 +441,8 @@ def test_bitmask_core_matches_reference():
 
         antichains = ref.antichains()
         assert p.antichains() == antichains
-        assert p.antichains(nonempty_only=True) == antichains[1:]
+        # the carrier over [] holds the nonempty antichains, in order
+        assert list(derived_carrier(p, [], "filter")[1].values()) == antichains[1:]
         assert p.covers() == ref.covers()
         assert p.linear_extension() == sorted(
             elements, key=lambda x: sum(ref.lt(y, x) for y in elements))
@@ -441,10 +464,14 @@ def test_derived_carrier_order_matches_semilattice_rule():
         p = Poset.build(elements, relations)
         ref = ReferenceOrder(elements, relations)
         x = rng.choice(elements)
-        for mode, sl_mode, region in (("filter", "meet", p.up(x)),
-                                      ("ideal", "join", p.down(x))):
-            carrier, cmap = derived_carrier(p, region, mode)
-            members = {lab: cmap[lab].members for lab in carrier.elements}
+        cases = [("filter", "meet", p.up(x)), ("ideal", "join", p.down(x))]
+        # the carrier over [] is the antichain semilattice itself, and the
+        # carrier over S is S
+        cases += [(mode, sl_mode, region) for region in ([], p.elements)
+                  for mode, sl_mode in (("filter", "meet"), ("ideal", "join"))]
+        for mode, sl_mode, region in cases:
+            carrier, members = derived_carrier(p, region, mode)
+            assert list(members) == list(carrier.elements)
             for a in carrier.elements:
                 for b in carrier.elements:
                     expected = antichain_leq(p, members[a], members[b], sl_mode)

@@ -2,16 +2,18 @@ import random
 
 import pytest
 
+from posetrep import linalg
 from posetrep.errors import InvalidMorphism, MonotonicityViolation, PosetMismatch
 from posetrep.linalg import QQ, Field, Matrix, Subspace
-from posetrep.poset import antichain_semilattice
+from posetrep.poset import derived_carrier
 from posetrep.randgen import random_morphism, random_poset, random_sspace
 from posetrep.sspace import (SMorphism, SSpace, are_isomorphic, direct_sum,
                              dualize, e_functor_map, e_quot, e_sub, hom_dim,
                              hom_space, is_left_minimal, projective_space,
                              simple_filter_space, validate_sspace, zero_space)
 
-from helpers import antichain_poset, chain, example510, ideal_simple, maximal, minimal
+from helpers import (antichain_poset, chain, example510, ideal_simple, maximal, minimal,
+                     reference_rref)
 
 F2 = Field.prime(2)
 F5 = Field.prime(5)
@@ -97,9 +99,10 @@ def test_hom_from_simple_is_intersection():
 
 def test_hom_between_simples_is_semilattice_order():
     p = example510()
-    sl, lmap = antichain_semilattice(p, "meet", nonempty_only=False)
-    simples = {x: simple_filter_space(p, QQ, lmap[x].members if lmap[x].kind != "empty" else ())
-               for x in sl.elements}
+    carrier, members = derived_carrier(p, [], "filter")
+    sl = carrier.adjoin_top("{}")  # the empty antichain is the top of the meet order
+    members["{}"] = ()
+    simples = {x: simple_filter_space(p, QQ, members[x]) for x in sl.elements}
     for x in sl.elements:
         for y in sl.elements:
             expected = 1 if sl.leq(y, x) else 0
@@ -111,7 +114,7 @@ def test_hom_to_upper_simple_is_annihilator_dim():
     for _ in range(40):
         p = random_poset(rng, 5)
         v = random_sspace(rng, p, QQ, 4)
-        for b in p.antichains(nonempty_only=True):
+        for b in p.antichains()[1:]:
             total = Subspace.zero(QQ, v.dim)
             for s in b:
                 total = total.plus(v.sub(s))
@@ -131,12 +134,10 @@ def test_hom_biadditive():
 
 def test_end_of_simples_sum_matches_comparable_pairs_two_chain():
     p = chain("s", "t")
-    sl, lmap = antichain_semilattice(p, "meet", nonempty_only=False)
-    parts = [simple_filter_space(p, QQ, lmap[x].members if lmap[x].kind != "empty" else ())
-             for x in sl.elements]
-    big = zero_space(p, QQ)
-    for part in parts:
-        big = direct_sum(big, part)
+    carrier, members = derived_carrier(p, [], "filter")
+    sl = carrier.adjoin_top("{}")  # the empty antichain is the top of the meet order
+    members["{}"] = ()
+    big = direct_sum(*(simple_filter_space(p, QQ, members[x]) for x in sl.elements))
     pairs = sum(1 for a in sl.elements for b in sl.elements if sl.leq(b, a))
     assert pairs == 6
     assert hom_dim(big, big) == 6
@@ -481,6 +482,31 @@ def test_direct_sum_dims_add():
     assert s.dim == u.dim + v.dim
     for x in p.elements:
         assert s.sub(x).dim == u.sub(x).dim + v.sub(x).dim
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F5], ids=["Q", "F2", "F5"])
+def test_direct_sum_is_the_block_diagonal_with_no_elimination(field, monkeypatch):
+    """The block diagonal of RREF bases is in RREF: the n-ary sum runs no
+    elimination, and at each point equals the reference RREF of the block
+    rows taken in any order."""
+    rng = random.Random(17 + (field.p or 0))
+    for _ in range(10):
+        p = random_poset(rng, 4)
+        spaces = [random_sspace(rng, p, field, rng.randint(0, 3))
+                  for _ in range(rng.randint(1, 4))]
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "_rref", lambda *a: pytest.fail("direct_sum ran an elimination"))
+            total = direct_sum(*spaces)
+        n = sum(v.dim for v in spaces)
+        assert total.dim == n
+        for x in p.elements:
+            rows, before = [], 0
+            for v in spaces:
+                rows += [(field.zero,) * before + r + (field.zero,) * (n - before - v.dim)
+                         for r in v.sub(x).mat.rows]
+                before += v.dim
+            rng.shuffle(rows)
+            assert total.sub(x).mat.rows == tuple(reference_rref(field, rows, n)[0])
 
 
 def test_are_isomorphic_self():
