@@ -34,7 +34,8 @@ from math import inf
 
 from .errors import NotApplicable
 from .linalg import Matrix, Subspace
-from .poset import Poset, applicability_width, derived_carrier, derived_set
+from .poset import (Poset, applicability_width, applicable_moves,
+                    derived_carrier, derived_set, is_applicable)
 from .sspace import SMorphism, SSpace, _hom_solutions, e_functor_map
 
 
@@ -55,18 +56,14 @@ class DerivedPoset:
         return derived_carrier(self.base, region, self.mode)[0]
 
 
-def is_applicable(p: Poset, point: str, mode: str) -> bool:
-    return applicability_width(p, point, mode) <= 2
-
-
 def derive_poset(p: Poset, point: str, mode: str) -> DerivedPoset:
     """Derived poset at a point, built straight from the formula for S_p
     (``poset.derived_set``); requires the complement of the principal
-    filter (ideal) to have width at most two.  The carrier S_<p> is built
-    only when its attribute is first read."""
-    w = applicability_width(p, point, mode)
-    if w > 2:
-        raise NotApplicable(w)
+    filter (ideal) to have width at most two; the width itself is
+    computed only for the error.  The carrier S_<p> is built only when
+    its attribute is first read."""
+    if not is_applicable(p, point, mode):
+        raise NotApplicable(applicability_width(p, point, mode))
     return DerivedPoset(p, point, mode, *derived_set(p, point, mode))
 
 
@@ -175,14 +172,12 @@ def poset_fingerprint(p: Poset) -> str:
 
 def _moves(p: Poset):
     """Each applicable move (point, mode, a-count, S_p), filter mode before
-    ideal mode and points in label order; lazy, so a caller that wants one
-    move derives no more than it takes, and each move tests applicability
-    once."""
-    for mode in ("filter", "ideal"):
-        for point in sorted(p.elements):
-            if is_applicable(p, point, mode):
-                result, _, a_count = derived_set(p, point, mode)
-                yield point, mode, a_count, result
+    ideal mode and points in label order; applicability is tested for
+    every point at once, and the derivation is lazy, so a caller that
+    wants one move derives no more than it takes."""
+    for point, mode in applicable_moves(p):
+        result, _, a_count = derived_set(p, point, mode)
+        yield point, mode, a_count, result
 
 
 def _first_move(p: Poset, depth: int):
@@ -221,7 +216,7 @@ class _Sweep:
             posets.append(q)
             narrow = q.width() <= 2
             steps.append(0 if narrow else inf)
-            nu.append(len(q.antichains()) if narrow else None)
+            nu.append(q.antichain_count() if narrow else None)
             parents.append([])
             return ids[q]
 
@@ -293,7 +288,7 @@ def nu_count(p: Poset, strategy: str = "first", depth_limit: int = 64) -> Reduct
         seen.add(current)
     trace.terminal = current
     if trace.status == "ok":
-        trace.terminal_count = len(current.antichains())
+        trace.terminal_count = current.antichain_count()
         trace.nu = trace.terminal_count + sum(
             s.nonempty_antichains + 1 for s in trace.steps)
     return trace

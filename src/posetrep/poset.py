@@ -4,6 +4,14 @@ semilattice of nonempty antichains is the carrier over R = [], and an
 item of a carrier is its sorted member tuple; names are rendered from
 those tuples only when a carrier is built.
 
+Everything below the public functions works on int bitmasks over element
+indices.  The kernels of the nu recursion: the points where
+differentiation applies, for both modes in one pass over the
+3-antichains; the carrier, whose antichains carry their masks beside
+their member tuples and whose order is built column-first; the width by
+a matching seeded greedily, kept with the hash on the immutable Poset;
+and the number of antichains, counted without building them.
+
 Conventions for the two semilattice orders on antichains, with A on the
 left and B on the right:
 
@@ -61,8 +69,10 @@ def _transpose(rows, n: int) -> list[int]:
     out = [0] * n
     for i, row in enumerate(rows):
         bit = 1 << i
-        for j in _bits(row):
-            out[j] |= bit
+        while row:
+            low = row & -row
+            out[low.bit_length() - 1] |= bit
+            row ^= low
     return out
 
 
@@ -74,10 +84,11 @@ class Poset:
     the converse, so bit i of ``_down[j]`` is set under the same condition.
     Labels are translated to indices only at the public methods; every
     transform builds its result from the masks, and no other module
-    reads them.
+    reads them.  The width and the hash are computed on first use and
+    kept.
     """
 
-    __slots__ = ("elements", "_index", "_up", "_down")
+    __slots__ = ("elements", "_index", "_up", "_down", "_width", "_hash")
 
     def __init__(self, elements, up, down):
         """Internal: the elements and their order masks, already closed."""
@@ -86,6 +97,8 @@ class Poset:
         object.__setattr__(self, "_index", {x: i for i, x in enumerate(elements)})
         object.__setattr__(self, "_up", tuple(up))
         object.__setattr__(self, "_down", tuple(down))
+        object.__setattr__(self, "_width", None)
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Poset is immutable")
@@ -176,8 +189,10 @@ class Poset:
     def __hash__(self):
         # the label set with each label's up- and down-degree: equal
         # posets agree on it whatever their element order
-        return hash(frozenset(zip(self.elements, map(int.bit_count, self._up),
-                                  map(int.bit_count, self._down))))
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(frozenset(zip(
+                self.elements, map(int.bit_count, self._up), map(int.bit_count, self._down)))))
+        return self._hash
 
     def __repr__(self):
         return f"Poset({list(self.elements)})"
@@ -221,35 +236,98 @@ class Poset:
 
     def antichains(self) -> list[Antichain]:
         """All antichains, the empty one first, in lexicographic order."""
-        return self._antichains((1 << len(self.elements)) - 1)
+        return self._antichains((1 << len(self.elements)) - 1)[0]
 
-    def _antichains(self, mask: int) -> list[Antichain]:
-        """The antichains inside mask, by backtracking over the members in
-        label order; each branch carries the mask of the later members
-        that no chosen one blocks, so a node's children are its set bits."""
+    def _antichains(self, mask: int) -> tuple[list[Antichain], list[int]]:
+        """The antichains inside mask and their masks, by backtracking over
+        the members in label order; each branch carries the mask of the
+        later members that no chosen one blocks, so a node's children are
+        its set bits."""
         order = sorted(_bits(mask), key=self.elements.__getitem__)
         labels = [self.elements[i] for i in order]
+        bits = [1 << i for i in order]
         pos = {i: k for k, i in enumerate(order)}
         blocks = [_moved((self._up[i] | self._down[i]) & mask, pos) for i in order]
-        out = []
-        stack = [((), (1 << len(order)) - 1)]
+        out, masks = [], []
+        stack = [((), 0, (1 << len(order)) - 1)]
         while stack:  # preorder, the smallest child on top of the stack
-            current, free = stack.pop()
+            current, held, free = stack.pop()
             out.append(current)
+            masks.append(held)
             rest = free
             while rest:
                 k = rest.bit_length() - 1
                 rest ^= 1 << k
-                stack.append((current + (labels[k],), free & -(2 << k) & ~blocks[k]))
-        return out
+                stack.append((current + (labels[k],), held | bits[k],
+                              free & -(2 << k) & ~blocks[k]))
+        return out, masks
+
+    def antichain_count(self) -> int:
+        """|A(S)|, the empty antichain included: the backtracking of
+        antichains() over element indices, counting its nodes."""
+        blocks = [u | d for u, d in zip(self._up, self._down)]
+        count = 0
+        stack = [(1 << len(blocks)) - 1]
+        while stack:
+            free = stack.pop()
+            count += 1
+            while free:  # each child holds a lowest member, then later ones
+                low = free & -free
+                free ^= low
+                stack.append(free & ~blocks[low.bit_length() - 1])
+        return count
+
+    def _applicable(self) -> tuple[int, int]:
+        """The masks of the points p where filter and where ideal
+        differentiation apply, in one pass over the 3-antichains.
+
+        w(S \\ <p>) <= 2 iff S \\ <p> holds no 3-antichain, that is iff
+        every 3-antichain meets <p>, iff p lies below one of its members;
+        so the filter mask is the AND, over the 3-antichains, of the union
+        of their members' down-sets, and the ideal mask, for (p), that of
+        their up-sets.  With no 3-antichain every point applies."""
+        up, down = self._up, self._down
+        n = len(up)
+        below = above = (1 << n) - 1
+        for i in range(n):
+            later = (1 << n) - 1 & ~(up[i] | down[i]) & -(2 << i)
+            while later:  # the j > i that are incomparable to i
+                low = later & -later
+                later ^= low
+                j = low.bit_length() - 1
+                below_ij, above_ij = down[i] | down[j], up[i] | up[j]
+                third = later & ~(up[j] | down[j])
+                while third:  # the k > j incomparable to i and to j
+                    low = third & -third
+                    third ^= low
+                    k = low.bit_length() - 1
+                    below &= below_ij | down[k]
+                    above &= above_ij | up[k]
+                if not below | above:
+                    return 0, 0
+        return below, above
 
     def _matching(self, mask: int):
         """A maximum matching of the elements of mask to strict successors
         in mask, as the matched predecessor of each element index (None
-        when unmatched): augmenting paths from each element in element
-        order, successors tried in element order."""
+        when unmatched).  Each element in element order first takes its
+        first free successor; augmenting paths then start from the
+        elements left unmatched, successors tried in element order."""
         up = self._up
         pred_of = [None] * len(self.elements)
+        taken, unmatched = 0, []
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            a = low.bit_length() - 1
+            free = (up[a] ^ low) & mask & ~taken
+            if free:
+                free &= -free
+                pred_of[free.bit_length() - 1] = a
+                taken |= free
+            else:
+                unmatched.append(a)
         seen = 0
 
         def augment(a):
@@ -267,14 +345,16 @@ class Poset:
                     return True
             return False
 
-        for a in _bits(mask):
+        for a in unmatched:
             seen = 0
             augment(a)
         augment = None  # the closure refers to itself; drop the cycle now
         return pred_of
 
     def width(self) -> int:
-        return self._width_in((1 << len(self.elements)) - 1)
+        if self._width is None:
+            object.__setattr__(self, "_width", self._width_in((1 << len(self.elements)) - 1))
+        return self._width
 
     def _width_in(self, mask: int) -> int:
         """The width of the subposet on mask: its size less the pairs of
@@ -347,9 +427,12 @@ class Poset:
 # antichain semilattices and derived carriers
 
 
+MODES = ("filter", "ideal")
+
+
 def _orient(p: Poset, mode: str):
     """(p._up, p._down) in filter mode, (p._down, p._up) in ideal mode."""
-    if mode not in ("filter", "ideal"):
+    if mode not in MODES:
         raise ValueError(f"mode must be filter or ideal, got {mode}")
     return (p._up, p._down) if mode == "filter" else (p._down, p._up)
 
@@ -376,25 +459,38 @@ def _assemble(base: Poset, masks, labels, mode: str) -> Poset:
     named by labels and ordered by the meet (mode "filter") or join (mode
     "ideal") semilattice rule.
 
-    With rows[k] the antichains lying in the filter (meet) or ideal (join)
-    that antichain k generates, the meet order reads rows as up-sets and
-    the join order as down-sets.  An antichain lies in a region unless it
-    has a member outside it, so rows[k] is every antichain less those
-    holding a point outside the region of k.
+    Column-first: under meet, k <= j iff every member a of j lies above
+    some member of k, so the down-set cols[j] is the AND, over the members
+    a of j, of touch[a], the antichains holding a point below a; under
+    join, cols[j] is the up-set, with touch[a] the antichains holding a
+    point above a.  One transpose gives the other side.
     """
-    cones = _orient(base, mode)[0]
+    below = _orient(base, mode)[1]
     holding = [0] * len(base)  # point -> the antichains that hold it
     for k, m in enumerate(masks):
-        for i in _bits(m):
-            holding[i] |= 1 << k
-    all_antichains, all_points = (1 << len(masks)) - 1, (1 << len(base)) - 1
-    rows = []
+        bit = 1 << k
+        while m:
+            low = m & -m
+            holding[low.bit_length() - 1] |= bit
+            m ^= low
+    touch = []
+    for m in below:
+        t = 0
+        while m:
+            low = m & -m
+            t |= holding[low.bit_length() - 1]
+            m ^= low
+        touch.append(t)
+    all_antichains = (1 << len(masks)) - 1
+    cols = []
     for m in masks:
-        row = all_antichains
-        for i in _bits(all_points & ~_union(cones, m)):
-            row &= ~holding[i]
-        rows.append(row)
-    cols = _transpose(rows, len(rows))
+        col = all_antichains
+        while m:
+            low = m & -m
+            col &= touch[low.bit_length() - 1]
+            m ^= low
+        cols.append(col)
+    rows = _transpose(cols, len(cols))
     up, down = (rows, cols) if mode == "filter" else (cols, rows)
     return Poset(labels, up, down)
 
@@ -407,10 +503,17 @@ def _carrier(p: Poset, region: int, mode: str, avoid: int = 0):
     the carrier, so that they are the carrier's names, primes included.
     Returns (poset, members: name -> item, the number of antichain items).
     """
-    items = [(x,) for x in p._members(region)]
-    items += p._antichains((1 << len(p)) - 1 & ~region)[1:]
+    items, masks = [], []
+    rest = region
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        items.append((p.elements[low.bit_length() - 1],))
+        masks.append(low)
+    antichains, held = p._antichains((1 << len(p)) - 1 & ~region)
+    items += antichains[1:]
+    masks += held[1:]
     names = _render_unique(items, "^" if mode == "filter" else "v")
-    masks = [p._mask(a) for a in items]
     keep = [k for k, m in enumerate(masks) if not m & avoid]
     poset = _assemble(p, [masks[k] for k in keep], [names[k] for k in keep], mode)
     return poset, {names[k]: items[k] for k in keep}, len(items) - region.bit_count()
@@ -437,6 +540,21 @@ def _cones(p: Poset, point: Label, mode: str) -> tuple[int, int]:
 def applicability_width(p: Poset, point: Label, mode: str) -> int:
     """The width of S \\ <p> (S \\ (p) in ideal mode), read off its mask."""
     return p._width_in((1 << len(p)) - 1 & ~_cones(p, point, mode)[0])
+
+
+def is_applicable(p: Poset, point: Label, mode: str) -> bool:
+    """Whether w(S \\ <p>) <= 2 (w(S \\ (p)) in ideal mode), by the
+    3-antichain test of ``Poset._applicable``."""
+    _orient(p, mode)  # checks the mode
+    return p._applicable()[MODES.index(mode)] >> p._i(point) & 1 == 1
+
+
+def applicable_moves(p: Poset) -> list[tuple[Label, str]]:
+    """Every (point, mode) where differentiation applies, filter mode
+    before ideal mode and points in label order, from one pass over the
+    3-antichains."""
+    return [(x, mode) for mode, mask in zip(MODES, p._applicable())
+            for x in sorted(p._members(mask))]
 
 
 def derived_set(p: Poset, point: Label, mode: str):

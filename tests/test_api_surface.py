@@ -102,7 +102,8 @@ def test_no_module_reads_the_environment():
 
 
 POSET_INTERNALS = {"_up", "_down", "_i", "_mask", "_members", "_width_in",
-                   "_antichains", "_matching"}
+                   "_antichains", "_matching", "_applicable", "_width", "_hash",
+                   "_carrier", "_assemble"}
 
 
 def test_poset_internals_stay_in_poset_module():

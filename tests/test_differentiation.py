@@ -11,7 +11,7 @@ from posetrep.differentiation import (applicability_width, derive_poset,
                                       poset_fingerprint, serialize_trace)
 from posetrep.errors import NotApplicable
 from posetrep.linalg import QQ, Field, Matrix, Subspace
-from posetrep.poset import Poset, derived_carrier
+from posetrep.poset import Poset, applicable_moves, derived_carrier
 from posetrep.randgen import random_morphism, random_poset, random_sspace
 from posetrep.sspace import (SMorphism, SSpace, are_isomorphic, direct_sum,
                              dualize, hom_dim, hom_space,
@@ -492,8 +492,8 @@ class _Node:
     def width(self):
         return self.w
 
-    def antichains(self):
-        return [None] * self.a
+    def antichain_count(self):
+        return self.a
 
 
 def _all_paths_by_walks(start, moves, limit):
@@ -514,7 +514,7 @@ def _all_paths_by_walks(start, moves, limit):
     def walks(q, n):
         """(moves, nu) of each completing walk from q of at most n moves."""
         if narrow(q):
-            return frozenset({(0, len(q.antichains()))})
+            return frozenset({(0, q.antichain_count())})
         if q not in swept or n == 0:
             return frozenset()
         return frozenset((k + 1, v + a + 1) for _, _, a, c in moves[q]
@@ -591,17 +591,29 @@ def test_nu_all_paths_stuck_once_the_sweep_expands_everything():
 
 
 def test_nu_step_tests_applicability_once(monkeypatch):
+    """One applicability pass per poset whose moves are listed, no
+    matching, and no antichain listed: (1,1,1) takes one step to a
+    width-2 poset, whose moves neither strategy lists and whose
+    antichains are only counted."""
     import posetrep.differentiation as differentiation
 
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return applicability_width(*args)
+    def counted(p):
+        calls.append(p)
+        return applicable_moves(p)
 
-    monkeypatch.setattr(differentiation, "applicability_width", counted)
-    trace = nu_count(chain_sum(1, 1, 1))
-    assert len(trace.steps) == 1 and len(calls) == 1
+    def refused(*args):
+        raise AssertionError("nu_count listed antichains or ran the applicability matching")
+
+    monkeypatch.setattr(differentiation, "applicable_moves", counted)
+    monkeypatch.setattr(differentiation, "applicability_width", refused)
+    monkeypatch.setattr(Poset, "antichains", refused)
+    p = chain_sum(1, 1, 1)
+    for strategy in ("first", "all-paths"):
+        calls.clear()
+        trace = nu_count(p, strategy=strategy)
+        assert len(trace.steps) == 1 and calls == [p]
 
 
 # pinned traces ---------------------------------------------------------------
@@ -628,6 +640,25 @@ PINNED_ALL_PATHS_RANDOM = [
     "8aa7354e7f17bf0f", "9e80cb159b025f4d", "cab1a55c014bf425", "181667c49e1ef2a7",
 ]
 
+# first on seeded random posets, five draws per (size, width) class: sizes
+# 1..7 of width <= 2 and sizes 3..6 of width 3, as in the nu benchmark
+PINNED_FIRST_RANDOM = [
+    "07cfc8a5d77b9dd0", "07cfc8a5d77b9dd0", "07cfc8a5d77b9dd0", "07cfc8a5d77b9dd0",
+    "07cfc8a5d77b9dd0", "724d7b4dbff5de1f", "41fc83597fcfd4c5", "41fc83597fcfd4c5",
+    "41fc83597fcfd4c5", "724d7b4dbff5de1f", "87ab5b3653674847", "87ab5b3653674847",
+    "87ab5b3653674847", "724d7b4dbff5de1f", "724d7b4dbff5de1f", "181667c49e1ef2a7",
+    "181667c49e1ef2a7", "181667c49e1ef2a7", "181667c49e1ef2a7", "181667c49e1ef2a7",
+    "5c44abb7d07ca999", "5c44abb7d07ca999", "2c0403f87f4a99c9", "87ab5b3653674847",
+    "3a1c6351646360de", "7ced643004ead4e9", "2b0d2ac6ab73d697", "c24a75ebfe580aa4",
+    "7ced643004ead4e9", "5922a3755679eb7a", "5c44abb7d07ca999", "44bdb3b0e4a17723",
+    "5c44abb7d07ca999", "39f206f8040aa62b", "130c611988336ee8", "cd2682064ebb332b",
+    "4c476beac0ebc8a0", "fa4097f9bd9e2986", "333dcf0f0cf349cd", "54812cb3b594f45e",
+    "5c44abb7d07ca999", "291099b8c8a20c68", "44bdb3b0e4a17723", "130c611988336ee8",
+    "291099b8c8a20c68", "7cf46c3aec61392e", "7676b2a023f3ec42", "8e17221bf92b1b27",
+    "53540adcbccf5aeb", "d849f98364b62887", "291099b8c8a20c68", "5df9b91d323ecf9e",
+    "8a0f6af5c28190c1", "ce3c5a0e536ba031", "ce3c5a0e536ba031",
+]
+
 
 @pytest.mark.parametrize("lengths", sorted(PINNED_FIRST))
 def test_nu_first_trace_pinned(lengths):
@@ -650,3 +681,18 @@ def test_nu_all_paths_random_traces_pinned():
         if p.width() >= 3:
             got.append(_trace_sha(nu_count(p, strategy="all-paths")))
     assert got == PINNED_ALL_PATHS_RANDOM
+
+
+def test_nu_first_random_traces_pinned():
+    """Five draws of each class from a seeded stream of posets, in the
+    order sizes 1..7, width <= 2 before width 3."""
+    rng = random.Random(2027)
+    strata = [(n, wide) for n in range(1, 8) for wide in (False, True)
+              if not wide or 3 <= n <= 6]
+    got = []
+    for k, (size, wide) in enumerate(strata, 1):
+        while len(got) < 5 * k:
+            p = random_poset(rng, size)
+            if len(p) == size and (p.width() == 3 if wide else p.width() <= 2):
+                got.append(_trace_sha(nu_count(p)))
+    assert got == PINNED_FIRST_RANDOM

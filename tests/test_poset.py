@@ -4,7 +4,8 @@ import pytest
 
 from posetrep.differentiation import derive_poset
 from posetrep.errors import CycleDetected, DuplicateLabel, UnknownLabel
-from posetrep.poset import Poset, applicability_width, derived_carrier, derived_set
+from posetrep.poset import (MODES, Poset, applicability_width, applicable_moves,
+                            derived_carrier, derived_set, is_applicable)
 from posetrep.randgen import random_poset
 from posetrep.verify import all_posets_up_to
 
@@ -269,6 +270,7 @@ def test_mode_is_checked_at_every_entry():
     calls = [lambda: derived_carrier(p, ["x"], "bogus"),
              lambda: derived_set(p, "x", "bogus"),
              lambda: applicability_width(p, "x", "bogus"),
+             lambda: is_applicable(p, "x", "bogus"),
              lambda: derive_poset(p, "x", "bogus")]
     for call in calls:
         with pytest.raises(ValueError, match="mode must be filter or ideal, got bogus"):
@@ -314,6 +316,48 @@ def test_chain_cover_of_derived_posets():
     for x in p.elements:
         sub = p.restrict([y for y in p.elements if y != x])
         _check_chain_cover(derived_carrier(sub, [], "filter")[0])
+
+
+def _kernel_posets():
+    """Every poset of all_posets_up_to(5), seeded random posets of up to
+    nine points, and the derived posets two levels down from seeded
+    width-3 posets, whose labels are rendered antichains."""
+    rng = random.Random(19)
+    posets = list(all_posets_up_to(5))
+    posets += [random_poset(rng, 9, density=rng.choice([0.1, 0.2, 0.35, 0.5]))
+               for _ in range(120)]
+    level = [q for q in (random_poset(rng, 7) for _ in range(60)) if q.width() == 3]
+    for _ in range(2):
+        level = [derive_poset(q, x, mode).result for q in level
+                 for x, mode in applicable_moves(q)]
+        posets += level
+    return posets
+
+
+def test_applicability_pass_matches_the_matching():
+    """The one-pass 3-antichain test agrees at every point and mode with
+    the width of the complement, found by matching; applicable_moves
+    lists the applicable pairs, filter mode first, points in label order."""
+    derived = 0
+    for p in _kernel_posets():
+        expected = [(x, mode) for mode in MODES for x in sorted(p.elements)
+                    if applicability_width(p, x, mode) <= 2]
+        assert applicable_moves(p) == expected
+        for mode in MODES:
+            for x in p.elements:
+                assert is_applicable(p, x, mode) == ((x, mode) in expected)
+        derived += any("^" in x or "v" in x for x in p.elements)
+    assert derived > 100
+
+
+def test_antichain_count_matches_antichains():
+    for p in _kernel_posets():
+        assert p.antichain_count() == len(p.antichains())
+
+
+def test_is_applicable_checks_its_point():
+    with pytest.raises(UnknownLabel):
+        is_applicable(chain("s", "t"), "u", "filter")
 
 
 def test_equality_and_hash_ignore_element_order():
