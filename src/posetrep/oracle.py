@@ -12,7 +12,10 @@ so those classes are already listed.  Otherwise a fixed-seed sample of
 the group is used, candidate classes are merged through verified isomorphism
 witnesses, indecomposability is decided by idempotent search in the
 endomorphism ring, and the census is marked as sampled.  Representatives
-are the lexicographically least canonical forms in their orbits.
+are the lexicographically least canonical forms in their orbits.  The
+monotone assignments are listed in one pass in element order, each
+element bounded by the choices of the earlier elements below and above
+it, so they arrive in lexicographic order and are never sorted.
 
 The group acts on integers, not matrices.  The lines of k^n are numbered
 by their representatives whose first nonzero entry is 1 (`_lines`), and a
@@ -233,39 +236,34 @@ def _image_rows(masks, group):
 
 def _monotone_assignments(poset: Poset, masks):
     """All order-respecting choices of a subspace index per element, the
-    subspaces given by their line masks (`_point_masks`), emitted as
-    tuples aligned with poset.elements."""
-    n_elems = len(poset.elements)
-    if n_elems == 0:
-        return [()]
-    order = poset.linear_extension()
-    below = {s: [t for t in order if poset.lt(t, s)] for s in order}
-    chosen = {}
-    out = []
-
-    def rec(k):
-        if k == n_elems:
-            out.append(tuple(chosen[s] for s in poset.elements))
-            return
-        s = order[k]
-        need = 0
-        for t in below[s]:
-            need |= masks[chosen[t]]
-        for j, mask in enumerate(masks):
-            if not need & ~mask:
-                chosen[s] = j
-                rec(k + 1)
-        chosen.pop(s, None)
-
-    rec(0)
-    rec = None  # the closure refers to itself; drop the cycle now
+    subspaces given by their line masks (`_point_masks`), as tuples aligned
+    with poset.elements, in lexicographic order.  Element i may take
+    subspace j iff masks[j] holds the masks chosen for the earlier elements
+    below i and lies inside those chosen for the earlier elements above i.
+    Each partial tuple is extended by every such j in ascending order, and
+    none dies: the meet of the upper bounds is a subspace holding the lower
+    bounds."""
+    elements = poset.elements
+    out = [()]
+    for i, s in enumerate(elements):
+        below = [k for k in range(i) if poset.leq(elements[k], s)]
+        above = [k for k in range(i) if poset.leq(s, elements[k])]
+        grown = []
+        for a in out:
+            need, room = 0, -1
+            for k in below:
+                need |= masks[a[k]]
+            for k in above:
+                room &= masks[a[k]]
+            grown += [a + (j,) for j, mask in enumerate(masks)
+                      if not need & ~mask and not mask & ~room]
+        out = grown
     return out
 
 
 def _assignment_to_space(poset: Poset, field: Field, subs, assignment) -> SSpace:
     assign = {s: subs[j] for s, j in zip(poset.elements, assignment)}
-    n = subs[0].ambient if subs else 0
-    return SSpace(poset, field, n, assign, validate=False)
+    return SSpace(poset, field, subs[0].ambient, assign, validate=False)
 
 
 @dataclass
@@ -355,7 +353,7 @@ def _classes(cfg: EnumConfig, field: Field):
             masks = _point_masks(subs[n])
             group = _sampled_group(field, n, GROUP_SAMPLE, rng)
         row = _image_rows(masks, group)
-        assignments = sorted(_monotone_assignments(cfg.poset, masks))
+        assignments = _monotone_assignments(cfg.poset, masks)
         if exact:
             reps, split = _orbits(assignments, row, _direct_sums(classes, subs, n))
             classes[n] = reps
@@ -367,8 +365,10 @@ def _classes(cfg: EnumConfig, field: Field):
 
 def _orbits(assignments, row, sums):
     """One representative per orbit, the least assignment met in it, in
-    the order of the sorted `assignments`; and the set of those whose orbit
-    meets `sums`.  `row(j)` gives the images of subspace j."""
+    the lexicographic order in which `assignments` arrive; and the set of
+    those whose orbit meets `sums`.  `row(j)` gives the images of subspace
+    j.  An exact orbit is closed, so its first assignment is its least; a
+    sampled one need not be, so the least is still taken."""
     seen = set()
     reps, split = [], set()
     for a in assignments:

@@ -103,13 +103,22 @@ def test_point_masks_encode_containment(q, n):
 
 
 def test_monotone_assignments_match_brute_force():
-    subs = all_subspaces(F2, 2)
-    for p in (poset_112(), chain("a", "b", "c"), antichain_poset("x", "y")):
+    """Exactly the monotone assignments, in lexicographic order.  The chain
+    listed top-first and the poset with its minimum listed last bound an
+    element by the choices of earlier elements above it."""
+    top_first = Poset.build(["c", "b", "a"], [("a", "b"), ("b", "c")])
+    min_last = Poset.build(["x", "y", "z", "m"], [("m", "x"), ("m", "y"), ("x", "z")])
+    assert top_first.elements == ("c", "b", "a") and min_last.elements[-1] == "m"
+    cases = [(F2, p) for p in (poset_112(), chain("a", "b", "c"),
+                               antichain_poset("x", "y"), top_first, min_last)]
+    cases.append((Field.prime(3), min_last))
+    for field, p in cases:
+        subs = all_subspaces(field, 2)
+        pairs = [(i, j) for i, s in enumerate(p.elements)
+                 for j, t in enumerate(p.elements) if p.lt(s, t)]
         brute = [a for a in product(range(len(subs)), repeat=len(p))
-                 if all(subs[dict(zip(p.elements, a))[t]].contains(
-                            subs[dict(zip(p.elements, a))[s]])
-                        for s in p.elements for t in p.elements if p.lt(s, t))]
-        assert sorted(_monotone_assignments(p, _point_masks(subs))) == brute
+                 if all(subs[a[j]].contains(subs[a[i]]) for i, j in pairs)]
+        assert _monotone_assignments(p, _point_masks(subs)) == brute
 
 
 def test_subspace_cap():

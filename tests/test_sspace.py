@@ -60,6 +60,34 @@ def test_random_generator_always_validates():
         validate_sspace(random_sspace(rng, p, field, 4))
 
 
+def test_validation_on_covers_agrees_with_every_pair():
+    """A random space with one subspace shrunk is rejected exactly when
+    some pair s <= t, not only a cover, has V(s) outside V(t), and the
+    pair named is a violating cover."""
+    rng = random.Random(7)
+    verdicts = set()
+    for _ in range(300):
+        p = random_poset(rng, 6)
+        field = F2 if rng.random() < 0.5 else QQ
+        v = random_sspace(rng, p, field, 4)
+        s = rng.choice(p.elements)
+        rows = v.sub(s).mat.rows
+        assign = dict(v.assign, **{s: Subspace.from_rows(field, v.dim, rows[1:])})
+        shrunk = SSpace(p, field, v.dim, assign, validate=False)
+        monotone = all(shrunk.sub(b).contains(shrunk.sub(a))
+                       for a in p.elements for b in p.elements if p.leq(a, b))
+        try:
+            validate_sspace(shrunk)
+        except MonotonicityViolation as exc:
+            assert not monotone
+            assert (exc.low, exc.high) in p.covers()
+            assert not shrunk.sub(exc.high).contains(shrunk.sub(exc.low))
+        else:
+            assert monotone
+        verdicts.add(monotone)
+    assert verdicts == {True, False}
+
+
 @pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
 def test_random_generator_is_one_elimination_per_element(field, monkeypatch):
     """Each element's subspace is one RREF of the rows below it together
@@ -248,7 +276,8 @@ def test_is_iso_is_decided_by_the_inverse_alone(monkeypatch):
     u = SSpace(p, QQ, 2, {})
     cases = [(SMorphism.identity(v), True), (SMorphism(v, v, Matrix(QQ, [[2, 0], [1, 3]])), True),
              (SMorphism(v, v, Matrix(QQ, [[1, 0], [0, 0]])), False),
-             (SMorphism.zero(v, v), False), (SMorphism(u, v, Matrix.identity(QQ, 2)), False)]
+             (SMorphism(v, v, Matrix.zeros(QQ, 2, 2)), False),
+             (SMorphism(u, v, Matrix.identity(QQ, 2)), False)]
     for f, iso in cases:
         singular = f.mat.inverse() is None
         calls.clear()
