@@ -11,8 +11,10 @@ n - k, 1 <= k <= n/2, and every dimension below an exact one is exact,
 so those classes are already listed.  Otherwise a fixed-seed sample of
 the group is used, candidate classes are merged through verified isomorphism
 witnesses, indecomposability is decided by idempotent search in the
-endomorphism ring, and the census is marked as sampled.  Representatives
-are the lexicographically least canonical forms in their orbits.  The
+endomorphism ring, and the census is marked as sampled; a class that
+search leaves open is counted as undecided, and the table names how many
+at each dimension.  Representatives are the lexicographically least
+canonical forms in their orbits.  The
 monotone assignments are listed in one pass in element order, each
 element bounded by the choices of the earlier elements below and above
 it, so they arrive in lexicographic order and are never sorted.
@@ -26,8 +28,12 @@ g is the permutation "line i goes to line j" under v -> v*g
 mask under that permutation, looked up among the masks.  The images of
 one subspace under every element are made the first time an orbit needs
 them (`_image_rows`), as representatives hold few of the subspaces.
-At an exact dimension the subspaces, their masks and the permutations of
-all of GL(n, q) depend only on (q, n) and are made once (`_exact_action`).
+The subspaces, their masks and the image rows depend only on (q, n) and
+are made once per process (`_action`), so each row is made at most once.
+That holds at a sampled dimension too: its sample is drawn once per
+(q, n), and one seed-0 stream runs through the sampled dimensions in
+turn, so the group at n is the one a fresh census draws after those
+below n, in whatever order the dimensions are asked for.
 Lines, not all q^n vectors: a vector table would cost q^n per group
 element, which is out of reach at large q even for n = 1.  The number of
 subspaces of k^max_dim is capped (MAX_SUBSPACES) unless the guardrails
@@ -201,14 +207,24 @@ def _sampled_group(field: Field, n: int, count: int, rng: random.Random):
 
 
 @cache
-def _exact_action(q: int, n: int):
-    """(the subspaces of k^n, their line masks, all of GL(n, q) as line
-    permutations) for an exact dimension.  These depend only on (q, n),
-    so they are made once; a sampled group depends on the rng and is drawn
-    on every call."""
+def _action(q: int, n: int):
+    """(the subspaces of k^n, their line masks, the image-row function of
+    the group, the rng state after the group was drawn).  The group is all
+    of GL(n, q) at an exact dimension, with no rng state.  At a sampled
+    dimension it is GROUP_SAMPLE elements drawn from one seed-0 stream that
+    runs through the sampled dimensions in turn, so the group at n
+    continues from the state that n - 1 left, when n - 1 is sampled too.
+    All of it depends only on (q, n) and is made once."""
     field = Field.prime(q)
     subs = tuple(all_subspaces(field, n))
-    return subs, _point_masks(subs), tuple(_general_linear(field, n))
+    masks = _point_masks(subs)
+    if _exhaustive_group(q, n):
+        return subs, masks, _image_rows(masks, _general_linear(field, n)), None
+    rng = random.Random(0)
+    if not _exhaustive_group(q, n - 1):
+        rng.setstate(_action(q, n - 1)[3])
+    row = _image_rows(masks, _sampled_group(field, n, GROUP_SAMPLE, rng))
+    return subs, masks, row, rng.getstate()
 
 
 def _image_rows(masks, group):
@@ -301,6 +317,9 @@ class OracleCensus:
         lines = ["dim | #classes | #indecomposable"]
         for d in self.per_dim:
             lines.append(f"{d.dim:3d} | {d.n_classes:8d} | {d.n_indecomposable:15d}")
+        undecided = [f"{d.n_undecided} at dim {d.dim}" for d in self.per_dim if d.n_undecided]
+        if undecided:
+            lines.append(f"(undecided classes: {', '.join(undecided)})")
         if self.sampled:
             dims = [str(d.dim) for d in self.per_dim
                     if not _exhaustive_group(self.config.q, d.dim)]
@@ -341,20 +360,12 @@ def _classes(cfg: EnumConfig, field: Field):
     exhaustive the last item is the set of representatives whose orbit
     holds a direct sum of two lower classes; where it is sampled it is
     None, and the candidate classes are merged by isomorphism witnesses."""
-    rng = random.Random(0)
     subs = {}
     classes = {}  # n -> every class representative at the exact dim n
     for n in range(1, cfg.max_dim + 1):
-        exact = _exhaustive_group(cfg.q, n)
-        if exact:
-            subs[n], masks, group = _exact_action(cfg.q, n)
-        else:
-            subs[n] = all_subspaces(field, n)
-            masks = _point_masks(subs[n])
-            group = _sampled_group(field, n, GROUP_SAMPLE, rng)
-        row = _image_rows(masks, group)
+        subs[n], masks, row, _ = _action(cfg.q, n)
         assignments = _monotone_assignments(cfg.poset, masks)
-        if exact:
+        if _exhaustive_group(cfg.q, n):
             reps, split = _orbits(assignments, row, _direct_sums(classes, subs, n))
             classes[n] = reps
             yield n, subs[n], reps, split

@@ -199,6 +199,18 @@ def test_oracle_table(three_file, capsys):
     assert lines[1].split("|")[2].strip() == "1"
 
 
+def test_oracle_table_names_the_undecided_classes(tmp_path, capsys):
+    """Over F_3 idempotent search leaves every dim-4 class of a 2-chain
+    undecided; the table says so rather than reading as 0 indecomposables."""
+    path = tmp_path / "two.poset"
+    path.write_text("elements: a b\nrelations: a<b\n")
+    assert main(["oracle", str(path), "--field", "3", "--maxdim", "4"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[-3] == "  4 |       15 |               0"
+    assert lines[-2:] == ["(undecided classes: 15 at dim 4)",
+                          "(isomorphism classing sampled at dim 4)"]
+
+
 def test_oracle_cross_check_and_reps(three_file, tmp_path, capsys):
     assert main(["oracle", three_file, "--cross-check"]) == 0
     assert "nu=9" in capsys.readouterr().out

@@ -398,30 +398,49 @@ def test_image_rows_are_made_once():
     assert len(row(5)) == 168  # |GL(3, 2)|
 
 
-def test_exact_group_is_made_once_per_field_and_dimension(monkeypatch):
-    """GL(n, q) and the subspaces it acts on are listed once per (q, n);
-    a sampled group is drawn again on every census, from its own rng."""
+def test_group_action_is_made_once_per_field_and_dimension(monkeypatch):
+    """GL(n, q) and the subspaces it acts on are listed once per (q, n),
+    and a sampled group is drawn once per (q, n) too."""
     made, drawn = [], []
     general_linear, sampled_group = oracle._general_linear, oracle._sampled_group
     monkeypatch.setattr(oracle, "_general_linear",
                         lambda field, n: made.append((field.p, n)) or general_linear(field, n))
     monkeypatch.setattr(oracle, "_sampled_group",
                         lambda field, n, *a: drawn.append((field.p, n)) or sampled_group(field, n, *a))
-    oracle._exact_action.cache_clear()
+    oracle._action.cache_clear()
     try:
         p = chain(*"ab")
         first = [_census_text(enumerate_indecomposables(EnumConfig(p, 2, 4)))
                  for _ in range(2)]
         assert first[0] == first[1]
         assert made == [(2, 1), (2, 2), (2, 3)]
-        assert drawn == [(2, 4), (2, 4)]
+        assert drawn == [(2, 4)]
         again = _census_text(enumerate_indecomposables(EnumConfig(poset_112(), 2, 2)))
         assert made == [(2, 1), (2, 2), (2, 3)]
-        oracle._exact_action.cache_clear()
+        oracle._action.cache_clear()
         assert _census_text(enumerate_indecomposables(EnumConfig(poset_112(), 2, 2))) == again
         assert made == [(2, 1), (2, 2), (2, 3), (2, 1), (2, 2)]
     finally:
-        oracle._exact_action.cache_clear()
+        oracle._action.cache_clear()
+
+
+@pytest.mark.parametrize("order", [(4, 3), (3, 4)])
+def test_cached_sample_continues_one_stream_in_any_order(monkeypatch, order):
+    """Over F_5 GL(3) and GL(4) are both sampled; whichever is asked for
+    first, each holds the draws a census makes from one fresh seed-0 rng,
+    dim 3 first.  A smaller sample keeps the draws quick."""
+    monkeypatch.setattr(oracle, "GROUP_SAMPLE", 60)
+    f5 = Field.prime(5)
+    rng = random.Random(0)
+    want = {n: _image_rows(_point_masks(all_subspaces(f5, n)), _sampled_group(f5, n, 60, rng))
+            for n in (3, 4)}
+    oracle._action.cache_clear()
+    try:
+        got = {n: oracle._action(5, n)[2] for n in order}
+        for n, picks in ((3, (1, 17, 40, 62)), (4, (1, 200, 700, 1100))):
+            assert [got[n](j) for j in picks] == [want[n](j) for j in picks]
+    finally:
+        oracle._action.cache_clear()
 
 
 # Census outputs pinned before the direct-sum rule and the image rows came
@@ -472,6 +491,7 @@ def test_census_outputs_are_pinned(name):
      "  1 |        2 |               2\n"
      "  2 |        3 |               0\n"
      "  3 |        4 |               0\n"
+     "(undecided classes: 2 at dim 2, 4 at dim 3)\n"
      "(isomorphism classing sampled at dims 2, 3)"),
     (chain("s", "t"), 2, 4,
      "dim | #classes | #indecomposable\n"
