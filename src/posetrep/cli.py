@@ -138,24 +138,22 @@ def cmd_oracle(args) -> int:
     cfg = EnumConfig(p, q=args.field, max_dim=args.maxdim, force=args.force)
     if args.cross_check:
         report = cross_check_nu(p, cfg)
+        census = report.census
         print(report.text())
     else:
         census = enumerate_indecomposables(cfg)
         print(census.table())
-        if args.reps:
-            try:
-                os.makedirs(args.reps, exist_ok=True)
-            except OSError as exc:
-                raise WriteError(f"cannot create {args.reps!r}: {exc.strerror or exc}") from None
-            poset_path = os.path.join(args.reps, "base.poset")
-            fileio.save_poset(p, poset_path)
-            k = 0
-            for d in census.per_dim:
-                for rep in d.reps:
-                    fileio.save_sspace(rep, os.path.join(args.reps, f"indec{k:03d}.ssp"),
-                                       poset_path)
-                    k += 1
-            print(f"wrote {k} representatives to {args.reps}")
+    if args.reps:
+        try:
+            os.makedirs(args.reps, exist_ok=True)
+        except OSError as exc:
+            raise WriteError(f"cannot create {args.reps!r}: {exc.strerror or exc}") from None
+        poset_path = os.path.join(args.reps, "base.poset")
+        fileio.save_poset(p, poset_path)
+        reps = [rep for d in census.per_dim for rep in d.reps]
+        for k, rep in enumerate(reps):
+            fileio.save_sspace(rep, os.path.join(args.reps, f"indec{k:03d}.ssp"), poset_path)
+        print(f"wrote {len(reps)} representatives to {args.reps}")
     return 0
 
 

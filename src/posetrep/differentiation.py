@@ -32,11 +32,11 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from math import inf
 
-from .errors import NotApplicable
+from .errors import NotApplicable, PosetMismatch
 from .linalg import Matrix, Subspace
-from .poset import (Poset, applicability_width, applicable_moves,
+from .poset import (Poset, applicability_width, applicable_moves, check_mode,
                     derived_carrier, derived_set, is_applicable)
-from .sspace import SMorphism, SSpace, _hom_solutions, e_functor_map
+from .sspace import SMorphism, SSpace, _e_matrix, _hom_solutions
 
 
 @dataclass(frozen=True)
@@ -67,12 +67,23 @@ def derive_poset(p: Poset, point: str, mode: str) -> DerivedPoset:
     return DerivedPoset(p, point, mode, *derived_set(p, point, mode))
 
 
+def _derived_for(p: Poset, point: str, mode: str, derived: DerivedPoset) -> DerivedPoset:
+    """The derived poset of p at point in mode: the one given, checked to
+    be exactly that (else PosetMismatch), or a new one."""
+    if derived is None:
+        return derive_poset(p, point, mode)
+    check_mode(mode)
+    if derived.base != p or (derived.point, derived.mode) != (point, mode):
+        raise PosetMismatch("the derived poset was made for another poset, point or mode")
+    return derived
+
+
 def diff_space(v: SSpace, point: str, mode: str, derived: DerivedPoset = None) -> SSpace:
     """Differentiation functor on objects, by the direct formulas:
     filter mode sends t to (V(t) + V(p))/V(p) and a^b to
     (V(a) /\\ V(b) + V(p))/V(p) inside V/V(p); ideal mode sends t to
     V(t) /\\ V(p) and avb to (V(a) + V(b)) /\\ V(p) inside V(p)."""
-    derived = derived or derive_poset(v.poset, point, mode)
+    derived = _derived_for(v.poset, point, mode, derived)
     vp = v.sub(point)
     assign = {}
     if mode == "filter":
@@ -96,11 +107,10 @@ def diff_morphism(f: SMorphism, point: str, mode: str,
     mode, the restriction to V(p) in ideal mode.  Restriction and
     (co)induction keep the ambient matrix, so D_p f has the matrix of
     E_p f (of E^p f in ideal mode)."""
-    derived = derived or derive_poset(f.source.poset, point, mode)
+    derived = _derived_for(f.source.poset, point, mode, derived)
     du = diff_space(f.source, point, mode, derived)
     dv = diff_space(f.target, point, mode, derived)
-    ef = e_functor_map(f, point, "quot" if mode == "filter" else "sub")
-    return SMorphism(du, dv, ef.mat, validate=False)
+    return SMorphism(du, dv, _e_matrix(f, point, mode), validate=False)
 
 
 def diff_space_composite(v: SSpace, point: str, mode: str,
@@ -110,7 +120,7 @@ def diff_space_composite(v: SSpace, point: str, mode: str,
     from .functors import coinduce, induce, restrict
     from .sspace import e_quot, e_sub
 
-    derived = derived or derive_poset(v.poset, point, mode)
+    derived = _derived_for(v.poset, point, mode, derived)
     if mode == "filter":
         big = coinduce(v, derived.carrier)
         cut, _ = e_quot(big, point)
@@ -125,13 +135,12 @@ def diff_space_composite(v: SSpace, point: str, mode: str,
 
 
 def factor_ideal_dim(u: SSpace, v: SSpace, point: str, mode: str) -> int:
-    """Dimension of the morphisms killed by differentiation: those factoring
-    through a space full at p (mode "full": f(U) <= V(p)) or trivial at p
-    (mode "trivial": U(p) <= Ker f)."""
-    if mode not in ("full", "trivial"):
-        raise ValueError(f"mode must be full or trivial, got {mode}")
+    """Dimension of the morphisms that D_p in this mode kills: those through
+    a space full at p in filter mode (f(U) <= V(p)), through a space
+    trivial at p in ideal mode (U(p) <= Ker f)."""
+    check_mode(mode)
     pairs = [(u.sub(s), v.sub(s).quotient_map()) for s in u.poset.elements]
-    if mode == "full":
+    if mode == "filter":
         pairs.append((Subspace.full(u.field, u.dim), v.sub(point).quotient_map()))
     else:  # the identity is the quotient map of the zero target
         pairs.append((u.sub(point), Matrix.identity(v.field, v.dim)))

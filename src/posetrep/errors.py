@@ -77,9 +77,9 @@ class NoUniqueTop(PosetRepError):
 # differentiation
 
 class NotApplicable(PosetRepError):
-    def __init__(self, width, msg=None):
+    def __init__(self, width):
         self.width = width
-        super().__init__(msg or f"width of the complement is {width}, need <= 2")
+        super().__init__(f"width of the complement is {width}, need <= 2")
 
 
 # oracle

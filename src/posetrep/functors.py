@@ -70,7 +70,7 @@ def lift_along_ideal(f: SMorphism, v: SSpace, ideal_labels) -> tuple[SSpace, SMo
     r = set(ideal_labels)
     if not big.is_ideal(r):
         raise NotAnIdeal(sorted(r))
-    if set(f.source.poset.elements) != r or f.target != restrict(v, sorted_by(big, r)):
+    if set(f.source.poset.elements) != r or f.target != restrict(v, r):
         raise PosetMismatch("f must map an R-space into restrict(v, R)")
     u = f.source
     assign = {}
@@ -81,12 +81,6 @@ def lift_along_ideal(f: SMorphism, v: SSpace, ideal_labels) -> tuple[SSpace, SMo
             assign[t] = v.sub(t).preimage(f.mat)
     lifted = SSpace(big, u.field, u.dim, assign)
     return lifted, SMorphism(lifted, v, f.mat)
-
-
-def sorted_by(p: Poset, labels) -> list:
-    """labels in the element order of p."""
-    keep = set(labels)
-    return [x for x in p.elements if x in keep]
 
 
 # ---------------------------------------------------------------------------
@@ -113,11 +107,11 @@ class IncidenceRep:
         return self.maps[(s, t)]
 
 
-def psi(v: SSpace, top_label=None) -> IncidenceRep:
+def psi(v: SSpace) -> IncidenceRep:
     """Direct sum of the assigned subspaces as a socle-projective module
     over the incidence algebra of the poset with a new top adjoined."""
     base = v.poset
-    top = top_label or base.fresh_label("omega")
+    top = base.fresh_label("omega")
     big = base.adjoin_top(top)
     dims = {s: v.sub(s).dim for s in base.elements}
     dims[top] = v.dim

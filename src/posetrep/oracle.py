@@ -421,7 +421,7 @@ def _merge_sampled_classes(cfg: EnumConfig, field: Field, subs, reps):
     kept_spaces = []
     for rep, space in zip(reps, spaces):
         if not any(space.dims_profile() == other.dims_profile()
-                   and are_isomorphic(space, other, budget=20_000).is_iso
+                   and are_isomorphic(space, other).is_iso
                    for other in kept_spaces):
             kept.append(rep)
             kept_spaces.append(space)

@@ -430,10 +430,15 @@ class Poset:
 MODES = ("filter", "ideal")
 
 
-def _orient(p: Poset, mode: str):
-    """(p._up, p._down) in filter mode, (p._down, p._up) in ideal mode."""
+def check_mode(mode: str):
+    """The side of a point is filter (E_p) or ideal (E^p); else ValueError."""
     if mode not in MODES:
         raise ValueError(f"mode must be filter or ideal, got {mode}")
+
+
+def _orient(p: Poset, mode: str):
+    """(p._up, p._down) in filter mode, (p._down, p._up) in ideal mode."""
+    check_mode(mode)
     return (p._up, p._down) if mode == "filter" else (p._down, p._up)
 
 

@@ -11,15 +11,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations, islice, product
 
 from .errors import (FieldMismatch, InvalidMorphism, MonotonicityViolation,
                      PosetMismatch, UnknownLabel)
 from .linalg import Field, Matrix, Subspace, solution_space, vstack
-from .poset import Poset
+from .poset import Poset, check_mode
 
 
 # Largest q^(dim End) the idempotent search of `is_indecomposable` may try.
 END_CAP = 1 << 16
+# Most candidates `are_isomorphic` tries; a larger q^(dim Hom) is sampled.
+ISO_BUDGET = 20_000
 
 
 class SSpace:
@@ -123,9 +126,6 @@ class SMorphism:
         if self.target is not other.source and self.target != other.source:
             raise PosetMismatch("composition mismatch")
         return SMorphism(self.source, other.target, self.mat * other.mat, validate=False)
-
-    def __add__(self, other: "SMorphism") -> "SMorphism":
-        return SMorphism(self.source, self.target, self.mat + other.mat, validate=False)
 
     def __eq__(self, other):
         return (isinstance(other, SMorphism) and self.source == other.source
@@ -313,23 +313,27 @@ def e_quot(v: SSpace, p) -> tuple[SSpace, SMorphism]:
     return ep, SMorphism(v, ep, q, validate=False)
 
 
-def e_functor_map(f: SMorphism, p, mode: str) -> SMorphism:
-    """Action of E^p (mode sub) or E_p (mode quot) on a morphism."""
+def _e_matrix(f: SMorphism, p, mode: str) -> Matrix:
+    """The matrix of E_p f (mode filter): f on complement rows of U(p),
+    then the quotient map of V(p); or of E^p f (mode ideal): f on the
+    basis of U(p), in the coordinates of V(p)."""
+    check_mode(mode)
     u, v = f.source, f.target
-    if mode == "sub":
-        eu, ku = e_sub(u, p)
-        ev, kv = e_sub(v, p)
-        coords = v.sub(p).express_rows(ku.mat * f.mat)
-        return SMorphism(eu, ev, coords, validate=False)
-    if mode == "quot":
-        eu, pu = e_quot(u, p)
-        ev, pv = e_quot(v, p)
-        return SMorphism(eu, ev, u.sub(p).complement() * f.mat * pv.mat, validate=False)
-    raise ValueError(f"mode must be sub or quot, got {mode}")
+    if mode == "filter":
+        return u.sub(p).complement() * f.mat * v.sub(p).quotient_map()
+    return v.sub(p).express_rows(u.sub(p).mat * f.mat)
+
+
+def e_functor_map(f: SMorphism, p, mode: str) -> SMorphism:
+    """Action of E_p (mode filter) or E^p (mode ideal) on a morphism; any
+    other mode is a ValueError."""
+    mat = _e_matrix(f, p, mode)
+    e = e_quot if mode == "filter" else e_sub
+    return SMorphism(e(f.source, p)[0], e(f.target, p)[0], mat, validate=False)
 
 
 # ---------------------------------------------------------------------------
-# isomorphism (a budgeted search), minimality and indecomposability
+# isomorphism (a search with a fixed budget), minimality and indecomposability
 
 
 @dataclass(frozen=True)
@@ -343,37 +347,30 @@ class IsoResult:
 
 
 def _all_combinations(hom: HomSpace):
-    """Every element of the hom space; only callable over a prime field."""
-    coeffs = [0] * hom.dim
-    while True:
-        yield SMorphism(hom.source, hom.target, hom.combination(coeffs), validate=False)
-        k = 0
-        while k < hom.dim and coeffs[k] == hom.field.p - 1:
-            coeffs[k] = 0
-            k += 1
-        if k == hom.dim:
-            return
-        coeffs[k] += 1
+    """Every element of the hom space, the first coefficient varying
+    fastest; only callable over a prime field."""
+    for c in product(range(hom.field.p), repeat=hom.dim):
+        yield SMorphism(hom.source, hom.target, hom.combination(c[::-1]), validate=False)
 
 
-def _sampled_candidates(rng: random.Random, hom: HomSpace, budget: int):
-    """Structured trials first, then random combinations within budget."""
-    for f in hom.basis:
-        yield f
-    for i in range(len(hom.basis)):
-        for j in range(i + 1, len(hom.basis)):
-            yield hom.basis[i] + hom.basis[j]
-    trials = 20 if hom.field.p is None else min(budget, 2000)
+def _sampled_candidates(hom: HomSpace):
+    """Structured trials first (each basis element, each sum of two), then
+    2000 random combinations over F_p, 20 over Q, from a fixed seed."""
+    rng = random.Random(0)
+    yield from hom.basis
+    for f, g in combinations(hom.basis, 2):
+        yield SMorphism(hom.source, hom.target, f.mat + g.mat, validate=False)
+    trials = 20 if hom.field.p is None else 2000
     for _ in range(trials):
         mat = hom.combination([rng.randrange(-3, 4) for _ in hom.basis])
         yield SMorphism(hom.source, hom.target, mat, validate=False)
 
 
-def are_isomorphic(u: SSpace, v: SSpace, seed: int = 0, budget: int = 100_000) -> IsoResult:
-    """Budgeted isomorphism search.  A positive answer always carries a
-    verified witness; a negative one only follows from certified
-    obstructions or an exhausted prime-field enumeration; anything else is
-    undecided."""
+def are_isomorphic(u: SSpace, v: SSpace) -> IsoResult:
+    """Isomorphism search with a fixed budget of ISO_BUDGET candidates and
+    a fixed random stream.  A positive answer always carries a verified
+    witness; a negative one only follows from certified obstructions or an
+    exhausted prime-field enumeration; anything else is undecided."""
     _check_same_category(u, v)
     if u.dim != v.dim:
         return IsoResult("not_iso")
@@ -390,17 +387,9 @@ def are_isomorphic(u: SSpace, v: SSpace, seed: int = 0, budget: int = 100_000) -
         return IsoResult("not_iso")
     if huv.dim == 0:
         return IsoResult("not_iso")
-    exhaustive = huv.field.p is not None and huv.field.p ** huv.dim <= budget
-    if exhaustive:
-        candidates = _all_combinations(huv)
-    else:
-        candidates = _sampled_candidates(random.Random(seed), huv, budget)
-    tried = 0
-    for cand in candidates:
-        tried += 1
-        if tried > budget:
-            exhaustive = False
-            break
+    exhaustive = huv.field.p is not None and huv.field.p ** huv.dim <= ISO_BUDGET
+    candidates = _all_combinations(huv) if exhaustive else _sampled_candidates(huv)
+    for cand in islice(candidates, ISO_BUDGET):
         if cand.is_iso():
             return IsoResult("iso", cand)
     return IsoResult("not_iso") if exhaustive else IsoResult("undecided")

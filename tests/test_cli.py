@@ -212,13 +212,22 @@ def test_oracle_table_names_the_undecided_classes(tmp_path, capsys):
 
 
 def test_oracle_cross_check_and_reps(three_file, tmp_path, capsys):
+    """--reps writes the same files with --cross-check as without it."""
     assert main(["oracle", three_file, "--cross-check"]) == 0
     assert "nu=9" in capsys.readouterr().out
-    reps = str(tmp_path / "reps")
-    assert main(["oracle", three_file, "--reps", reps]) == 0
+    reps = tmp_path / "reps"
+    assert main(["oracle", three_file, "--reps", str(reps)]) == 0
     out = capsys.readouterr().out
     assert "wrote 9 representatives" in out
     assert load_sspace(f"{reps}/indec000.ssp").dim == 1
+    both = tmp_path / "both"
+    assert main(["oracle", three_file, "--cross-check", "--reps", str(both)]) == 0
+    out = capsys.readouterr().out
+    assert "nu=9" in out and "wrote 9 representatives" in out
+    written = sorted(path.name for path in reps.iterdir())
+    assert sorted(path.name for path in both.iterdir()) == written
+    for name in written:
+        assert (both / name).read_bytes() == (reps / name).read_bytes()
 
 
 def test_oracle_guardrail(tmp_path, capsys):

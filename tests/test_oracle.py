@@ -357,7 +357,7 @@ def test_density_at_desk_scale():
             images.append(diff_space(v, "x", "filter", derived))
     for d in target_census.per_dim:
         for rep in d.reps:
-            assert any(are_isomorphic(rep, img, seed=4).is_iso
+            assert any(are_isomorphic(rep, img).is_iso
                        for img in images if img.dim == rep.dim)
 
 

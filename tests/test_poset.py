@@ -2,11 +2,13 @@ import random
 
 import pytest
 
-from posetrep.differentiation import derive_poset
+from posetrep.differentiation import derive_poset, diff_space, factor_ideal_dim
 from posetrep.errors import CycleDetected, DuplicateLabel, UnknownLabel
+from posetrep.linalg import QQ, Subspace
 from posetrep.poset import (MODES, Poset, applicability_width, applicable_moves,
                             derived_carrier, derived_set, is_applicable)
 from posetrep.randgen import random_poset
+from posetrep.sspace import SMorphism, SSpace, e_functor_map
 from posetrep.verify import all_posets_up_to
 
 from helpers import (antichain_leq, antichain_poset, chain, example510, maximal,
@@ -265,16 +267,26 @@ def test_iterated_derivation_label_collision_gets_prime():
 
 def test_mode_is_checked_at_every_entry():
     """A mode other than filter or ideal is refused, not read as ideal;
-    derive_poset relies on the same check."""
+    derive_poset, differentiation with a derived poset given, the E
+    functors on morphisms and the factor ideals rely on the same check.
+    The words the E functors (quot, sub) and the factor ideals (full,
+    trivial) once took are refused too."""
     p = antichain_poset("x", "y", "z")
-    calls = [lambda: derived_carrier(p, ["x"], "bogus"),
-             lambda: derived_set(p, "x", "bogus"),
-             lambda: applicability_width(p, "x", "bogus"),
-             lambda: is_applicable(p, "x", "bogus"),
-             lambda: derive_poset(p, "x", "bogus")]
-    for call in calls:
-        with pytest.raises(ValueError, match="mode must be filter or ideal, got bogus"):
-            call()
+    v = SSpace(p, QQ, 1, {"x": Subspace.full(QQ, 1)})
+    derived = derive_poset(p, "x", "filter")
+    ident = SMorphism.identity(v)
+    for word in ("bogus", "quot", "sub", "full", "trivial"):
+        calls = [lambda: derived_carrier(p, ["x"], word),
+                 lambda: derived_set(p, "x", word),
+                 lambda: applicability_width(p, "x", word),
+                 lambda: is_applicable(p, "x", word),
+                 lambda: derive_poset(p, "x", word),
+                 lambda: diff_space(v, "x", word, derived),
+                 lambda: e_functor_map(ident, "x", word),
+                 lambda: factor_ideal_dim(v, v, "x", word)]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"mode must be filter or ideal, got {word}"):
+                call()
 
 
 def test_poset_112_shape():

@@ -223,7 +223,7 @@ def test_hom_systems_are_one_elimination(field, monkeypatch):
 
         full = (Subspace.full(field, u.dim), v.sub(point))
         trivial = (u.sub(point), Subspace.zero(field, v.dim))
-        for mode, extra in (("full", full), ("trivial", trivial)):
+        for mode, extra in (("filter", full), ("ideal", trivial)):
             dim, count = eliminations(lambda: factor_ideal_dim(u, v, point, mode))
             ref, rows = reference_hom_solutions(u, v, pairs + [extra])
             check(count, rows)
@@ -424,7 +424,7 @@ def test_e_maps_are_functorial():
         f = random_morphism(rng, hom_space(u, v))
         g = random_morphism(rng, hom_space(v, w))
         pt = rng.choice(p.elements)
-        for mode in ("sub", "quot"):
+        for mode in ("filter", "ideal"):
             lhs = e_functor_map(f.then(g), pt, mode)
             rhs = e_functor_map(f, pt, mode).then(e_functor_map(g, pt, mode))
             assert lhs == rhs
@@ -442,7 +442,7 @@ def test_e_vanishing_and_factorizations():
         f = random_morphism(rng, hom_space(u, v))
         pt = rng.choice(p.elements)
         image = Subspace.full(F5, u.dim).image(f.mat)
-        quot_zero = e_functor_map(f, pt, "quot").is_zero()
+        quot_zero = e_functor_map(f, pt, "filter").is_zero()
         assert quot_zero == v.sub(pt).contains(image)
         if quot_zero and u.dim and quota_full < 20:
             quota_full += 1
@@ -450,7 +450,7 @@ def test_e_vanishing_and_factorizations():
             head = SMorphism(u, ev, v.sub(pt).express_rows(f.mat))
             assert ev.sub(pt).is_full()
             assert head.then(kappa) == f
-        sub_zero = e_functor_map(f, pt, "sub").is_zero()
+        sub_zero = e_functor_map(f, pt, "ideal").is_zero()
         assert sub_zero == u.sub(pt).image(f.mat).is_zero()
         if sub_zero and quota_trivial < 20:
             quota_trivial += 1
@@ -569,11 +569,45 @@ def test_are_isomorphic_after_base_change():
         while g is None or not g.is_invertible():
             g = Matrix(F5, [[rng.randrange(5) for _ in range(v.dim)] for _ in range(v.dim)], v.dim)
         moved = SSpace(p, F5, v.dim, {s: v.sub(s).image(g) for s in p.elements})
-        res = are_isomorphic(v, moved, seed=3)
+        res = are_isomorphic(v, moved)
         assert res.is_iso
         assert res.witness.inverse() is not None
         found += 1
     assert found > 10
+
+
+def test_isomorphism_search_takes_only_its_two_spaces():
+    """No seed and no budget to set, and no unchecked sum of morphisms."""
+    import inspect
+
+    assert list(inspect.signature(are_isomorphic).parameters) == ["u", "v"]
+    assert not hasattr(SMorphism, "__add__")
+
+
+def test_all_combinations_vary_the_first_coefficient_fastest():
+    """The enumeration order, and so which witness a search finds first."""
+    from posetrep.sspace import _all_combinations
+
+    p = antichain_poset("x")
+    k = simple_filter_space(p, Field.prime(3), ())
+    hom = hom_space(direct_sum(k, k), k)
+    assert hom.dim == 2
+    assert ([f.mat for f in _all_combinations(hom)]
+            == [hom.combination((a, b)) for b in range(3) for a in range(3)])
+
+
+def test_random_sspace_is_monotone_by_construction():
+    """random_sspace does not validate what it builds; every draw must
+    still pass the monotonicity check."""
+    rng = random.Random(43)
+    nested = 0
+    for i in range(300):
+        field = (F2, F5, QQ)[i % 3]
+        p = random_poset(rng, 6)
+        v = random_sspace(rng, p, field, 4)
+        validate_sspace(v)
+        nested += any(not v.sub(s).is_zero() for s, _ in p.covers())
+    assert nested > 50
 
 
 def test_mono_epi_criterion():
