@@ -11,10 +11,12 @@ tested as equality of canonical forms instead of an isomorphism search.
 
 Every elimination runs in `_rref`, which has one kernel per kind of field:
 
-* over Q each row is scaled by the lcm of its denominators to a primitive
-  integer vector; rows are eliminated fraction-free (a*row - b*lead, then
-  divided by the gcd of the entries), and Fractions are built only for the
-  result, by dividing each kept row by its pivot entry;
+* over Q each row is scaled to a primitive integer vector (a row of ints
+  by the gcd of its entries, a row holding Fractions first by the lcm of
+  its denominators); rows are eliminated fraction-free (a*row - b*lead,
+  then divided by the gcd of the entries).  Fractions are built only for
+  the result, by dividing each kept row by its pivot entry, or not at all
+  in the integer mode, which returns the primitive integer rows;
 * over F_p the rows are ints reduced by an inline `% p`, and a pivot is
   normalised by its inverse pow(a, p - 2, p).
 
@@ -23,10 +25,13 @@ RREF of a matrix is unique.
 
 Each subspace operation runs at most one elimination:
 
-* `Matrix.null_rows` eliminates the transpose with its columns reversed,
-  so that the kernel vectors read off it are already the RREF basis of
-  the kernel (Cohen, GTM 138, section 2.3); `annihilator` and
-  `solution_space` are such a kernel;
+* a kernel (`_kernel`) eliminates its constraint rows with their columns
+  reversed, so that the kernel vectors read off them are already the RREF
+  basis of the kernel (Cohen, GTM 138, section 2.3).  Over Q it reads the
+  integer rows, and makes a Fraction only for each nonzero entry of that
+  basis.  `Matrix.null_rows` is the kernel of the columns, `annihilator`
+  that of the basis rows, and `solution_space` that of the constraint
+  rows as given, ints or Fractions, each up to a nonzero multiple;
 * `quotient_map` is written down from the RREF basis with no elimination,
   and `preimage` is the kernel of the map followed by it;
 * `intersect` of any number of operands is one such kernel, the left
@@ -40,9 +45,9 @@ Entries enter a `Matrix` in one of two ways.  The public constructor
 input from files and callers goes through it.  The internal `Matrix._of`
 takes a tuple of tuples whose entries are already canonical (a Fraction
 over Q, an int in [0, p) over F_p) and checks nothing, so it is used only
-on entries computed from canonical entries: in this module, on the
-constraint rows that `sspace._hom_solutions` reduces as it builds them,
-and in `sspace` on the rows of a `solution_space`.
+on entries computed from canonical entries: in this module, on the results
+of its operations, and in `sspace` and `functors` on rows cut from such
+results, such as the rows of a `solution_space`.
 """
 
 from __future__ import annotations
@@ -55,6 +60,8 @@ from operator import mul
 from .errors import DimensionMismatch, FieldMismatch, InvalidField, InvalidScalar
 
 _PRIME_LIMIT = 1 << 16
+# Fractions are immutable, so every 0 and 1 over Q can be these two.
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def _is_prime(p: int) -> bool:
@@ -94,11 +101,11 @@ class Field:
 
     @property
     def zero(self):
-        return Fraction(0) if self.p is None else 0
+        return _ZERO if self.p is None else 0
 
     @property
     def one(self):
-        return Fraction(1) if self.p is None else 1
+        return _ONE if self.p is None else 1
 
     def coerce(self, x):
         """The canonical element equal to the exact number x.  Over F_p a
@@ -150,19 +157,35 @@ def _check_same_field(a: Field, b: Field):
         raise FieldMismatch(f"{a} vs {b}")
 
 
-def _rref(field: Field, rows, ncols):
-    """RREF of rows of canonical entries; returns (nonzero rows as tuples,
-    pivot column list).  See the module docstring for the two kernels."""
-    p = field.p
-    if p is None:
-        work = []
-        for row in rows:
+def _primitive(rows):
+    """Each nonzero rational row, its entries ints or Fractions, as the
+    primitive integer vector on its line; zero rows are dropped.  `gcd`
+    takes ints only, so a row of ints costs one call, and a row holding a
+    Fraction is first brought over the lcm of its denominators."""
+    out = []
+    for row in rows:
+        ints = row
+        try:
+            g = gcd(*row)
+        except TypeError:
             pairs = [x.as_integer_ratio() for x in row]
             den = lcm(*[d for _, d in pairs])
             ints = [n * (den // d) for n, d in pairs]
             g = gcd(*ints)
-            if g:
-                work.append([x // g for x in ints] if g != 1 else ints)
+        if g:
+            out.append([x // g for x in ints] if g > 1 else ints)
+    return out
+
+
+def _rref(field: Field, rows, ncols, integer=False):
+    """RREF of rows of canonical entries; returns (nonzero rows, pivot
+    column list).  See the module docstring for the two kernels.  Over Q
+    the rows may also hold ints, and with `integer` the result keeps the
+    primitive integer rows, each a nonzero multiple of its RREF row; over
+    F_p `integer` changes nothing."""
+    p = field.p
+    if p is None:
+        work = _primitive(rows)
     else:
         work = [list(row) for row in rows if any(row)]
     pivots = []
@@ -195,9 +218,37 @@ def _rref(field: Field, rows, ncols):
             break
     if p is not None:
         return [tuple(row) for row in work[:r]], pivots
-    zero = Fraction(0)
-    return [tuple(Fraction(x, row[c]) if x else zero for x in row)
+    if integer:
+        return work[:r], pivots
+    return [tuple(Fraction(x, row[c]) if x else _ZERO for x in row)
             for row, c in zip(work, pivots)], pivots
+
+
+def _kernel(field: Field, rows, n) -> "Matrix":
+    """The RREF basis of {x in k^n : r . x = 0 for every constraint row r}.
+    One elimination, of the rows with their columns reversed: the kernel
+    vector of free column f is then 1 at f and nonzero only at later pivot
+    columns, so these vectors, in order of f, are already the reduced row
+    echelon form.  Over Q the elimination keeps its integer rows, and a
+    Fraction is made only for a nonzero entry of the basis."""
+    p = field.p
+    red, pivots = _rref(field, (r[::-1] for r in rows), n, True)
+    piv_set = set(pivots)
+    zero, one = field.zero, field.one
+    basis = []
+    for f in range(n - 1, -1, -1):  # reversed column f is column n-1-f
+        if f in piv_set:
+            continue
+        v = [zero] * n
+        v[n - 1 - f] = one
+        for row, pc in zip(red, pivots):
+            if pc > f:
+                break
+            x = row[f]
+            if x:
+                v[n - 1 - pc] = Fraction(-x, row[pc]) if p is None else p - x
+        basis.append(tuple(v))
+    return Matrix._of(field, tuple(basis), n)
 
 
 class Matrix:
@@ -327,29 +378,8 @@ class Matrix:
     def null_rows(self) -> "Matrix":
         """The RREF basis of the left kernel {x : x * self = 0}; shape
         k x nrows.  One elimination, of the transpose with its columns
-        reversed: the kernel vector of free column f is then 1 at f and
-        nonzero only at later pivot columns, so these vectors, in order of
-        f, are already the reduced row echelon form."""
-        field = self.field
-        p = field.p
-        n = self.nrows
-        red, pivots = _rref(field, zip(*self.rows[::-1]) if self.rows else [], n)
-        piv_set = set(pivots)
-        zero, one = field.zero, field.one
-        basis = []
-        for f in range(n - 1, -1, -1):  # reversed column f is column n-1-f
-            if f in piv_set:
-                continue
-            v = [zero] * n
-            v[n - 1 - f] = one
-            for row, pc in zip(red, pivots):
-                if pc > f:
-                    break
-                x = row[f]
-                if x:
-                    v[n - 1 - pc] = -x if p is None else p - x
-            basis.append(tuple(v))
-        return Matrix._of(field, tuple(basis), n)
+        reversed (see `_kernel`)."""
+        return _kernel(self.field, zip(*self.rows), self.nrows)
 
     def inverse(self):
         """Inverse matrix, or None if not square/invertible."""
@@ -357,7 +387,8 @@ class Matrix:
             return None
         n = self.nrows
         field = self.field
-        aug = [list(r) + [field.one if i == j else field.zero for j in range(n)]
+        one, zero = field.one, field.zero
+        aug = [list(r) + [one if i == j else zero for j in range(n)]
                for i, r in enumerate(self.rows)]
         red, pivots = _rref(field, aug, 2 * n)
         if list(pivots) != list(range(n)):
@@ -563,9 +594,12 @@ class Subspace:
 
 
 def solution_space(field: Field, nvars: int, constraint_rows) -> Subspace:
-    """All x in k^nvars with c . x = 0 for every constraint row c; the rows
-    must be canonical, as `sspace._hom_solutions` builds them (no coercion)."""
-    c = Matrix._of(field, tuple(constraint_rows), nvars)
-    if c.nrows == 0:
+    """All x in k^nvars with c . x = 0 for every constraint row c, by one
+    elimination of the rows with their columns reversed (see `_kernel`).
+    Over Q a row may hold ints and Fractions and stand for any nonzero
+    multiple of itself, as `sspace._hom_solutions` writes its rows on
+    ints; over F_p the entries must be canonical.  No entry is coerced."""
+    rows = list(constraint_rows)
+    if not rows:
         return Subspace.full(field, nvars)
-    return Subspace(field, nvars, c.transpose().null_rows())
+    return Subspace(field, nvars, _kernel(field, rows, nvars))

@@ -15,7 +15,7 @@ from itertools import combinations, islice, product
 
 from .errors import (FieldMismatch, InvalidMorphism, MonotonicityViolation,
                      PosetMismatch, UnknownLabel)
-from .linalg import Field, Matrix, Subspace, solution_space, vstack
+from .linalg import Field, Matrix, Subspace, _primitive, solution_space, vstack
 from .poset import Poset, check_mode
 
 
@@ -205,20 +205,22 @@ def _hom_solutions(u: SSpace, v: SSpace, pairs) -> Subspace:
     """The matrices f : k^dim_U -> k^dim_V, flattened row by row, with
     b * f * c = 0 for each row b of B and column c of C, for every pair (B, C)
     of a source subspace and a matrix whose columns cut out the target (its
-    quotient map).  The row of (b, c) holds b[i] * c[j] at i * dim_V + j,
-    reduced as it is built: the one constraint builder behind Hom spaces
+    quotient map).  The row of (b, c) holds b[i] * c[j] at i * dim_V + j:
+    over Q on ints, each b and c scaled once to a primitive integer vector
+    (a nonzero multiple of a constraint has its solutions), and over F_p
+    reduced as it is built.  The one constraint builder behind Hom spaces
     and their subspaces, solved by one elimination."""
     p = u.field.p
     nv = v.dim
-    zero = u.field.zero
     width = u.dim * nv
+    scaled = _primitive if p is None else list
     rows = []
     for bsub, cut in pairs:
-        cols = [[(j, cj) for j, cj in enumerate(c) if cj] for c in zip(*cut.rows)]
-        for b in bsub.mat.rows:
+        cols = [[(j, cj) for j, cj in enumerate(c) if cj] for c in scaled(zip(*cut.rows))]
+        for b in scaled(bsub.mat.rows):
             terms = [(i * nv, bi) for i, bi in enumerate(b) if bi]
             for c in cols:
-                row = [zero] * width
+                row = [0] * width
                 for base, bi in terms:
                     for j, cj in c:
                         row[base + j] = bi * cj if p is None else bi * cj % p

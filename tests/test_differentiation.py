@@ -10,6 +10,7 @@ from posetrep.differentiation import (applicability_width, derive_poset,
                                       is_applicable, nu_count,
                                       poset_fingerprint, serialize_trace)
 from posetrep.errors import NotApplicable, PosetMismatch
+from posetrep.functors import coinduce
 from posetrep.linalg import QQ, Field, Matrix, Subspace
 from posetrep.poset import Poset, applicable_moves, derived_carrier
 from posetrep.randgen import random_morphism, random_poset, random_sspace
@@ -738,3 +739,65 @@ def test_nu_first_random_traces_pinned():
             if len(p) == size and (p.width() == 3 if wide else p.width() <= 2):
                 got.append(_trace_sha(nu_count(p)))
     assert got == PINNED_FIRST_RANDOM
+
+
+# Hom, D_p, coinduction and duality on dim-6 spaces over Q -------------------
+
+
+def _space_sha(v):
+    subs = ";".join(f"{s}:{v.sub(s).mat.rows!r}" for s in v.poset.elements)
+    text = f"{v.field}|{v.dim}|{list(v.poset.elements)}{v.poset.covers()}|{subs}"
+    return hashlib.sha1(text.encode()).hexdigest()[:16]
+
+
+def wide_q_digests():
+    """Twelve seeded instances shaped like the wide benchmark: two dim-6
+    spaces over Q on a random poset of each size 1..6 (twice), and a point
+    where a random mode applies.  For each, the sha1 prefixes of the Hom
+    rows, of D_p u, of u coinduced to the carrier, and of the dual of u."""
+    rng = random.Random(2508)
+
+    def space(p):
+        while True:
+            v = random_sspace(rng, p, QQ, 6)
+            if v.dim == 6:
+                return v
+
+    got = []
+    for size in [1, 2, 3, 4, 5, 6] * 2:
+        while True:
+            p = random_poset(rng, size)
+            mode = rng.choice(["filter", "ideal"])
+            points = [x for x in p.elements if is_applicable(p, x, mode)]
+            if len(p) == size and points:
+                break
+        point = rng.choice(points)
+        u, v = space(p), space(p)
+        derived = derive_poset(p, point, mode)
+        rows = hom_space(u, v).flat.mat.rows
+        got.append((hashlib.sha1(repr(rows).encode()).hexdigest()[:16],
+                    _space_sha(diff_space(u, point, mode, derived)),
+                    _space_sha(coinduce(u, derived.carrier)), _space_sha(dualize(u))))
+    return got
+
+
+# recorded before the Q Hom systems were eliminated on integer rows: every
+# Hom basis, derived space, coinduced space and dual must stay the same
+PINNED_WIDE_Q = [
+    ("2240c34466e5faef", "75d52a7297ceb7d2", "4060fd00d558fce3", "631c4413188b4017"),
+    ("4c5f1ea2dd928032", "5dad0ceac175ca66", "f742c1690482758d", "52660f8247550484"),
+    ("ab6e4b0c325d3f28", "a3650c6513b0d58c", "62238a2c159799f1", "dcc96bd62976a2be"),
+    ("f6ea270bbd340cfc", "fcb5e7b1f54ba361", "8c23e84b97be60ae", "8e5a345a67bd3d8e"),
+    ("5b9edd438822c003", "a3a66ff76d8409b3", "ce03edc8fdf7299d", "4f474cea18b6f12b"),
+    ("3877b6f46e239d3a", "25fa445a0a15f3ef", "470f61df702c1566", "46564418c5a070fe"),
+    ("ec358f4a663f1645", "75d52a7297ceb7d2", "8d8c773cf3f786c6", "8f09ac9f7641ab27"),
+    ("c418af1cab0e40e6", "b60dc6d8a671f81b", "2bc5e50632ce4172", "b0d12d11d8b5107c"),
+    ("abcba4999c9917d1", "bcfe3065e378d2df", "eef08dc3260a382e", "67d762b5a0c3f538"),
+    ("f7b8f94dc8ad9108", "1b1c27d6a9e5f559", "e1d6255593612a8c", "c489cafba1ba3783"),
+    ("c010cb8a179704f6", "5c384683abefe199", "892e337a072c6f93", "6aee4b2cd3922f00"),
+    ("0949181808eb7ff9", "170aa2d0776eeee3", "e14018f64ee0ff07", "9d1c2defed804257"),
+]
+
+
+def test_wide_q_outputs_pinned():
+    assert wide_q_digests() == PINNED_WIDE_Q

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -99,6 +100,16 @@ def test_kernels_match_reference_elimination(field):
             rows = random_rows(rng, field, nrows, ncols)
             ref, ref_pivots = reference_rref(field, rows, ncols)
             assert _rref(field, rows, ncols) == (ref, ref_pivots)
+            # the integer mode: over Q each row a primitive integer multiple
+            # of its RREF row, over F_p the RREF itself
+            ints, int_pivots = _rref(field, rows, ncols, True)
+            assert int_pivots == ref_pivots and len(ints) == len(ref)
+            for row, ref_row, c in zip(ints, ref, ref_pivots):
+                if field.p is None:
+                    assert all(type(x) is int for x in row) and gcd(*row) == 1
+                    assert tuple(Fraction(x, row[c]) for x in row) == ref_row
+                else:
+                    assert tuple(row) == ref_row
             m = Matrix(field, rows, ncols)
             red, pivots = m.rref()
             assert red.rows == tuple(ref) and pivots == tuple(ref_pivots)
@@ -225,6 +236,47 @@ def test_subspace_operations_match_two_step_route_with_one_elimination(field, mo
             assert count == 0 and q == reference_quotient(a)
             for out in (ann.mat, pre.mat, sol.mat, q):
                 assert_canonical(field, out)
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F3, F5, F65521], ids=repr)
+def test_solution_space_takes_any_nonzero_multiple_of_a_row(field, monkeypatch):
+    """A constraint row stands for its nonzero multiples: over Q it may be
+    given on Fractions, on ints, or scaled by any nonzero integer; over F_p
+    scaled by any nonzero residue.  Each form gives the same canonical
+    subspace, by one elimination."""
+    calls = []
+    kernel = linalg._rref
+
+    def counted(*args):
+        calls.append(args[2])
+        return kernel(*args)
+
+    monkeypatch.setattr(linalg, "_rref", counted)
+    rng = random.Random(60 + (field.p or 0))
+
+    def nonzero():
+        return rng.choice([-1, 1]) * rng.randrange(1, 50)
+
+    for trial in range(6):
+        for nrows, ncols in SHAPES:
+            rows = random_rows(rng, field, nrows, ncols)
+            if field.p is None:
+                ints = [[int(x * lcm(*(y.denominator for y in row))) for x in row]
+                        for row in rows]
+                forms = [rows, ints, [[k * x for x in row] for row, k in
+                                      zip(ints, [nonzero() for _ in rows])],
+                         [[k * x for x in row] for row, k in
+                          zip(rows, [Fraction(nonzero(), nonzero()) for _ in rows])]]
+            else:
+                forms = [rows, [[k * x % field.p for x in row] for row, k in
+                                zip(rows, [rng.randrange(1, field.p) for _ in rows])]]
+            expected = reference_solution_space(field, ncols, rows)
+            for form in forms:
+                calls.clear()
+                sol = solution_space(field, ncols, form)
+                assert len(calls) == (1 if rows else 0)
+                assert sol == expected
+                assert_canonical(field, sol.mat)
 
 
 def test_coerce_maps_rationals_into_prime_fields():
