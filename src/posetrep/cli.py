@@ -89,9 +89,7 @@ def cmd_hom(args) -> int:
     hom = hom_space(u, v)
     print(f"dim {hom.dim}")
     for k, f in enumerate(hom.basis):
-        body = " ; ".join(",".join(u.field.format(x) for x in row)
-                          for row in f.mat.rows)
-        print(f"basis {k}: {body}")
+        print(f"basis {k}: {fileio.format_rows(f.mat.rows)}")
     return 0
 
 

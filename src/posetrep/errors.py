@@ -24,7 +24,8 @@ class DuplicateLabel(PosetRepError):
 
 
 class InvalidLabel(PosetRepError):
-    pass
+    """A label the file formats cannot carry: empty, or holding whitespace,
+    '#', '<' or ':'.  Raised on read and before a file is written."""
 
 
 class NotAnAntichain(PosetRepError):

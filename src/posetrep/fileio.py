@@ -7,10 +7,13 @@ A .poset file:
     relations: a<b b<c
 
 Relations may be any generating set; the closure is computed on load.  Each
-relation token is two nonempty labels around one '<'.
-Labels in files must not contain '^' or 'v', which are reserved for the
-rendered meet/join labels of derived posets (programmatic labels are not
-restricted; the ban only guards round-trips through files).
+relation token is two labels around one '<'.  A label is a nonempty token
+with no whitespace and none of '#', '<' or ':', the characters the two
+formats split on; any other character may appear, so the rendered names
+of derived posets (a^b, avb, a^b') are labels like any other.  Labels are
+checked on read and before anything is written (`InvalidLabel`).  The
+header `elements-derived:`, written by earlier versions for derived
+posets, is read as `elements:`.
 
 An .ssp file:
 
@@ -20,21 +23,25 @@ An .ssp file:
     space a: 1,0,0 ; 0,1,0
     space b: 1/2,0,1
 
-Omitted elements get the zero subspace; vectors are canonicalized on load
-and monotonicity is validated.  The field:, poset: and dim: lines, and the
+A scalar is an integer or a/b over either field; over F_p a/b is
+a * b^-1, and a denominator divisible by p is a `ParseError`.  Omitted
+elements get the zero subspace; vectors are canonicalized on load and
+monotonicity is validated.  The field:, poset: and dim: lines, and the
 space line of each element, may each appear once.
+
+This module is the one place that knows the text syntax: `linalg` holds
+scalars, and `posetrep hom` prints its vectors through `format_rows`.
 """
 
 from __future__ import annotations
 
 import os
+from fractions import Fraction
 
 from .errors import InvalidLabel, ParseError, WriteError
 from .linalg import Field, Subspace
 from .poset import Poset
 from .sspace import SSpace
-
-RESERVED_CHARS = ("^", "v")
 
 
 def _strip_comments(text: str) -> list[str]:
@@ -46,11 +53,12 @@ def _strip_comments(text: str) -> list[str]:
     return lines
 
 
-def _check_file_label(label: str):
-    for ch in RESERVED_CHARS:
-        if ch in label:
-            raise InvalidLabel(
-                f"label {label!r} contains {ch!r}, reserved for derived posets")
+def _check_labels(labels):
+    for x in labels:
+        if not (isinstance(x, str) and x.split() == [x]
+                and "#" not in x and "<" not in x and ":" not in x):
+            raise InvalidLabel(f"label {x!r} is empty or holds whitespace, "
+                               "'#', '<' or ':'")
 
 
 def parse_poset(text: str) -> Poset:
@@ -60,13 +68,8 @@ def parse_poset(text: str) -> Poset:
         if line.startswith(("elements:", "elements-derived:")):
             if elements is not None:
                 raise ParseError("duplicate elements line")
-            head, _, body = line.partition(":")
-            elements = body.split()
-            # elements-derived, emitted by derive --emit, allows rendered
-            # meet/join labels
-            if head == "elements":
-                for x in elements:
-                    _check_file_label(x)
+            elements = line.partition(":")[2].split()
+            _check_labels(elements)
         elif line.startswith("relations:"):
             for token in line[len("relations:"):].split():
                 a, _, b = token.partition("<")
@@ -81,10 +84,9 @@ def parse_poset(text: str) -> Poset:
 
 
 def format_poset(p: Poset) -> str:
-    derived = any(ch in x for x in p.elements for ch in RESERVED_CHARS)
-    head = "elements-derived" if derived else "elements"
+    _check_labels(p.elements)
     rel = " ".join(f"{a}<{b}" for a, b in p.covers())
-    return f"{head}: {' '.join(p.elements)}\nrelations: {rel}\n"
+    return f"elements: {' '.join(p.elements)}\nrelations: {rel}\n"
 
 
 def _read(path: str) -> str:
@@ -130,10 +132,19 @@ def format_field(field: Field) -> str:
 
 
 def _parse_scalar(field: Field, token: str):
+    """An integer or a/b, as an element of field; InvalidScalar (a
+    denominator divisible by p) is a ValueError, so it is a ParseError too."""
+    num, slash, den = token.partition("/")
     try:
-        return field.parse(token)
+        return field.coerce(Fraction(int(num), int(den)) if slash else int(num))
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad scalar {token.strip()!r}") from None
+
+
+def format_rows(rows) -> str:
+    """Vectors as the .ssp files and `posetrep hom` write them: entries
+    joined by ',', vectors by ' ; '."""
+    return " ; ".join(",".join(map(str, row)) for row in rows)
 
 
 def parse_sspace(text: str, poset_loader) -> SSpace:
@@ -179,14 +190,13 @@ def parse_sspace(text: str, poset_loader) -> SSpace:
 
 
 def format_sspace(v: SSpace, poset_path: str) -> str:
+    _check_labels(v.poset.elements)
     lines = [f"field: {format_field(v.field)}", f"poset: {poset_path}", f"dim: {v.dim}"]
     for s in v.poset.elements:
         sub = v.sub(s)
         if sub.is_zero():
             continue
-        vecs = " ; ".join(",".join(v.field.format(x) for x in row)
-                          for row in sub.mat.rows)
-        lines.append(f"space {s}: {vecs}")
+        lines.append(f"space {s}: {format_rows(sub.mat.rows)}")
     return "\n".join(lines) + "\n"
 
 

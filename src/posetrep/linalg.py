@@ -1,8 +1,10 @@
 """Exact linear algebra over the rationals and prime fields.
 
 Scalars are `fractions.Fraction` over Q and plain ints in [0, p) over F_p.
-Vectors are rows; a linear map k^n -> k^m is an n x m matrix acting by
-v |-> v * M, so composition "f then g" is the product M_f * M_g.
+This module knows no text syntax: `fileio` reads scalars through
+`Field.coerce` and writes them with `str`.  Vectors are rows; a linear
+map k^n -> k^m is an n x m matrix acting by v |-> v * M, so composition
+"f then g" is the product M_f * M_g.
 
 A subspace is stored as the reduced row echelon form of a spanning set.
 RREF is a unique representative, so subspace equality is literal entry
@@ -126,18 +128,6 @@ class Field:
         if x.denominator % p == 0:
             raise InvalidScalar(f"{x} has no value in F{p}: {p} divides its denominator")
         return x.numerator * pow(x.denominator, p - 2, p) % p
-
-    def parse(self, token: str):
-        token = token.strip()
-        if self.p is None:
-            if "/" in token:
-                num, den = token.split("/")
-                return Fraction(int(num), int(den))
-            return Fraction(int(token))
-        return int(token) % self.p
-
-    def format(self, x) -> str:
-        return str(x)
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.p == other.p
@@ -304,7 +294,7 @@ class Matrix:
         return hash((self.field, self.ncols, self.rows))
 
     def __repr__(self):
-        body = "; ".join(",".join(self.field.format(x) for x in r) for r in self.rows)
+        body = "; ".join(",".join(map(str, r)) for r in self.rows)
         return f"Matrix({self.field}, {self.nrows}x{self.ncols}: {body})"
 
     def __mul__(self, other: "Matrix") -> "Matrix":

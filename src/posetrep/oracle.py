@@ -31,9 +31,8 @@ them (`_image_rows`), as representatives hold few of the subspaces.
 The subspaces, their masks and the image rows depend only on (q, n) and
 are made once per process (`_action`), so each row is made at most once.
 That holds at a sampled dimension too: its sample is drawn once per
-(q, n), and one seed-0 stream runs through the sampled dimensions in
-turn, so the group at n is the one a fresh census draws after those
-below n, in whatever order the dimensions are asked for.
+(q, n), from a fresh seed-0 stream of its own, so the group at n is the
+same whatever else the process has asked for.
 Lines, not all q^n vectors: a vector table would cost q^n per group
 element, which is out of reach at large q even for n = 1.  The number of
 subspaces of k^max_dim is capped (MAX_SUBSPACES) unless the guardrails
@@ -209,22 +208,17 @@ def _sampled_group(field: Field, n: int, count: int, rng: random.Random):
 @cache
 def _action(q: int, n: int):
     """(the subspaces of k^n, their line masks, the image-row function of
-    the group, the rng state after the group was drawn).  The group is all
-    of GL(n, q) at an exact dimension, with no rng state.  At a sampled
-    dimension it is GROUP_SAMPLE elements drawn from one seed-0 stream that
-    runs through the sampled dimensions in turn, so the group at n
-    continues from the state that n - 1 left, when n - 1 is sampled too.
-    All of it depends only on (q, n) and is made once."""
+    the group).  The group is all of GL(n, q) at an exact dimension, and
+    GROUP_SAMPLE elements drawn from a fresh seed-0 stream at a sampled
+    one.  All of it depends only on (q, n) and is made once."""
     field = Field.prime(q)
     subs = tuple(all_subspaces(field, n))
     masks = _point_masks(subs)
     if _exhaustive_group(q, n):
-        return subs, masks, _image_rows(masks, _general_linear(field, n)), None
-    rng = random.Random(0)
-    if not _exhaustive_group(q, n - 1):
-        rng.setstate(_action(q, n - 1)[3])
-    row = _image_rows(masks, _sampled_group(field, n, GROUP_SAMPLE, rng))
-    return subs, masks, row, rng.getstate()
+        group = _general_linear(field, n)
+    else:
+        group = _sampled_group(field, n, GROUP_SAMPLE, random.Random(0))
+    return subs, masks, _image_rows(masks, group)
 
 
 def _image_rows(masks, group):
@@ -363,7 +357,7 @@ def _classes(cfg: EnumConfig, field: Field):
     subs = {}
     classes = {}  # n -> every class representative at the exact dim n
     for n in range(1, cfg.max_dim + 1):
-        subs[n], masks, row, _ = _action(cfg.q, n)
+        subs[n], masks, row = _action(cfg.q, n)
         assignments = _monotone_assignments(cfg.poset, masks)
         if _exhaustive_group(cfg.q, n):
             reps, split = _orbits(assignments, row, _direct_sums(classes, subs, n))

@@ -424,25 +424,6 @@ def test_group_action_is_made_once_per_field_and_dimension(monkeypatch):
         oracle._action.cache_clear()
 
 
-@pytest.mark.parametrize("order", [(4, 3), (3, 4)])
-def test_cached_sample_continues_one_stream_in_any_order(monkeypatch, order):
-    """Over F_5 GL(3) and GL(4) are both sampled; whichever is asked for
-    first, each holds the draws a census makes from one fresh seed-0 rng,
-    dim 3 first.  A smaller sample keeps the draws quick."""
-    monkeypatch.setattr(oracle, "GROUP_SAMPLE", 60)
-    f5 = Field.prime(5)
-    rng = random.Random(0)
-    want = {n: _image_rows(_point_masks(all_subspaces(f5, n)), _sampled_group(f5, n, 60, rng))
-            for n in (3, 4)}
-    oracle._action.cache_clear()
-    try:
-        got = {n: oracle._action(5, n)[2] for n in order}
-        for n, picks in ((3, (1, 17, 40, 62)), (4, (1, 200, 700, 1100))):
-            assert [got[n](j) for j in picks] == [want[n](j) for j in picks]
-    finally:
-        oracle._action.cache_clear()
-
-
 # Census outputs pinned before the direct-sum rule and the image rows came
 # in: per-dim counts, every representative's rows, and the table.
 
