@@ -36,7 +36,7 @@ from .errors import NotApplicable, PosetMismatch
 from .linalg import Matrix, Subspace
 from .poset import (Poset, applicability_width, applicable_moves, check_mode,
                     derived_carrier, derived_set, is_applicable)
-from .sspace import SMorphism, SSpace, _e_matrix, _hom_solutions
+from .sspace import SMorphism, SSpace, _e_matrix, _hom_pairs, _hom_solutions
 
 
 @dataclass(frozen=True)
@@ -139,11 +139,11 @@ def factor_ideal_dim(u: SSpace, v: SSpace, point: str, mode: str) -> int:
     a space full at p in filter mode (f(U) <= V(p)), through a space
     trivial at p in ideal mode (U(p) <= Ker f)."""
     check_mode(mode)
-    pairs = [(u.sub(s), v.sub(s).quotient_map()) for s in u.poset.elements]
+    pairs = _hom_pairs(u, v)
     if mode == "filter":
-        pairs.append((Subspace.full(u.field, u.dim), v.sub(point).quotient_map()))
+        pairs.append((Matrix.identity(u.field, u.dim).rows, v.sub(point).quotient_map()))
     else:  # the identity is the quotient map of the zero target
-        pairs.append((u.sub(point), Matrix.identity(v.field, v.dim)))
+        pairs.append((u.sub(point).mat.rows, Matrix.identity(v.field, v.dim)))
     return _hom_solutions(u, v, pairs).dim
 
 

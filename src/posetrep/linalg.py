@@ -11,7 +11,8 @@ RREF is a unique representative, so subspace equality is literal entry
 comparison and every higher-level functor identity in this package can be
 tested as equality of canonical forms instead of an isomorphism search.
 
-Every elimination runs in `_rref`, which has one kernel per kind of field:
+Dense rows are eliminated in `_rref`, which has one kernel per kind of
+field:
 
 * over Q each row is scaled to a primitive integer vector (a row of ints
   by the gcd of its entries, a row holding Fractions first by the lcm of
@@ -25,15 +26,23 @@ Every elimination runs in `_rref`, which has one kernel per kind of field:
 Both give the same rows as any exact Gauss-Jordan elimination, because the
 RREF of a matrix is unique.
 
+The constraint systems of `solution_space`, the Hom systems of `sspace`,
+are eliminated apart, by `_sparse_kernel`.  A constraint b (x) c holds
+about one nonzero entry in six, so each row is a dict of its nonzero
+entries, and the pivot row at each column is the shortest candidate, to
+limit fill-in (Markowitz's rule).  The other operations eliminate small
+dense RREF bases, where a dict kernel measured slower, and keep `_rref`.
+
 Each subspace operation runs at most one elimination:
 
 * a kernel (`_kernel`) eliminates its constraint rows with their columns
   reversed, so that the kernel vectors read off them are already the RREF
   basis of the kernel (Cohen, GTM 138, section 2.3).  Over Q it reads the
   integer rows, and makes a Fraction only for each nonzero entry of that
-  basis.  `Matrix.null_rows` is the kernel of the columns, `annihilator`
-  that of the basis rows, and `solution_space` that of the constraint
-  rows as given, ints or Fractions, each up to a nonzero multiple;
+  basis.  `Matrix.null_rows` is the kernel of the columns and
+  `annihilator` that of the basis rows; `solution_space` is the kernel
+  of its sparse rows, ints or Fractions, each up to a nonzero multiple,
+  read in the same way by `_sparse_kernel`;
 * `quotient_map` is written down from the RREF basis with no elimination,
   and `preimage` is the kernel of the map followed by it;
 * `intersect` of any number of operands is one such kernel, the left
@@ -583,13 +592,96 @@ class Subspace:
         return Matrix._of(field, tuple(rows), d)
 
 
+def _sparse_kernel(field: Field, rows, n) -> Matrix:
+    """The RREF basis of {x in k^n : c . x = 0 for every constraint row c},
+    each row a dict {n-1-j: c_j} of its entries, keyed by reversed column
+    as `_kernel` eliminates; zero entries and empty rows are dropped.
+
+    One sparse Gauss-Jordan elimination, forward and then back.  A row
+    that is still unreduced holds no column before its least key (its
+    lead), so the rows that hold column c are those whose lead is c; of
+    these, the one with the fewest entries is the pivot row, to limit the
+    fill-in (Markowitz's rule).  Over Q each row is scaled to a primitive
+    integer vector, an update is a*row - b*lead over gcd(a, b), and the
+    gcd of the entries is divided out after it; over F_p the pivot row is
+    normalised and the entries reduced mod p.  The basis is read as
+    `_kernel` reads it, which the unique RREF makes the same."""
+    p = field.p
+    if p is None:
+        def update(row, lead, c):
+            a, b = lead[c], row[c]
+            g = gcd(a, b)
+            if g > 1:
+                a, b = a // g, b // g
+            if a == -1:  # the row need not be scaled when a divides b
+                a, b = 1, -b
+            elif a != 1:
+                row = {k: a * x for k, x in row.items()}
+            for k, y in lead.items():
+                x = row.get(k, 0) - b * y
+                if x:
+                    row[k] = x
+                else:
+                    del row[k]
+            g = gcd(*row.values())
+            return {k: x // g for k, x in row.items()} if g > 1 else row
+    else:
+        def update(row, lead, c):  # lead[c] is 1
+            b = row[c]
+            for k, y in lead.items():
+                x = (row.get(k, 0) - b * y) % p
+                if x:
+                    row[k] = x
+                else:
+                    del row[k]
+            return row
+
+    by_lead = {}
+    for row in rows:
+        if p is None:  # a zero row has no primitive vector
+            for ints in _primitive([list(row.values())]):
+                row = {k: x for k, x in zip(row, ints) if x}
+                by_lead.setdefault(min(row), []).append(row)
+        elif row := {k: x for k, x in row.items() if x}:
+            by_lead.setdefault(min(row), []).append(row)
+    pivots = {}  # pivot column -> its row, in increasing column order
+    while by_lead:
+        c = min(by_lead)
+        bucket = by_lead.pop(c)
+        lead = bucket.pop(bucket.index(min(bucket, key=len)))
+        if p is not None and lead[c] != 1:
+            s = pow(lead[c], p - 2, p)
+            lead = {k: x * s % p for k, x in lead.items()}
+        for row in bucket:
+            if row := update(row, lead, c):
+                by_lead.setdefault(min(row), []).append(row)
+        pivots[c] = lead
+    for c in reversed(pivots):  # the rows after c are reduced already
+        row = pivots[c]
+        for k in [k for k in row if k != c and k in pivots]:
+            row = update(row, pivots[k], k)
+        pivots[c] = row
+    zero, one = field.zero, field.one
+    basis = {}
+    for f in range(n - 1, -1, -1):  # reversed column f is column n-1-f
+        if f not in pivots:
+            v = basis[f] = [zero] * n
+            v[n - 1 - f] = one
+    for c, row in pivots.items():
+        a = row[c]
+        for k, x in row.items():
+            if k != c:
+                basis[k][n - 1 - c] = Fraction(-x, a) if p is None else p - x
+    return Matrix._of(field, tuple(map(tuple, basis.values())), n)
+
+
 def solution_space(field: Field, nvars: int, constraint_rows) -> Subspace:
-    """All x in k^nvars with c . x = 0 for every constraint row c, by one
-    elimination of the rows with their columns reversed (see `_kernel`).
-    Over Q a row may hold ints and Fractions and stand for any nonzero
-    multiple of itself, as `sspace._hom_solutions` writes its rows on
-    ints; over F_p the entries must be canonical.  No entry is coerced."""
+    """All x in k^nvars with c . x = 0 for every constraint row c, each row
+    a dict {nvars-1-j: c_j} of its nonzero entries (see `_sparse_kernel`).
+    Over Q an entry may be an int or a Fraction, and a row stands for any
+    nonzero multiple of itself, as `sspace._hom_solutions` writes its rows
+    on ints; over F_p the entries must be canonical.  No entry is coerced."""
     rows = list(constraint_rows)
     if not rows:
         return Subspace.full(field, nvars)
-    return Subspace(field, nvars, _kernel(field, rows, nvars))
+    return Subspace(field, nvars, _sparse_kernel(field, rows, nvars))

@@ -201,31 +201,58 @@ class HomSpace:
         return mat
 
 
+def _hom_pairs(u: SSpace, v: SSpace):
+    """The (source rows, target quotient map) pairs whose constraints cut
+    Hom(u, v) out of the matrices k^dim_U -> k^dim_V, trimmed.
+
+    f(U(t)) <= V(t) gives f(U(t)) <= V(s) for t < s, so at each s only
+    rows that span U(s) together with the U(t) of its lower covers t are
+    needed.  The RREF rows of U(s) whose pivot column is not a pivot of
+    any such U(t) are kept: the pivots of the U(t) all lie among those of
+    their sum, so the kept rows and that sum still span U(s), and by
+    induction on the order the kept rows give every constraint.  An s with
+    no kept rows or a full V(s) adds none, and its quotient map is not
+    made."""
+    elements = u.poset.elements
+    leads = {s: u.sub(s)._pivots()[0] for s in elements}
+    below = {s: set() for s in elements}
+    for t, s in u.poset.covers():
+        below[s].update(leads[t])
+    pairs = []
+    for s in elements:
+        rows = [r for r, c in zip(u.sub(s).mat.rows, leads[s]) if c not in below[s]]
+        if rows and not v.sub(s).is_full():
+            pairs.append((rows, v.sub(s).quotient_map()))
+    return pairs
+
+
 def _hom_solutions(u: SSpace, v: SSpace, pairs) -> Subspace:
     """The matrices f : k^dim_U -> k^dim_V, flattened row by row, with
-    b * f * c = 0 for each row b of B and column c of C, for every pair (B, C)
-    of a source subspace and a matrix whose columns cut out the target (its
-    quotient map).  The row of (b, c) holds b[i] * c[j] at i * dim_V + j:
-    over Q on ints, each b and c scaled once to a primitive integer vector
-    (a nonzero multiple of a constraint has its solutions), and over F_p
-    reduced as it is built.  The one constraint builder behind Hom spaces
-    and their subspaces, solved by one elimination."""
+    b * f * c = 0 for each source row b and column c of C, for every pair
+    of rows and a matrix C whose columns cut out the target (its quotient
+    map).  The constraint of (b, c) holds b[i] * c[j] at i * dim_V + j, and
+    is written as the sparse row `solution_space` takes, its nonzero
+    entries keyed by reversed column: over Q on ints, each b and c scaled
+    once to a primitive integer vector (a nonzero multiple of a constraint
+    has its solutions), and over F_p reduced as it is built.  The one
+    constraint builder behind Hom spaces and their subspaces, solved by
+    one elimination."""
     p = u.field.p
     nv = v.dim
-    width = u.dim * nv
+    last = u.dim * nv - 1
     scaled = _primitive if p is None else list
     rows = []
-    for bsub, cut in pairs:
+    for brows, cut in pairs:
         cols = [[(j, cj) for j, cj in enumerate(c) if cj] for c in scaled(zip(*cut.rows))]
-        for b in scaled(bsub.mat.rows):
-            terms = [(i * nv, bi) for i, bi in enumerate(b) if bi]
-            for c in cols:
-                row = [0] * width
-                for base, bi in terms:
-                    for j, cj in c:
-                        row[base + j] = bi * cj if p is None else bi * cj % p
-                rows.append(row)
-    return solution_space(u.field, width, rows)
+        for b in scaled(brows):
+            terms = [(last - i * nv, bi) for i, bi in enumerate(b) if bi]
+            if p is None:
+                rows += [{base - j: bi * cj for base, bi in terms for j, cj in c}
+                         for c in cols]
+            else:
+                rows += [{base - j: bi * cj % p for base, bi in terms for j, cj in c}
+                         for c in cols]
+    return solution_space(u.field, last + 1, rows)
 
 
 def _unflatten(u: SSpace, v: SSpace, flat_rows):
@@ -241,13 +268,14 @@ def hom_space(u: SSpace, v: SSpace) -> HomSpace:
     """Basis of all S-space morphisms u -> v: the solutions of f(U(s)) <= V(s),
     written f(U(s)) * q_s = 0 for the quotient map q_s of each V(s)."""
     _check_same_category(u, v)
-    pairs = [(u.sub(s), v.sub(s).quotient_map()) for s in u.poset.elements]
-    sol = _hom_solutions(u, v, pairs)
+    sol = _hom_solutions(u, v, _hom_pairs(u, v))
     return HomSpace(u, v, tuple(_unflatten(u, v, sol.mat.rows)), sol)
 
 
 def hom_dim(u: SSpace, v: SSpace) -> int:
-    return hom_space(u, v).dim
+    """dim Hom(u, v), with no basis morphisms made."""
+    _check_same_category(u, v)
+    return _hom_solutions(u, v, _hom_pairs(u, v)).dim
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +429,9 @@ def _endo_solutions_fixing(f: SMorphism) -> list[SMorphism]:
     """Basis of {h in End(source) : h then f = 0}; the solutions of
     g then f = f are exactly id + this space."""
     u = f.source
-    pairs = [(u.sub(s), u.sub(s).quotient_map()) for s in u.poset.elements]
+    pairs = _hom_pairs(u, u)
     # h then f = 0: the columns of f cut out the left kernel of f
-    pairs.append((Subspace.full(u.field, u.dim), f.mat))
+    pairs.append((Matrix.identity(u.field, u.dim).rows, f.mat))
     return _unflatten(u, u, _hom_solutions(u, u, pairs).mat.rows)
 
 

@@ -1,10 +1,12 @@
 """Fixed posets the suites keep coming back to, and the references some
 suites compare the package against: order references written on its
 public order queries, and a Gauss-Jordan RREF on scalar arithmetic of
-its own."""
+its own.  Also the sparse form of dense constraint rows, and a counter
+of the eliminations the package runs."""
 
 from fractions import Fraction
 
+from posetrep import linalg
 from posetrep.linalg import Subspace
 from posetrep.poset import Poset
 from posetrep.sspace import SSpace
@@ -111,3 +113,20 @@ def reference_rref(field, rows, ncols):
         pivots.append(c)
         r += 1
     return [tuple(row) for row in work[:r]], pivots
+
+
+def sparse_rows(rows):
+    """Dense constraint rows as the sparse rows `solution_space` takes: a
+    dict of the nonzero entries of each row, keyed by reversed column."""
+    return [{len(row) - 1 - j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+def count_eliminations(monkeypatch, calls):
+    """Append the name of each elimination run, dense (`linalg._rref`) or
+    sparse (`linalg._sparse_kernel`), to calls."""
+    for name in ("_rref", "_sparse_kernel"):
+        def counted(*args, name=name, kernel=getattr(linalg, name)):
+            calls.append(name)
+            return kernel(*args)
+
+        monkeypatch.setattr(linalg, name, counted)

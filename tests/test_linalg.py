@@ -8,7 +8,7 @@ from posetrep.errors import DimensionMismatch, FieldMismatch, InvalidScalar, Pos
 from posetrep import linalg
 from posetrep.linalg import QQ, Field, Matrix, Subspace, _rref, solution_space, vstack
 
-from helpers import _inv, _mul, _sub, reference_rref
+from helpers import _inv, _mul, _sub, count_eliminations, reference_rref, sparse_rows
 
 F2 = Field.prime(2)
 F3 = Field.prime(3)
@@ -177,13 +177,7 @@ def reference_quotient(s):
 @pytest.mark.parametrize("field", [QQ, F2, F3, F5, F65521], ids=repr)
 def test_subspace_operations_match_two_step_route_with_one_elimination(field, monkeypatch):
     calls = []
-    kernel = linalg._rref
-
-    def counted(*args):
-        calls.append(args[2])
-        return kernel(*args)
-
-    monkeypatch.setattr(linalg, "_rref", counted)
+    count_eliminations(monkeypatch, calls)
 
     def eliminations(run):
         calls.clear()
@@ -229,8 +223,8 @@ def test_subspace_operations_match_two_step_route_with_one_elimination(field, mo
             assert count == 1 and ann == reference_annihilator(a)
             pre, count = eliminations(lambda: a.preimage(m))
             assert count == 1 and pre == reference_preimage(a, m)
-            sol, count = eliminations(lambda: solution_space(field, ncols, cons))
-            assert count == (1 if cons else 0)
+            sol, count = eliminations(lambda: solution_space(field, ncols, sparse_rows(cons)))
+            assert calls == (["_sparse_kernel"] if cons else [])
             assert sol == reference_solution_space(field, ncols, cons)
             q, count = eliminations(a.quotient_map)
             assert count == 0 and q == reference_quotient(a)
@@ -243,15 +237,9 @@ def test_solution_space_takes_any_nonzero_multiple_of_a_row(field, monkeypatch):
     """A constraint row stands for its nonzero multiples: over Q it may be
     given on Fractions, on ints, or scaled by any nonzero integer; over F_p
     scaled by any nonzero residue.  Each form gives the same canonical
-    subspace, by one elimination."""
+    subspace, by one sparse elimination."""
     calls = []
-    kernel = linalg._rref
-
-    def counted(*args):
-        calls.append(args[2])
-        return kernel(*args)
-
-    monkeypatch.setattr(linalg, "_rref", counted)
+    count_eliminations(monkeypatch, calls)
     rng = random.Random(60 + (field.p or 0))
 
     def nonzero():
@@ -273,10 +261,47 @@ def test_solution_space_takes_any_nonzero_multiple_of_a_row(field, monkeypatch):
             expected = reference_solution_space(field, ncols, rows)
             for form in forms:
                 calls.clear()
-                sol = solution_space(field, ncols, form)
-                assert len(calls) == (1 if rows else 0)
+                sol = solution_space(field, ncols, sparse_rows(form))
+                assert calls == (["_sparse_kernel"] if rows else [])
                 assert sol == expected
                 assert_canonical(field, sol.mat)
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F3, F5, F65521], ids=repr)
+def test_sparse_kernel_matches_reference_on_random_rows(field):
+    """The sparse kernel gives the reference kernel's RREF basis whatever
+    the rows: empty ones, exact duplicates, nonzero multiples, Fractions
+    and ints mixed over Q, entries in any key order, no unknowns at all."""
+    rng = random.Random(80 + (field.p or 0))
+    for trial in range(8):
+        for nrows, ncols in SHAPES + [(4, 0), (10, 10), (20, 16)]:
+            rows = random_rows(rng, field, nrows, ncols)
+            rows += rng.sample(rows, min(len(rows), 2))  # exact duplicates
+            rng.shuffle(rows)
+            sparse = []
+            for row in sparse_rows(rows):
+                if field.p is None and row and rng.random() < 0.5:
+                    k = rng.choice(list(row))
+                    row[k] = int(row[k]) if row[k].denominator == 1 else row[k]
+                items = list(row.items())
+                rng.shuffle(items)
+                sparse.append(dict(items))
+            expected = reference_solution_space(field, ncols, rows)
+            got = linalg._sparse_kernel(field, sparse, ncols) if rows else None
+            if rows:
+                assert got == expected.mat
+                assert_canonical(field, got)
+            assert solution_space(field, ncols, sparse) == expected
+    assert linalg._sparse_kernel(field, [], 3) == Matrix.identity(field, 3)
+    assert linalg._sparse_kernel(field, [{}, {}], 2) == Matrix.identity(field, 2)
+    assert linalg._sparse_kernel(field, [{}], 0).nrows == 0
+    assert solution_space(field, 0, []) == Subspace.full(field, 0)
+
+
+def test_sparse_kernel_over_q_takes_fraction_rows():
+    # x0 / 2 + 2 x2 / 3 = 0 and x1 = 3 x2; key 2 is the coefficient of x0
+    rows = [{2: Fraction(1, 2), 0: Fraction(2, 3)}, {0: -3, 1: 1}]
+    assert solution_space(QQ, 3, rows) == Subspace.from_rows(QQ, 3, [[-4, 9, 3]])
 
 
 def test_coerce_maps_rationals_into_prime_fields():
@@ -340,7 +365,7 @@ def test_double_annihilator_random(field):
 
 
 def test_solve_linear_f2():
-    sol = solution_space(F2, 2, [[1, 1]])
+    sol = solution_space(F2, 2, sparse_rows([[1, 1]]))
     assert sol == Subspace.from_rows(F2, 2, [[1, 1]])
 
 
@@ -355,7 +380,7 @@ def test_solution_dim_matches_rank_nullity(field):
         m, n = rng.randrange(0, 5), rng.randrange(1, 5)
         rows = [[field.coerce(rng.randrange(-2, 3)) for _ in range(n)] for _ in range(m)]
         rank = column_elimination_rank(field, rows, n)
-        assert solution_space(field, n, rows).dim == n - rank
+        assert solution_space(field, n, sparse_rows(rows)).dim == n - rank
 
 
 @pytest.mark.parametrize("field", [QQ, F5])

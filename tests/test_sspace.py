@@ -5,18 +5,19 @@ import pytest
 from posetrep import linalg
 from posetrep.errors import InvalidMorphism, MonotonicityViolation, PosetMismatch
 from posetrep.linalg import QQ, Field, Matrix, Subspace
-from posetrep.poset import derived_carrier
+from posetrep.poset import Poset, derived_carrier
 from posetrep.randgen import random_morphism, random_poset, random_sspace
 from posetrep.sspace import (SMorphism, SSpace, are_isomorphic, direct_sum,
                              dualize, e_functor_map, e_quot, e_sub, hom_dim,
                              hom_space, is_left_minimal, projective_space,
                              simple_filter_space, validate_sspace, zero_space)
 
-from helpers import (antichain_poset, chain, example510, ideal_simple, maximal, minimal,
-                     reference_rref)
+from helpers import (antichain_poset, chain, count_eliminations, example510, ideal_simple,
+                     maximal, minimal, reference_rref)
 
 F2 = Field.prime(2)
 F5 = Field.prime(5)
+F65521 = Field.prime(65521)
 
 
 def two_lines_space():
@@ -185,58 +186,98 @@ def reference_hom_solutions(u, v, pairs):
     return Subspace(u.field, width, cons.transpose().null_rows()), rows
 
 
-@pytest.mark.parametrize("field", [QQ, F2, F5], ids=repr)
+def _with_two_lower_covers(rng, size):
+    """A random poset in which some element has at least two lower covers."""
+    while True:
+        p = random_poset(rng, size, density=0.5)
+        uppers = [s for _, s in p.covers()]
+        if any(uppers.count(s) >= 2 for s in uppers):
+            return p
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F5, F65521], ids=repr)
 def test_hom_systems_are_one_elimination(field, monkeypatch):
-    from posetrep import linalg
+    """Each Hom system is one sparse elimination, none when it has no
+    constraint rows, and never a dense one.  hom_space, hom_dim,
+    factor_ideal_dim in both modes and _endo_solutions_fixing give the
+    spaces of the constraints of every element and every row, on posets
+    with an element of two or more lower covers, where the trimming drops
+    rows of some systems."""
     from posetrep.differentiation import factor_ideal_dim
-    from posetrep.sspace import _endo_solutions_fixing
+    from posetrep.sspace import _endo_solutions_fixing, _hom_pairs
 
     calls = []
-    kernel = linalg._rref
-
-    def counted(*args):
-        calls.append(args[2])
-        return kernel(*args)
-
-    monkeypatch.setattr(linalg, "_rref", counted)
+    count_eliminations(monkeypatch, calls)
 
     def eliminations(run):
         calls.clear()
         out = run()
-        return out, len(calls)
+        return out, list(calls)
 
-    def check(count, rows):
-        assert count <= 1 and (count == 1 or not rows)
+    def check(kernels, rows):
+        assert kernels in ([], ["_sparse_kernel"]) and (kernels or not rows)
 
     rng = random.Random(31 + (field.p or 0))
+    dropped = 0
     for _ in range(20):
-        p = random_poset(rng, 4)
-        u = random_sspace(rng, p, field, 3)
-        v = random_sspace(rng, p, field, 3)
-        point = rng.choice(p.elements)
+        p = _with_two_lower_covers(rng, 6)
+        u = random_sspace(rng, p, field, 4)
+        v = random_sspace(rng, p, field, 4)
         pairs = [(u.sub(s), v.sub(s)) for s in p.elements]
+        kept = sum(len(rows) for rows, _ in _hom_pairs(u, v))
+        dropped += kept < sum(u.sub(s).dim for s in p.elements if not v.sub(s).is_full())
 
-        hom, count = eliminations(lambda: hom_space(u, v))
+        hom, kernels = eliminations(lambda: hom_space(u, v))
         ref, rows = reference_hom_solutions(u, v, pairs)
-        check(count, rows)
+        check(kernels, rows)
         assert hom.flat == ref
+        dim, kernels = eliminations(lambda: hom_dim(u, v))
+        check(kernels, rows)
+        assert dim == hom.dim
 
-        full = (Subspace.full(field, u.dim), v.sub(point))
-        trivial = (u.sub(point), Subspace.zero(field, v.dim))
-        for mode, extra in (("filter", full), ("ideal", trivial)):
-            dim, count = eliminations(lambda: factor_ideal_dim(u, v, point, mode))
-            ref, rows = reference_hom_solutions(u, v, pairs + [extra])
-            check(count, rows)
-            assert dim == ref.dim
+        for point in p.elements:
+            full = (Subspace.full(field, u.dim), v.sub(point))
+            trivial = (u.sub(point), Subspace.zero(field, v.dim))
+            for mode, extra in (("filter", full), ("ideal", trivial)):
+                dim, kernels = eliminations(lambda: factor_ideal_dim(u, v, point, mode))
+                ref, rows = reference_hom_solutions(u, v, pairs + [extra])
+                check(kernels, rows)
+                assert dim == ref.dim
 
         f = random_morphism(rng, hom)
-        ideal, count = eliminations(lambda: _endo_solutions_fixing(f))
+        ideal, kernels = eliminations(lambda: _endo_solutions_fixing(f))
         kernel_of_f = Subspace(field, u.dim, f.mat.null_rows())
         ref, rows = reference_hom_solutions(
             u, u, [(u.sub(s), u.sub(s)) for s in p.elements]
             + [(Subspace.full(field, u.dim), kernel_of_f)])
-        check(count, rows)
+        check(kernels, rows)
         assert [sum(h.mat.rows, ()) for h in ideal] == list(ref.mat.rows)
+    assert dropped
+
+
+def test_hom_pairs_keep_rows_past_the_pivots_below():
+    """a, b < s < c, and e apart.  U(a) = <(1,0,0)> and U(b) = <(1,1,0)>
+    share pivot column 0, so at s = k^3 the rows at pivots 1 and 2 are
+    kept: more than a complement of U(a) + U(b), which has pivots 0 and 1.
+    c adds no rows (U(c) = U(s)) and e none (V(e) is full), and neither
+    gets a quotient map.  Hom is the maps with e0, e1 -> 0, e2 -> <(1,0)>."""
+    from posetrep.sspace import _hom_pairs
+
+    p = Poset.build("abcse", [("a", "s"), ("b", "s"), ("s", "c")])
+    line = Subspace.from_rows(QQ, 2, [[1, 0]])
+    u = SSpace(p, QQ, 3, {"a": Subspace.from_rows(QQ, 3, [[1, 0, 0]]),
+                          "b": Subspace.from_rows(QQ, 3, [[1, 1, 0]]),
+                          "s": Subspace.full(QQ, 3), "c": Subspace.full(QQ, 3),
+                          "e": Subspace.from_rows(QQ, 3, [[0, 0, 1]])})
+    v = SSpace(p, QQ, 2, {"s": line, "c": line, "e": Subspace.full(QQ, 2)})
+    pairs = _hom_pairs(u, v)
+    assert [rows for rows, _ in pairs] == [[(1, 0, 0)], [(1, 1, 0)], [(0, 1, 0), (0, 0, 1)]]
+    assert [cut for _, cut in pairs] == [Matrix.identity(QQ, 2)] * 2 + [line.quotient_map()]
+    hom = hom_space(u, v)
+    assert hom.flat == reference_hom_solutions(u, v, [(u.sub(s), v.sub(s))
+                                                      for s in p.elements])[0]
+    assert hom.flat == Subspace.from_rows(QQ, 6, [[0, 0, 0, 0, 1, 0]])
+    assert hom_dim(u, v) == 1
 
 
 # properness ------------------------------------------------------------------
