@@ -1,6 +1,6 @@
-"""Ground truth by exhaustion: enumerate all monotone subspace assignments
-over a small prime field, classify them up to base change, and decide
-which classes are indecomposable.
+"""Ground truth by exhaustion: classify the monotone subspace assignments
+over a small prime field up to base change, one representative per
+class, and decide which classes are indecomposable.
 
 Assignments are grouped into isomorphism classes by acting with the full
 GL(n, q) on subspace indices when n <= 3 and q^(n^2) <= 70 000.  At such
@@ -14,10 +14,15 @@ witnesses, indecomposability is decided by idempotent search in the
 endomorphism ring, and the census is marked as sampled; a class that
 search leaves open is counted as undecided, and the table names how many
 at each dimension.  Representatives are the lexicographically least
-canonical forms in their orbits.  The
-monotone assignments are listed in one pass in element order, each
-element bounded by the choices of the earlier elements below and above
-it, so they arrive in lexicographic order and are never sorted.
+assignments in their orbits, and arrive in lexicographic order, unsorted:
+the assignments grow in element order, each element bounded by the
+choices of the earlier elements below and above it.  At an exact
+dimension they grow by stabiliser descent: a prefix carries the group
+elements that fix it, and a candidate for the next element is skipped
+when an earlier candidate's orbit under them holds it, so each class is
+met once, at its least assignment, and no other assignment is listed or
+remembered.  At a sampled dimension every assignment is listed and the
+list is collapsed into sampled orbits.
 
 The group acts on integers, not matrices.  The lines of k^n are numbered
 by their representatives whose first nonzero entry is 1 (`_lines`), and a
@@ -26,8 +31,8 @@ subspace is the bitmask of the lines it contains, the zero subspace being
 g is the permutation "line i goes to line j" under v -> v*g
 (`_line_permutations`), and the image of a subspace is the image of its
 mask under that permutation, looked up among the masks.  The images of
-one subspace under every element are made the first time an orbit needs
-them (`_image_rows`), as representatives hold few of the subspaces.
+one subspace under every element are made the first time the descent or
+a sampled orbit needs them (`_image_rows`).
 The subspaces, their masks and the image rows depend only on (q, n) and
 are made once per process (`_action`), so each row is made at most once.
 That holds at a sampled dimension too: its sample is drawn once per
@@ -208,17 +213,18 @@ def _sampled_group(field: Field, n: int, count: int, rng: random.Random):
 @cache
 def _action(q: int, n: int):
     """(the subspaces of k^n, their line masks, the image-row function of
-    the group).  The group is all of GL(n, q) at an exact dimension, and
-    GROUP_SAMPLE elements drawn from a fresh seed-0 stream at a sampled
-    one.  All of it depends only on (q, n) and is made once."""
+    the group, the indices of its elements).  The group is all of GL(n, q)
+    at an exact dimension, and GROUP_SAMPLE elements drawn from a fresh
+    seed-0 stream at a sampled one.  All of it depends only on (q, n) and
+    is made once."""
     field = Field.prime(q)
     subs = tuple(all_subspaces(field, n))
     masks = _point_masks(subs)
     if _exhaustive_group(q, n):
-        group = _general_linear(field, n)
+        group = list(_general_linear(field, n))
     else:
-        group = _sampled_group(field, n, GROUP_SAMPLE, random.Random(0))
-    return subs, masks, _image_rows(masks, group)
+        group = list(_sampled_group(field, n, GROUP_SAMPLE, random.Random(0)))
+    return subs, masks, _image_rows(masks, group), range(len(group))
 
 
 def _image_rows(masks, group):
@@ -244,31 +250,47 @@ def _image_rows(masks, group):
     return row
 
 
-def _monotone_assignments(poset: Poset, masks):
-    """All order-respecting choices of a subspace index per element, the
+def _monotone_assignments(poset: Poset, masks, row=None, group=()):
+    """The order-respecting choices of a subspace index per element, the
     subspaces given by their line masks (`_point_masks`), as tuples aligned
-    with poset.elements, in lexicographic order.  Element i may take
-    subspace j iff masks[j] holds the masks chosen for the earlier elements
-    below i and lies inside those chosen for the earlier elements above i.
-    Each partial tuple is extended by every such j in ascending order, and
-    none dies: the meet of the upper bounds is a subspace holding the lower
-    bounds."""
+    with poset.elements, in lexicographic order: all of them with no group,
+    and the least of each orbit with one.  The group is the list of indices
+    of its elements in the image rows `row(j)`, the identity among them.
+    Element i may take subspace j iff masks[j] holds the masks chosen for
+    the earlier elements below i and lies inside those chosen for the
+    earlier elements above i, and no prefix dies: the meet of the upper
+    bounds is a subspace holding the lower bounds.  Each prefix carries its
+    stabiliser, the elements that fix every subspace in it.  These keep
+    both bounds, so the candidates fall into their orbits: the candidates
+    are taken in ascending order, one is skipped when an earlier one's
+    orbit holds it, and each child keeps the elements that fix its own
+    subspace too.  A full assignment is then the least of its orbit, and
+    each orbit has one (McKay's isomorph-free generation, with the group
+    listed whole, so no generators are needed)."""
     elements = poset.elements
-    out = [()]
+    level = [((), group)]
     for i, s in enumerate(elements):
         below = [k for k in range(i) if poset.leq(elements[k], s)]
         above = [k for k in range(i) if poset.leq(s, elements[k])]
         grown = []
-        for a in out:
+        for a, stab in level:
             need, room = 0, -1
             for k in below:
                 need |= masks[a[k]]
             for k in above:
                 room &= masks[a[k]]
-            grown += [a + (j,) for j, mask in enumerate(masks)
-                      if not need & ~mask and not mask & ~room]
-        out = grown
-    return out
+            seen = set()
+            for j, mask in enumerate(masks):
+                if need & ~mask or mask & ~room or j in seen:
+                    continue
+                if len(stab) > 1:  # the identity alone skips and narrows nothing
+                    images = row(j)
+                    seen.update([images[g] for g in stab])
+                    grown.append((a + (j,), [g for g in stab if images[g] == j]))
+                else:
+                    grown.append((a + (j,), stab))
+        level = grown
+    return [a for a, _ in level]
 
 
 def _assignment_to_space(poset: Poset, field: Field, subs, assignment) -> SSpace:
@@ -351,42 +373,43 @@ def enumerate_indecomposables(cfg: EnumConfig) -> OracleCensus:
 def _classes(cfg: EnumConfig, field: Field):
     """For n = 1 .. cfg.max_dim: (n, the subspaces of k^n, one
     representative per class, the split classes).  Where the group is
-    exhaustive the last item is the set of representatives whose orbit
-    holds a direct sum of two lower classes; where it is sampled it is
-    None, and the candidate classes are merged by isomorphism witnesses."""
+    exhaustive the representatives are the least assignments of the
+    orbits, walked by stabiliser descent with no assignment listed, and
+    the last item is the set of those whose orbit holds a direct sum of
+    two lower classes; the representative is tested itself, as the empty
+    assignment has no images.  Where the group is sampled every monotone
+    assignment is listed, the last item is None, and the candidate classes
+    are merged by isomorphism witnesses."""
     subs = {}
     classes = {}  # n -> every class representative at the exact dim n
     for n in range(1, cfg.max_dim + 1):
-        subs[n], masks, row = _action(cfg.q, n)
-        assignments = _monotone_assignments(cfg.poset, masks)
+        subs[n], masks, row, group = _action(cfg.q, n)
         if _exhaustive_group(cfg.q, n):
-            reps, split = _orbits(assignments, row, _direct_sums(classes, subs, n))
-            classes[n] = reps
+            sums = _direct_sums(classes, subs, n)
+            reps = classes[n] = _monotone_assignments(cfg.poset, masks, row, group)
+            split = {a for a in reps
+                     if a in sums or not sums.isdisjoint(zip(*[row(j) for j in a]))}
             yield n, subs[n], reps, split
         else:
-            reps, _ = _orbits(assignments, row, ())
+            reps = _orbits(_monotone_assignments(cfg.poset, masks), row)
             yield n, subs[n], _merge_sampled_classes(cfg, field, subs[n], reps), None
 
 
-def _orbits(assignments, row, sums):
-    """One representative per orbit, the least assignment met in it, in
-    the lexicographic order in which `assignments` arrive; and the set of
-    those whose orbit meets `sums`.  `row(j)` gives the images of subspace
-    j.  An exact orbit is closed, so its first assignment is its least; a
-    sampled one need not be, so the least is still taken."""
+def _orbits(assignments, row):
+    """One candidate representative per sampled orbit, the least assignment
+    met in it, in the lexicographic order in which `assignments` arrive.
+    `row(j)` gives the images of subspace j under the sample, whose orbits
+    need not be closed, so the least is taken rather than the first."""
     seen = set()
-    reps, split = [], set()
+    reps = []
     for a in assignments:
         if a in seen:
             continue
         orbit = set(zip(*[row(j) for j in a]))
         orbit.add(a)
         seen.update(orbit)
-        rep = min(orbit)
-        reps.append(rep)
-        if not orbit.isdisjoint(sums):
-            split.add(rep)
-    return reps, split
+        reps.append(min(orbit))
+    return reps
 
 
 def _direct_sums(classes, subs, n: int) -> set:

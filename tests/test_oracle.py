@@ -377,9 +377,16 @@ def test_direct_sum_verdicts_match_idempotent_search(q, max_dim, max_points):
 
 
 def test_exact_dimensions_solve_no_hom_system(monkeypatch):
+    """At an exact dimension the verdicts come from the direct-sum rule,
+    and the classes from the stabiliser descent alone: no assignment list
+    is collapsed into orbits."""
     def refuse(*args, **kwargs):
         raise AssertionError("a Hom system was solved at an exact dimension")
 
+    def unlisted(*args, **kwargs):
+        raise AssertionError("assignments were listed at an exact dimension")
+
+    monkeypatch.setattr(oracle, "_orbits", unlisted)
     monkeypatch.setattr(oracle, "is_indecomposable", refuse)
     monkeypatch.setattr(sspace, "hom_space", refuse)
     monkeypatch.setattr(sspace, "_hom_solutions", refuse)
@@ -389,6 +396,65 @@ def test_exact_dimensions_solve_no_hom_system(monkeypatch):
     p = chain_sum(1, 1, 2)
     report = cross_check_nu(p, EnumConfig(p, 2, 3))
     assert report.oracle_total == report.nu_value == 15 and report.complete
+
+
+# The stabiliser descent against listing every monotone assignment and
+# collapsing the list into orbits, with a set of the assignments seen.
+
+def _listed_assignments(poset, masks):
+    elements = poset.elements
+    out = [()]
+    for i, s in enumerate(elements):
+        below = [k for k in range(i) if poset.leq(elements[k], s)]
+        above = [k for k in range(i) if poset.leq(s, elements[k])]
+        grown = []
+        for a in out:
+            need, room = 0, -1
+            for k in below:
+                need |= masks[a[k]]
+            for k in above:
+                room &= masks[a[k]]
+            grown += [a + (j,) for j, mask in enumerate(masks)
+                      if not need & ~mask and not mask & ~room]
+        out = grown
+    return out
+
+
+def _listed_classes(poset, q, max_dim):
+    """(n, the least assignment of each orbit in the order the listing
+    meets the orbits, those whose orbit holds a direct sum) per exact n."""
+    subs, classes = {}, {}
+    for n in range(1, max_dim + 1):
+        subs[n], masks, row, _ = oracle._action(q, n)
+        sums = oracle._direct_sums(classes, subs, n)
+        seen, reps, split = set(), [], set()
+        for a in _listed_assignments(poset, masks):
+            if a in seen:
+                continue
+            orbit = set(zip(*[row(j) for j in a]))
+            orbit.add(a)
+            seen.update(orbit)
+            reps.append(min(orbit))
+            if not orbit.isdisjoint(sums):
+                split.add(reps[-1])
+        classes[n] = reps
+        yield n, reps, split
+
+
+@pytest.mark.parametrize("q,max_dim,sizes", [(2, 3, range(5)), (3, 3, range(5)),
+                                             (5, 2, range(5)), (2, 3, [5])],
+                         ids=["F2-up-to-4-points-dim3", "F3-up-to-4-points-dim3",
+                              "F5-up-to-4-points-dim2", "F2-5-points-dim3"])
+def test_descent_matches_listing_every_assignment(q, max_dim, sizes):
+    """The same representatives in the same order, and the same split
+    classes, as listing every assignment and collapsing the list; the
+    empty poset is among the cases, with its one assignment ()."""
+    field = Field.prime(q)
+    for p in all_posets_up_to(max(sizes)):
+        if len(p) in sizes:
+            got = [(n, reps, split) for n, _, reps, split
+                   in _classes(EnumConfig(p, q, max_dim), field)]
+            assert got == list(_listed_classes(p, q, max_dim)), p
 
 
 def test_image_rows_are_made_once():
@@ -425,7 +491,8 @@ def test_group_action_is_made_once_per_field_and_dimension(monkeypatch):
 
 
 # Census outputs pinned before the direct-sum rule and the image rows came
-# in: per-dim counts, every representative's rows, and the table.
+# in: per-dim counts, every representative's rows, and the table.  The
+# F_3 dim-3 sweep was pinned before the stabiliser descent came in.
 
 def _census_text(census):
     lines = []
@@ -444,6 +511,9 @@ PINNED_CENSUS_SWEEPS = {
     "F3-up-to-4-points-dim2": (
         lambda: [(p, 3, 2) for p in all_posets_up_to(4)],
         "2dc08baaaa1ec88796bed5940cccce63b8e11b0bb56bd847b85e744c6d749b4c"),
+    "F3-up-to-4-points-dim3": (
+        lambda: [(p, 3, 3) for p in all_posets_up_to(4)],
+        "7d68a88b44d7f1ccf46d3aafce6bac15995d9d53f96c61f1122e62eb10e78bed"),
     "F5-up-to-4-points-dim2": (
         lambda: [(p, 5, 2) for p in all_posets_up_to(4)],
         "1df4052e252828c945af159dc901bfd21b378bbb2c7ea32d4da300c3abc4abf4"),
