@@ -2,27 +2,28 @@
 over a small prime field up to base change, one representative per
 class, and decide which classes are indecomposable.
 
-Assignments are grouped into isomorphism classes by acting with the full
-GL(n, q) on subspace indices when n <= 3 and q^(n^2) <= 70 000.  At such
-an exact dimension indecomposability is decided by the direct-sum rule,
-with no linear algebra: by Krull-Schmidt a class is decomposable exactly
-when its orbit holds X (+) Y for classes X and Y of dimensions k and
-n - k, 1 <= k <= n/2, and every dimension below an exact one is exact,
-so those classes are already listed.  Otherwise a fixed-seed sample of
-the group is used, candidate classes are merged through verified isomorphism
-witnesses, indecomposability is decided by idempotent search in the
-endomorphism ring, and the census is marked as sampled; a class that
-search leaves open is counted as undecided, and the table names how many
-at each dimension.  Representatives are the lexicographically least
-assignments in their orbits, and arrive in lexicographic order, unsorted:
-the assignments grow in element order, each element bounded by the
-choices of the earlier elements below and above it.  At an exact
-dimension they grow by stabiliser descent: a prefix carries the group
-elements that fix it, and a candidate for the next element is skipped
-when an earlier candidate's orbit under them holds it, so each class is
-met once, at its least assignment, and no other assignment is listed or
-remembered.  At a sampled dimension every assignment is listed and the
-list is collapsed into sampled orbits.
+The group that acts on subspace indices is the full GL(n, q) when n <= 3
+and q^(n^2) <= 70 000, and a fixed-seed sample of it otherwise.  Both
+are walked the same way, by stabiliser descent (McKay's isomorph-free
+generation): the assignments grow in element order, each element bounded
+by the choices of the earlier elements below and above it; a prefix
+carries the listed group elements that fix it, and a candidate for the
+next element is skipped when an earlier candidate's orbit under them
+holds it.  A skipped candidate is the image of a kept one under an
+element of GL that fixes the prefix, so the least assignment of every
+class is a leaf, and the leaves arrive in lexicographic order, each class
+first at its least assignment; no other assignment is listed or
+remembered.  At an exact dimension, where the whole group is listed,
+each class has one leaf, and indecomposability is decided by the
+direct-sum rule, with no linear algebra: by Krull-Schmidt a class is
+decomposable exactly when its orbit holds X (+) Y for classes X and Y of
+dimensions k and n - k, 1 <= k <= n/2, and every dimension below an
+exact one is exact, so those classes are already listed.  With a sample a class can have
+several leaves: they are merged through verified isomorphism witnesses,
+indecomposability is decided by idempotent search in the endomorphism
+ring, and the census is marked as sampled; a class that search leaves
+open is counted as undecided, and the table names how many at each
+dimension.
 
 The group acts on integers, not matrices.  The lines of k^n are numbered
 by their representatives whose first nonzero entry is 1 (`_lines`), and a
@@ -31,8 +32,8 @@ subspace is the bitmask of the lines it contains, the zero subspace being
 g is the permutation "line i goes to line j" under v -> v*g
 (`_line_permutations`), and the image of a subspace is the image of its
 mask under that permutation, looked up among the masks.  The images of
-one subspace under every element are made the first time the descent or
-a sampled orbit needs them (`_image_rows`).
+one subspace under every element are made the first time the descent
+needs them (`_image_rows`).
 The subspaces, their masks and the image rows depend only on (q, n) and
 are made once per process (`_action`), so each row is made at most once.
 That holds at a sampled dimension too: its sample is drawn once per
@@ -250,23 +251,25 @@ def _image_rows(masks, group):
     return row
 
 
-def _monotone_assignments(poset: Poset, masks, row=None, group=()):
-    """The order-respecting choices of a subspace index per element, the
-    subspaces given by their line masks (`_point_masks`), as tuples aligned
-    with poset.elements, in lexicographic order: all of them with no group,
-    and the least of each orbit with one.  The group is the list of indices
-    of its elements in the image rows `row(j)`, the identity among them.
+def _monotone_assignments(poset: Poset, masks, row, group):
+    """The order-respecting choices of a subspace index per element that
+    the stabiliser descent keeps, the subspaces given by their line masks
+    (`_point_masks`), as tuples aligned with poset.elements, in
+    lexicographic order.  The group is a list of indices of its elements
+    in the image rows `row(j)`; with fewer than two elements, as with
+    `None, ()`, every monotone assignment is kept.
     Element i may take subspace j iff masks[j] holds the masks chosen for
     the earlier elements below i and lies inside those chosen for the
     earlier elements above i, and no prefix dies: the meet of the upper
     bounds is a subspace holding the lower bounds.  Each prefix carries its
-    stabiliser, the elements that fix every subspace in it.  These keep
-    both bounds, so the candidates fall into their orbits: the candidates
+    stabiliser, the listed elements that fix every subspace in it.  These
+    keep both bounds, so they map candidates to candidates: the candidates
     are taken in ascending order, one is skipped when an earlier one's
-    orbit holds it, and each child keeps the elements that fix its own
-    subspace too.  A full assignment is then the least of its orbit, and
-    each orbit has one (McKay's isomorph-free generation, with the group
-    listed whole, so no generators are needed)."""
+    orbit under the stabiliser holds it, and each child keeps the elements
+    that fix its own subspace too.  Each class then has a leaf at its
+    least assignment, its first; with the whole of GL(n, q) listed that is
+    its only leaf (McKay's isomorph-free generation, with no generators
+    needed)."""
     elements = poset.elements
     level = [((), group)]
     for i, s in enumerate(elements):
@@ -283,7 +286,7 @@ def _monotone_assignments(poset: Poset, masks, row=None, group=()):
             for j, mask in enumerate(masks):
                 if need & ~mask or mask & ~room or j in seen:
                     continue
-                if len(stab) > 1:  # the identity alone skips and narrows nothing
+                if len(stab) > 1:  # one element or none: skip nothing here or below
                     images = row(j)
                     seen.update([images[g] for g in stab])
                     grown.append((a + (j,), [g for g in stab if images[g] == j]))
@@ -372,44 +375,26 @@ def enumerate_indecomposables(cfg: EnumConfig) -> OracleCensus:
 
 def _classes(cfg: EnumConfig, field: Field):
     """For n = 1 .. cfg.max_dim: (n, the subspaces of k^n, one
-    representative per class, the split classes).  Where the group is
-    exhaustive the representatives are the least assignments of the
-    orbits, walked by stabiliser descent with no assignment listed, and
-    the last item is the set of those whose orbit holds a direct sum of
-    two lower classes; the representative is tested itself, as the empty
-    assignment has no images.  Where the group is sampled every monotone
-    assignment is listed, the last item is None, and the candidate classes
-    are merged by isomorphism witnesses."""
+    representative per class, the split classes).  The candidates are the
+    leaves of the stabiliser descent.  Where the group is exhaustive each
+    is the least assignment of its class, and the last item is the set of
+    those whose orbit holds a direct sum of two lower classes; the
+    representative is tested itself, as the empty assignment has no
+    images.  Where the group is sampled the candidates are merged by
+    isomorphism witnesses and the last item is None."""
     subs = {}
     classes = {}  # n -> every class representative at the exact dim n
     for n in range(1, cfg.max_dim + 1):
         subs[n], masks, row, group = _action(cfg.q, n)
+        reps = _monotone_assignments(cfg.poset, masks, row, group)
         if _exhaustive_group(cfg.q, n):
             sums = _direct_sums(classes, subs, n)
-            reps = classes[n] = _monotone_assignments(cfg.poset, masks, row, group)
+            classes[n] = reps
             split = {a for a in reps
                      if a in sums or not sums.isdisjoint(zip(*[row(j) for j in a]))}
             yield n, subs[n], reps, split
         else:
-            reps = _orbits(_monotone_assignments(cfg.poset, masks), row)
             yield n, subs[n], _merge_sampled_classes(cfg, field, subs[n], reps), None
-
-
-def _orbits(assignments, row):
-    """One candidate representative per sampled orbit, the least assignment
-    met in it, in the lexicographic order in which `assignments` arrive.
-    `row(j)` gives the images of subspace j under the sample, whose orbits
-    need not be closed, so the least is taken rather than the first."""
-    seen = set()
-    reps = []
-    for a in assignments:
-        if a in seen:
-            continue
-        orbit = set(zip(*[row(j) for j in a]))
-        orbit.add(a)
-        seen.update(orbit)
-        reps.append(min(orbit))
-    return reps
 
 
 def _direct_sums(classes, subs, n: int) -> set:
@@ -431,8 +416,10 @@ def _direct_sums(classes, subs, n: int) -> set:
 
 
 def _merge_sampled_classes(cfg: EnumConfig, field: Field, subs, reps):
-    """Sampled orbits can split a true class; merge candidates that a
-    verified isomorphism witness identifies."""
+    """The first of each class among the candidates `reps`, in their
+    order: a candidate is dropped when a verified isomorphism witness
+    identifies it with one kept before it.  A sampled descent can leave
+    several leaves of one class, the least of them first."""
     spaces = [_assignment_to_space(cfg.poset, field, subs, r) for r in reps]
     kept = []
     kept_spaces = []

@@ -13,8 +13,7 @@ from dataclasses import dataclass, field as dc_field
 from itertools import combinations, permutations
 
 from .differentiation import (derive_poset, diff_morphism, diff_space,
-                              diff_space_composite, factor_ideal_dim,
-                              is_applicable, nu_count)
+                              diff_space_composite, factor_ideal_dim, nu_count)
 from .errors import InvalidMorphism
 from .functors import (IncidenceRep, coinduce, decompose_projective, induce,
                        injective_envelope, is_socle_projective,
@@ -22,7 +21,7 @@ from .functors import (IncidenceRep, coinduce, decompose_projective, induce,
                        semisimple_decompose)
 from .linalg import QQ, Field, Matrix, Subspace
 from .oracle import EnumConfig, enumerate_indecomposables
-from .poset import Poset, derived_carrier
+from .poset import Poset, applicable_moves, derived_carrier
 from .randgen import random_morphism, random_poset, random_sspace
 from .sspace import (SMorphism, SSpace, direct_sum, dualize, e_functor_map,
                      e_quot, e_sub, hom_dim, hom_space, is_left_minimal,
@@ -61,7 +60,7 @@ def _applicable(rng, mode=None, max_size=5):
     while True:
         p = random_poset(rng, max_size)
         m = mode or rng.choice(["filter", "ideal"])
-        points = [x for x in p.elements if is_applicable(p, x, m)]
+        points = [x for x, mode_x in applicable_moves(p) if mode_x == m]
         if points:
             return p, rng.choice(points), m
 

@@ -118,7 +118,7 @@ def test_monotone_assignments_match_brute_force():
                  for j, t in enumerate(p.elements) if p.lt(s, t)]
         brute = [a for a in product(range(len(subs)), repeat=len(p))
                  if all(subs[a[j]].contains(subs[a[i]]) for i, j in pairs)]
-        assert _monotone_assignments(p, _point_masks(subs)) == brute
+        assert _monotone_assignments(p, _point_masks(subs), None, ()) == brute
 
 
 def test_subspace_cap():
@@ -350,7 +350,7 @@ def test_density_at_desk_scale():
     images = []
     for n in (0, 1, 2):
         subs = all_subspaces(F2, n)
-        for a in _monotone_assignments(p, _point_masks(subs)):
+        for a in _monotone_assignments(p, _point_masks(subs), None, ()):
             v = _assignment_to_space(p, F2, subs, a)
             if has_summand_full_at(v, "x"):
                 continue
@@ -378,15 +378,15 @@ def test_direct_sum_verdicts_match_idempotent_search(q, max_dim, max_points):
 
 def test_exact_dimensions_solve_no_hom_system(monkeypatch):
     """At an exact dimension the verdicts come from the direct-sum rule,
-    and the classes from the stabiliser descent alone: no assignment list
-    is collapsed into orbits."""
+    and the classes from the stabiliser descent alone: no candidates are
+    merged by isomorphism witnesses."""
     def refuse(*args, **kwargs):
         raise AssertionError("a Hom system was solved at an exact dimension")
 
-    def unlisted(*args, **kwargs):
-        raise AssertionError("assignments were listed at an exact dimension")
+    def unmerged(*args, **kwargs):
+        raise AssertionError("candidates were merged at an exact dimension")
 
-    monkeypatch.setattr(oracle, "_orbits", unlisted)
+    monkeypatch.setattr(oracle, "_merge_sampled_classes", unmerged)
     monkeypatch.setattr(oracle, "is_indecomposable", refuse)
     monkeypatch.setattr(sspace, "hom_space", refuse)
     monkeypatch.setattr(sspace, "_hom_solutions", refuse)
@@ -457,6 +457,39 @@ def test_descent_matches_listing_every_assignment(q, max_dim, sizes):
             assert got == list(_listed_classes(p, q, max_dim)), p
 
 
+@pytest.mark.parametrize("q,n", [(3, 2), (2, 3)], ids=["GL(2,3)", "GL(3,2)"])
+def test_descent_under_a_partial_group(q, n):
+    """The descent over any sublist of GL(n, q), as a sampled dimension
+    walks it, skips only by real elements that fix the prefix: its leaves
+    come in lexicographic order, include every leaf of the whole group's
+    walk, and meet each class first at that leaf.  Classes are keyed by
+    their least assignment over the whole group."""
+    _, masks, row, group = oracle._action(q, n)
+    identity = next(g for g in group if all(row(j)[g] == j for j in range(len(masks))))
+    others = [g for g in group if g != identity]
+    rng = random.Random(29)
+    least = {}  # assignment -> the least of its orbit, filled an orbit at a time
+
+    def key(a):
+        if a not in least:
+            orbit = set(zip(*[row(j) for j in a])) | {a}
+            least.update(dict.fromkeys(orbit, min(orbit)))
+        return least[a]
+
+    for p in all_posets_up_to(4):
+        full = _monotone_assignments(p, masks, row, group)
+        for with_identity in (True, False):
+            for size in (1, 2, 3, 8, len(group) // 2):
+                part = sorted(rng.sample(others, size) + [identity] * with_identity)
+                leaves = _monotone_assignments(p, masks, row, part)
+                assert leaves == sorted(set(leaves)), (p, part)
+                assert set(full) <= set(leaves), (p, part)
+                first = {}
+                for a in leaves:
+                    first.setdefault(key(a), a)
+                assert first == {m: m for m in full}, (p, part)
+
+
 def test_image_rows_are_made_once():
     subs = all_subspaces(F2, 3)
     row = _image_rows(_point_masks(subs), _general_linear(F2, 3))
@@ -523,6 +556,9 @@ PINNED_CENSUS_SWEEPS = {
     "F2-chains-dim4": (
         lambda: [(chain(*"abc"[:k]), 2, 4) for k in (1, 2, 3)],
         "2a8a1acc08312de8d4f1d876dc22a2d14e083e91cc00fe7670e646d63b31640a"),
+    "F2-3-points-dim4": (
+        lambda: [(p, 2, 4) for p in all_posets_up_to(3) if len(p) == 3],
+        "4bacca091fe1b98f2dd5b434a018c745225f776f6bb1cdb1dabca93b2f259f56"),
 }
 
 
