@@ -9,6 +9,7 @@ are reproducible.
 from __future__ import annotations
 
 import argparse
+import fnmatch
 import os
 import sys
 
@@ -133,6 +134,11 @@ def cmd_nu(args) -> int:
 
 def cmd_oracle(args) -> int:
     p = fileio.load_poset(args.path)
+    if args.reps and os.path.isdir(args.reps):  # no mix with an earlier run's files
+        names = os.listdir(args.reps)
+        if "base.poset" in names or fnmatch.filter(names, "indec*.ssp"):
+            raise WriteError(f"{args.reps!r} already holds the representatives of "
+                             "an earlier run; give an empty or new directory")
     cfg = EnumConfig(p, q=args.field, max_dim=args.maxdim, force=args.force)
     if args.cross_check:
         report = cross_check_nu(p, cfg)

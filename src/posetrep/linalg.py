@@ -338,27 +338,6 @@ class Matrix:
                             for row in self.rows)
         return Matrix._of(field, out, other.ncols)
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        _check_same_field(self.field, other.field)
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise DimensionMismatch("matrix shapes differ")
-        p = self.field.p
-        pairs = zip(self.rows, other.rows)
-        if p is None:
-            out = tuple(tuple(a + b for a, b in zip(r, s)) for r, s in pairs)
-        else:
-            out = tuple(tuple((a + b) % p for a, b in zip(r, s)) for r, s in pairs)
-        return Matrix._of(self.field, out, self.ncols)
-
-    def scale(self, c) -> "Matrix":
-        c = self.field.coerce(c)
-        p = self.field.p
-        if p is None:
-            out = tuple(tuple(c * x for x in r) for r in self.rows)
-        else:
-            out = tuple(tuple(c * x % p for x in r) for r in self.rows)
-        return Matrix._of(self.field, out, self.ncols)
-
     def transpose(self) -> "Matrix":
         if self.nrows == 0:
             return Matrix._of(self.field, ((),) * self.ncols, 0)

@@ -50,5 +50,5 @@ def random_morphism(rng: random.Random, hom):
     """Random combination of a HomSpace basis; zero morphism if empty."""
     from .sspace import SMorphism
 
-    mat = hom.combination([random_scalar(rng, hom.field) for _ in hom.basis])
+    mat = hom.combination([random_scalar(rng, hom.field) for _ in range(hom.dim)])
     return SMorphism(hom.source, hom.target, mat)

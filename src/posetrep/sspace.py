@@ -155,22 +155,26 @@ class SMorphism:
         return True
 
     def is_iso(self) -> bool:
-        return self.inverse() is not None
+        return _inverse(self.source, self.target, self.mat) is not None
 
     def inverse(self):
         """Inverse morphism if the matrix inverts and the inverse respects
         subspaces; None otherwise."""
-        inv = self.mat.inverse()
-        if inv is None:
-            return None
-        try:
-            return SMorphism(self.target, self.source, inv)
-        except InvalidMorphism:
-            return None
+        inv = _inverse(self.source, self.target, self.mat)
+        return None if inv is None else SMorphism(self.target, self.source, inv, validate=False)
 
     def dualize(self) -> "SMorphism":
         return SMorphism(dualize(self.target), dualize(self.source),
                          self.mat.transpose(), validate=False)
+
+
+def _inverse(u: SSpace, v: SSpace, mat: Matrix):
+    """The inverse matrix of mat : u -> v when there is one and it carries
+    each V(s) into U(s), so that mat is an isomorphism; None otherwise."""
+    inv = mat.inverse()
+    if inv is None or not all(u.sub(s).contains(v.sub(s).image(inv)) for s in u.poset.elements):
+        return None
+    return inv
 
 
 # ---------------------------------------------------------------------------
@@ -179,26 +183,37 @@ class SMorphism:
 
 @dataclass(frozen=True)
 class HomSpace:
+    """Hom(source, target) as its flat solution space: `flat` holds each
+    morphism's matrix as its rows laid end to end, of length dim_U * dim_V.
+    The basis morphisms are made only when `basis` is read."""
+
     source: SSpace
     target: SSpace
-    basis: tuple
-    flat: Subspace  # same space, rows flattened to length dim_U * dim_V
+    flat: Subspace
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.flat.dim
 
     @property
     def field(self) -> Field:
         return self.source.field
 
+    @property
+    def basis(self) -> tuple:
+        """One morphism per row of `flat`, in its order."""
+        return tuple(SMorphism(self.source, self.target, self._matrix(r), validate=False)
+                     for r in self.flat.mat.rows)
+
     def combination(self, coeffs) -> Matrix:
-        """The matrix of sum c_i * basis_i; zero coefficients are skipped."""
-        mat = Matrix.zeros(self.field, self.source.dim, self.target.dim)
-        for c, f in zip(coeffs, self.basis):
-            if c:
-                mat = mat + f.mat.scale(c)
-        return mat
+        """The matrix of sum c_i * basis_i: the coefficient row times `flat`."""
+        return self._matrix((Matrix(self.field, [coeffs], self.dim) * self.flat.mat).rows[0])
+
+    def _matrix(self, row) -> Matrix:
+        """The dim_U x dim_V matrix whose rows, laid end to end, are row."""
+        nv = self.target.dim
+        return Matrix._of(self.field, tuple(row[i * nv:(i + 1) * nv]
+                                            for i in range(self.source.dim)), nv)
 
 
 def _hom_pairs(u: SSpace, v: SSpace):
@@ -255,27 +270,15 @@ def _hom_solutions(u: SSpace, v: SSpace, pairs) -> Subspace:
     return solution_space(u.field, last + 1, rows)
 
 
-def _unflatten(u: SSpace, v: SSpace, flat_rows):
-    """Basis morphisms u -> v from the canonical rows of a `solution_space`."""
-    nv = v.dim
-    return [SMorphism(u, v, Matrix._of(u.field, tuple(r[i * nv:(i + 1) * nv]
-                                                      for i in range(u.dim)), nv),
-                      validate=False)
-            for r in flat_rows]
-
-
 def hom_space(u: SSpace, v: SSpace) -> HomSpace:
-    """Basis of all S-space morphisms u -> v: the solutions of f(U(s)) <= V(s),
+    """All S-space morphisms u -> v: the solutions of f(U(s)) <= V(s),
     written f(U(s)) * q_s = 0 for the quotient map q_s of each V(s)."""
     _check_same_category(u, v)
-    sol = _hom_solutions(u, v, _hom_pairs(u, v))
-    return HomSpace(u, v, tuple(_unflatten(u, v, sol.mat.rows)), sol)
+    return HomSpace(u, v, _hom_solutions(u, v, _hom_pairs(u, v)))
 
 
 def hom_dim(u: SSpace, v: SSpace) -> int:
-    """dim Hom(u, v), with no basis morphisms made."""
-    _check_same_category(u, v)
-    return _hom_solutions(u, v, _hom_pairs(u, v)).dim
+    return hom_space(u, v).dim
 
 
 # ---------------------------------------------------------------------------
@@ -377,23 +380,23 @@ class IsoResult:
 
 
 def _all_combinations(hom: HomSpace):
-    """Every element of the hom space, the first coefficient varying
-    fastest; only callable over a prime field."""
+    """The matrix of every element of the hom space, the first coefficient
+    varying fastest; only callable over a prime field."""
     for c in product(range(hom.field.p), repeat=hom.dim):
-        yield SMorphism(hom.source, hom.target, hom.combination(c[::-1]), validate=False)
+        yield hom.combination(c[::-1])
 
 
 def _sampled_candidates(hom: HomSpace):
-    """Structured trials first (each basis element, each sum of two), then
-    2000 random combinations over F_p, 20 over Q, from a fixed seed."""
+    """Matrices: structured trials first (each basis element, each sum of
+    two), then 2000 random combinations over F_p, 20 over Q, fixed seed."""
     rng = random.Random(0)
-    yield from hom.basis
-    for f, g in combinations(hom.basis, 2):
-        yield SMorphism(hom.source, hom.target, f.mat + g.mat, validate=False)
+    units = [[int(i == j) for j in range(hom.dim)] for i in range(hom.dim)]
+    yield from map(hom.combination, units)
+    for a, b in combinations(units, 2):
+        yield hom.combination([x + y for x, y in zip(a, b)])
     trials = 20 if hom.field.p is None else 2000
     for _ in range(trials):
-        mat = hom.combination([rng.randrange(-3, 4) for _ in hom.basis])
-        yield SMorphism(hom.source, hom.target, mat, validate=False)
+        yield hom.combination([rng.randrange(-3, 4) for _ in range(hom.dim)])
 
 
 def are_isomorphic(u: SSpace, v: SSpace) -> IsoResult:
@@ -411,28 +414,26 @@ def are_isomorphic(u: SSpace, v: SSpace) -> IsoResult:
     if u.dim == 0:
         return IsoResult("iso", SMorphism(u, v, Matrix(u.field, [], 0), validate=False))
     huv = hom_space(u, v)
-    hvu = hom_space(v, u)
-    duu, dvv = hom_dim(u, u), hom_dim(v, v)
-    if not (huv.dim == hvu.dim == duu == dvv):
+    if not (huv.dim == hom_dim(v, u) == hom_dim(u, u) == hom_dim(v, v)):
         return IsoResult("not_iso")
     if huv.dim == 0:
         return IsoResult("not_iso")
     exhaustive = huv.field.p is not None and huv.field.p ** huv.dim <= ISO_BUDGET
     candidates = _all_combinations(huv) if exhaustive else _sampled_candidates(huv)
-    for cand in islice(candidates, ISO_BUDGET):
-        if cand.is_iso():
-            return IsoResult("iso", cand)
+    for mat in islice(candidates, ISO_BUDGET):
+        if _inverse(u, v, mat) is not None:
+            return IsoResult("iso", SMorphism(u, v, mat, validate=False))
     return IsoResult("not_iso") if exhaustive else IsoResult("undecided")
 
 
-def _endo_solutions_fixing(f: SMorphism) -> list[SMorphism]:
-    """Basis of {h in End(source) : h then f = 0}; the solutions of
-    g then f = f are exactly id + this space."""
+def _endo_solutions_fixing(f: SMorphism) -> HomSpace:
+    """{h in End(source) : h then f = 0}; the solutions of g then f = f
+    are exactly id + this space."""
     u = f.source
     pairs = _hom_pairs(u, u)
     # h then f = 0: the columns of f cut out the left kernel of f
     pairs.append((Matrix.identity(u.field, u.dim).rows, f.mat))
-    return _unflatten(u, u, _hom_solutions(u, u, pairs).mat.rows)
+    return HomSpace(u, u, _hom_solutions(u, u, pairs))
 
 
 def is_right_minimal(f: SMorphism) -> bool:
@@ -441,7 +442,7 @@ def is_right_minimal(f: SMorphism) -> bool:
     W = k^dim U becomes the sum of its images under a basis of L until it
     is 0 (nilpotent) or stops shrinking (not): at most dim U rounds."""
     u = f.source
-    ideal = [h.mat for h in _endo_solutions_fixing(f)]
+    ideal = [h.mat for h in _endo_solutions_fixing(f).basis]
     if not ideal:
         return True
     w = Subspace.full(u.field, u.dim)
@@ -465,12 +466,11 @@ def find_idempotent(end: HomSpace):
         raise FieldMismatch("exhaustive idempotent search needs a prime field")
     n = end.source.dim
     ident = Matrix.identity(end.field, n)
-    for cand in _all_combinations(end):
-        m = cand.mat
+    for m in _all_combinations(end):
         if m.is_zero() or m == ident:
             continue
         if m * m == m:
-            return cand
+            return SMorphism(end.source, end.target, m, validate=False)
     return None
 
 

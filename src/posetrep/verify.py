@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .differentiation import (derive_poset, diff_morphism, diff_space,
                               diff_space_composite, factor_ideal_dim, nu_count)
@@ -417,32 +417,46 @@ def check_simples_census(rng: random.Random, cases: int) -> CheckOutcome:
 def all_posets_up_to(n: int) -> list[Poset]:
     """All posets with at most n elements, one per isomorphism class.
 
-    Every poset admits a linear extension, so generating order relations
-    only from lower to higher index covers everything.  A transitive
-    closure is kept when the least sorted list of its strict index pairs,
-    over all relabelings, has not been seen: that least list determines
-    the poset up to isomorphism.
-    """
-    out = []
-    for k in range(n + 1):
+    A k-point poset is a (k-1)-point one with a new maximal point over the
+    down-set of one of its antichains, which it covers.  Each class is kept
+    under the natural labelling (index order a linear extension) with the
+    least cover-pair mask, bit b for the b-th pair of
+    combinations(range(k), 2), and each size in increasing mask order."""
+    out = level = [Poset.build([], [])]
+    for k in range(1, n + 1):
         labels = [f"e{i}" for i in range(k)]
-        pairs = list(combinations(range(k), 2))
-        perms = list(permutations(range(k)))
-        closures, seen = set(), set()
-        for mask in range(1 << len(pairs)):
-            rel = [(labels[i], labels[j]) for b, (i, j) in enumerate(pairs)
-                   if mask >> b & 1]
-            p = Poset.build(labels, rel)
-            strict = tuple((i, j) for i, j in pairs if p.leq(labels[i], labels[j]))
-            if strict in closures:
-                continue  # an earlier mask closed to the same poset
-            closures.add(strict)
-            canon = tuple(min(sorted((perm[i], perm[j]) for i, j in strict)
-                              for perm in perms))
-            if canon not in seen:
-                seen.add(canon)
-                out.append(p)
+        index = {x: i for i, x in enumerate(labels)}
+        bit = {pair: b for b, pair in enumerate(combinations(range(k), 2))}
+        masks = set()
+        for q in level:
+            covers = [(index[x], index[y]) for x, y in q.covers()]
+            masks.update(_least_cover_mask(covers + [(index[x], k - 1) for x in a], k, bit)
+                         for a in q.antichains())
+        level = [Poset.build(labels, [(labels[i], labels[j]) for (i, j), b in bit.items()
+                                      if mask >> b & 1])
+                 for mask in sorted(masks)]
+        out = out + level
     return out
+
+
+def _least_cover_mask(covers, k, bit):
+    """The least cover-pair mask of the k-point poset with these index
+    cover pairs over its natural labellings: a linear extension places
+    each point after its lower covers, and numbers it by its place."""
+    lower = [0] * k
+    for i, j in covers:
+        lower[j] |= 1 << i
+    place = [0] * k
+
+    def masks(placed, at):
+        if at == k:
+            yield sum(1 << bit[place[i], place[j]] for i, j in covers)
+        for x in range(k):
+            if not placed >> x & 1 and lower[x] & ~placed == 0:
+                place[x] = at
+                yield from masks(placed | 1 << x, at + 1)
+
+    return min(masks(0, 0))
 
 
 REGISTRY = [

@@ -396,3 +396,77 @@ def test_depth_limit_zero_is_accepted(three_file, tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "nu=3"
     assert main(["nu", three_file, "--depth-limit", "0"]) == 0
     assert capsys.readouterr().out.strip() == "nu=depth-limit"
+
+
+# The poset and the two spaces of the hash-seed step in CI: s has two lower
+# covers a and b, whose lines share a pivot column.
+COVERS_POSET = "elements: a b s c\nrelations: a<s b<s s<c\n"
+HOM_SPACES = {
+    "u.ssp": "field: Q\nposet: covers.poset\ndim: 3\nspace a: 1,0,0\nspace b: 1,1,0\n"
+             "space s: 1,0,0 ; 0,1,0 ; 0,0,1\nspace c: 1,0,0 ; 0,1,0 ; 0,0,1\n",
+    "v.ssp": "field: Q\nposet: covers.poset\ndim: 3\nspace a: 1,2,0\nspace b: 0,1/2,1\n"
+             "space s: 1,2,0 ; 0,1/2,1\nspace c: 1,2,0 ; 0,1/2,1\n",
+    "u5.ssp": "field: F 5\nposet: covers.poset\ndim: 3\nspace a: 1,0,0\nspace b: 0,1,0\n"
+              "space s: 1,0,0 ; 0,1,0\nspace c: 1,0,0 ; 0,1,0 ; 0,0,1\n",
+    "v5.ssp": "field: F 5\nposet: covers.poset\ndim: 3\nspace a: 1,2,0\nspace b: 1,2,0\n"
+              "space s: 1,2,0 ; 0,0,1\nspace c: 1,2,0 ; 0,0,1\n",
+}
+HOM_OUTPUTS = {
+    ("u.ssp", "v.ssp"): "dim 4\n"
+                        "basis 0: 1,2,0 ; -1,0,4 ; 0,0,0\n"
+                        "basis 1: 0,0,0 ; 0,1,2 ; 0,0,0\n"
+                        "basis 2: 0,0,0 ; 0,0,0 ; 1,0,-4\n"
+                        "basis 3: 0,0,0 ; 0,0,0 ; 0,1,2\n",
+    ("v.ssp", "u.ssp"): "dim 5\n"
+                        "basis 0: 1,0,0 ; 0,0,0 ; 0,0,0\n"
+                        "basis 1: 0,1,0 ; 0,-1/2,0 ; 0,1/4,0\n"
+                        "basis 2: 0,0,1 ; 0,0,-1/2 ; 0,0,1/4\n"
+                        "basis 3: 0,0,0 ; 1,0,0 ; 0,1/2,0\n"
+                        "basis 4: 0,0,0 ; 0,0,0 ; 1,1,0\n",
+    ("u5.ssp", "v5.ssp"): "dim 4\n"
+                          "basis 0: 1,2,0 ; 0,0,0 ; 0,0,0\n"
+                          "basis 1: 0,0,0 ; 1,2,0 ; 0,0,0\n"
+                          "basis 2: 0,0,0 ; 0,0,0 ; 1,2,0\n"
+                          "basis 3: 0,0,0 ; 0,0,0 ; 0,0,1\n",
+}
+
+
+@pytest.mark.parametrize("pair", sorted(HOM_OUTPUTS), ids="-".join)
+def test_hom_prints_the_pinned_basis(pair, tmp_path, capsys):
+    """The whole stdout of `posetrep hom`, over Q both ways and over F_5."""
+    (tmp_path / "covers.poset").write_text(COVERS_POSET)
+    for name, text in HOM_SPACES.items():
+        (tmp_path / name).write_text(text)
+    assert main(["hom"] + [str(tmp_path / name) for name in pair]) == 0
+    assert capsys.readouterr().out == HOM_OUTPUTS[pair]
+
+
+def test_oracle_refuses_a_reps_directory_of_an_earlier_run(tmp_path):
+    """A second run into the same --reps directory would replace base.poset
+    and leave the first run's extra indecNNN.ssp files behind, which then
+    fail to load: it is refused before the census, and nothing is written."""
+    (tmp_path / "three.poset").write_text("elements: a b c\nrelations:\n")
+    (tmp_path / "one.poset").write_text("elements: a\nrelations:\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(posetrep.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def oracle(poset, reps):
+        return subprocess.run([sys.executable, "-m", "posetrep.cli", "oracle", poset,
+                               "--field", "2", "--maxdim", "2", "--reps", reps],
+                              cwd=tmp_path, env=env, capture_output=True, text=True,
+                              timeout=60)
+
+    assert oracle("three.poset", "reps").returncode == 0
+    first = {path.name: path.read_bytes() for path in (tmp_path / "reps").iterdir()}
+    assert len(first) == 10  # base.poset and 9 representatives
+    proc = oracle("one.poset", "reps")
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.splitlines() == [
+        "WriteError: 'reps' already holds the representatives of an earlier run; "
+        "give an empty or new directory"]
+    assert proc.stdout == ""
+    assert {path.name: path.read_bytes() for path in (tmp_path / "reps").iterdir()} == first
+    (tmp_path / "empty").mkdir()
+    assert oracle("one.poset", "empty").returncode == 0
+    assert sorted(path.name for path in (tmp_path / "empty").iterdir()) == [
+        "base.poset", "indec000.ssp", "indec001.ssp"]

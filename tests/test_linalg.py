@@ -419,12 +419,19 @@ def test_rref_idempotent():
 def test_exactness_no_floats():
     """Every result holds canonical entries: a Fraction over Q, an int in
     [0, p) over F_p, also where no coercion runs."""
+    from posetrep.poset import Poset
+    from posetrep.sspace import SSpace, hom_space
+
+    point = Poset.build(["x"], [])
     for field in (QQ, F2, F5):
         w = Subspace.from_rows(field, 3, [[1, 2, 3], [4, 5, 6]])
         u = Subspace.from_rows(field, 3, [[1, 1, 0], [0, 0, 1]])
         m = Matrix(field, [[1, 2, 0], [0, 3, 1], [2, 0, 1]])
         sq = Matrix(field, [[1, 1], [0, 1]])
-        results = [w.mat, m * m, m + m, m.scale(3), m.transpose(), m.null_rows(),
+        hom = hom_space(*(SSpace(point, field, 3, {"x": s}) for s in (w, u)))
+        assert hom.dim == 7
+        results = [hom.combination(range(-3, 4)), hom.combination([0] * 7),
+                   w.mat, m * m, m.transpose(), m.null_rows(),
                    Matrix(field, [[1, 1, 1], [2, 2, 2]]).null_rows(), sq.inverse(),
                    Matrix.identity(field, 3), Matrix.zeros(field, 2, 3),
                    vstack(w.mat, u.mat), w.intersect(u).mat, w.plus(u).mat,

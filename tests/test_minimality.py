@@ -26,9 +26,12 @@ MAX_IDEAL_DIM = 8
 
 
 def _plus_combination(start, coeffs, mats):
-    for c, m in zip(coeffs, mats):
-        start = start + m.scale(c)
-    return start
+    """start + sum c_i * mats[i], summed entry by entry as integers and
+    reduced by the Matrix constructor."""
+    terms = list(zip(coeffs, mats))
+    return Matrix(start.field, [[x + sum(c * m.rows[i][j] for c, m in terms)
+                                 for j, x in enumerate(row)]
+                                for i, row in enumerate(start.rows)], start.ncols)
 
 
 def _ideal(end, product_with, width):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -16,6 +17,7 @@ from helpers import (antichain_poset, chain, count_eliminations, example510, ide
                      maximal, minimal, reference_rref)
 
 F2 = Field.prime(2)
+F3 = Field.prime(3)
 F5 = Field.prime(5)
 F65521 = Field.prime(65521)
 
@@ -251,7 +253,7 @@ def test_hom_systems_are_one_elimination(field, monkeypatch):
             u, u, [(u.sub(s), u.sub(s)) for s in p.elements]
             + [(Subspace.full(field, u.dim), kernel_of_f)])
         check(kernels, rows)
-        assert [sum(h.mat.rows, ()) for h in ideal] == list(ref.mat.rows)
+        assert ideal.flat == ref
     assert dropped
 
 
@@ -633,7 +635,7 @@ def test_all_combinations_vary_the_first_coefficient_fastest():
     k = simple_filter_space(p, Field.prime(3), ())
     hom = hom_space(direct_sum(k, k), k)
     assert hom.dim == 2
-    assert ([f.mat for f in _all_combinations(hom)]
+    assert (list(_all_combinations(hom))
             == [hom.combination((a, b)) for b in range(3) for a in range(3)])
 
 
@@ -674,3 +676,151 @@ def test_invalid_morphism_rejected():
     u = simple_filter_space(v.poset, QQ, ("x",))
     with pytest.raises(InvalidMorphism):
         SMorphism(u, v, Matrix(QQ, [[0, 1]], 2))
+
+
+# pinned search results -------------------------------------------------------
+
+
+def _moved_pair(seed, field):
+    """(v, v moved by an invertible matrix, an unrelated space w), on one
+    random poset of at most 4 points."""
+    rng = random.Random(seed)
+    p = random_poset(rng, 4)
+    v = random_sspace(rng, p, field, 3)
+    g = None
+    while g is None or not g.is_invertible():
+        g = Matrix(field, [[rng.randrange(-2, 3) for _ in range(v.dim)] for _ in range(v.dim)],
+                   v.dim)
+    moved = SSpace(p, field, v.dim, {s: v.sub(s).image(g) for s in p.elements})
+    return v, moved, random_sspace(rng, p, field, 3)
+
+
+ISO_PINS = [
+    (F2, 0, "moved", "iso", False, [[1, 0], [1, 1]]),
+    (F2, 0, "other", "not_iso", False, None),
+    (F2, 4, "moved", "iso", False, [[1, 0, 0], [0, 1, 0], [1, 0, 1]]),
+    (F2, 4, "other", "not_iso", False, None),
+    (F2, 6, "moved", "iso", False, [[0, 1, 1], [1, 0, 0], [1, 1, 0]]),
+    (F2, 6, "other", "not_iso", False, None),
+    (F3, 0, "moved", "iso", False, [[1, 0], [2, 2]]),
+    (F3, 0, "other", "not_iso", False, None),
+    (F3, 4, "moved", "iso", False, [[0, 0, 1], [1, 0, 0], [0, 2, 0]]),
+    (F3, 4, "other", "not_iso", False, None),
+    (F3, 6, "moved", "iso", False, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+    (F3, 6, "other", "not_iso", False, None),
+    (QQ, 0, "moved", "iso", True, [[1, 1], [1, 0]]),
+    (QQ, 0, "other", "not_iso", False, None),
+    (QQ, 4, "moved", "iso", False, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+    (QQ, 4, "other", "not_iso", False, None),
+    (QQ, 6, "moved", "iso", True, [[1, 0, 0], [0, 1, 25], [0, 0, Fraction(-45, 2)]]),
+    (QQ, 6, "other", "not_iso", False, None),
+]
+
+
+@pytest.mark.parametrize("field, seed, kind, status, sampled, witness", ISO_PINS,
+                         ids=[f"{f}-{s}-{k}" for f, s, k, *_ in ISO_PINS])
+def test_are_isomorphic_pinned_statuses_and_witnesses(field, seed, kind, status, sampled,
+                                                      witness, monkeypatch):
+    """Which witness a search returns follows its enumeration order; the Q
+    pairs marked sampled find theirs among the sampled candidates."""
+    from posetrep import sspace
+
+    reached = []
+    candidates = sspace._sampled_candidates
+    monkeypatch.setattr(sspace, "_sampled_candidates",
+                        lambda hom: reached.append(hom) or candidates(hom))
+    v, moved, other = _moved_pair(seed, field)
+    res = are_isomorphic(v, moved if kind == "moved" else other)
+    assert res.status == status
+    assert bool(reached) is sampled
+    if witness is None:
+        assert res.witness is None
+    else:
+        assert res.witness.mat == Matrix(field, witness, v.dim)
+        assert (res.witness.source, res.witness.target) == (v, moved)
+
+
+def test_are_isomorphic_pinned_sampled_witnesses_over_f3(monkeypatch):
+    """Over F_3, End of a plane in k^4 has dim 12 and 3^12 > ISO_BUDGET, so
+    the search samples: here the witnesses are random combinations."""
+    from posetrep import sspace
+
+    reached = []
+    candidates = sspace._sampled_candidates
+    monkeypatch.setattr(sspace, "_sampled_candidates",
+                        lambda hom: reached.append(hom) or candidates(hom))
+    p = Poset.build(["x"], [])
+
+    def plane(rows):
+        return SSpace(p, F3, 4, {"x": Subspace.from_rows(F3, 4, rows)})
+
+    u = plane([[1, 0, 0, 0], [0, 1, 0, 0]])
+    pins = [([[0, 0, 1, 0], [0, 0, 0, 1]], [[0, 0, 2, 1], [0, 0, 2, 0], [1, 1, 2, 0], [2, 0, 0, 2]]),
+            ([[1, 1, 1, 1], [0, 1, 2, 0]], [[2, 1, 0, 2], [2, 0, 1, 2], [1, 1, 2, 0], [2, 0, 0, 2]])]
+    for rows, witness in pins:
+        reached.clear()
+        res = are_isomorphic(u, plane(rows))
+        assert res.status == "iso" and len(reached) == 1
+        assert res.witness.mat == Matrix(F3, witness)
+    assert are_isomorphic(u, plane([[1, 1, 1, 1]])).status == "not_iso"
+
+
+IDEMPOTENT_PINS = [
+    (F2, 0, [[1, 0], [0, 0]]),
+    (F2, 4, [[1, 0, 0], [0, 0, 0], [0, 0, 0]]),
+    (F2, 6, [[1, 0, 0], [0, 0, 0], [0, 1, 1]]),
+    (F2, 11, [[1, 0, 0], [0, 0, 0], [0, 0, 0]]),
+    (F3, 0, [[0, 1], [0, 1]]),
+    (F3, 4, [[1, 0, 0], [0, 0, 0], [0, 0, 0]]),
+    (F3, 6, [[1, 0, 0], [0, 0, 0], [0, 2, 1]]),
+    (F3, 11, [[1, 1, 0], [0, 0, 0], [0, 0, 0]]),
+]
+
+
+@pytest.mark.parametrize("field, seed, idempotent", IDEMPOTENT_PINS,
+                         ids=[f"{f}-{s}" for f, s, _ in IDEMPOTENT_PINS])
+def test_find_idempotent_pinned_returns(field, seed, idempotent):
+    from posetrep.sspace import find_idempotent
+
+    rng = random.Random(seed)
+    p = random_poset(rng, 4)
+    v = random_sspace(rng, p, field, 3)
+    e = find_idempotent(hom_space(v, v))
+    assert e.mat == Matrix(field, idempotent) and e.source == e.target == v
+
+
+def test_find_idempotent_exhausts_a_local_end():
+    """Four subspaces of F_2^3 whose End has dim 2 and no idempotent
+    besides 0 and 1."""
+    from posetrep.sspace import find_idempotent
+
+    p = antichain_poset("a", "b", "c", "d")
+    rows = {"a": [[1, 0, 1], [0, 1, 0]], "b": [[0, 0, 1]], "c": [[1, 0, 1], [0, 1, 1]],
+            "d": [[1, 0, 0]]}
+    v = SSpace(p, F2, 3, {s: Subspace.from_rows(F2, 3, r) for s, r in rows.items()})
+    end = hom_space(v, v)
+    assert end.dim == 2 and find_idempotent(end) is None
+
+
+def test_hom_space_and_hom_dim_make_no_morphism(monkeypatch):
+    """A Hom space is its flat solution space; no SMorphism is made until
+    the basis is read."""
+    from posetrep import sspace
+
+    rng = random.Random(47)
+    cases = []
+    for field in (QQ, F2, F5):
+        for _ in range(10):
+            p = random_poset(rng, 5)
+            cases.append((random_sspace(rng, p, field, 3), random_sspace(rng, p, field, 3)))
+    with monkeypatch.context() as m:
+        m.setattr(sspace.SMorphism, "__init__",
+                  lambda *a, **k: pytest.fail("an SMorphism was made"))
+        homs = [hom_space(u, v) for u, v in cases]
+        dims = [hom_dim(u, v) for u, v in cases]
+    assert dims == [hom.dim for hom in homs]
+    assert any(dims)
+    for hom in homs:
+        assert [f.mat.rows for f in hom.basis] == [
+            tuple(r[i * hom.target.dim:(i + 1) * hom.target.dim] for i in range(hom.source.dim))
+            for r in hom.flat.mat.rows]
