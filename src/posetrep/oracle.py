@@ -32,17 +32,25 @@ subspace is the bitmask of the lines it contains, the zero subspace being
 g is the permutation "line i goes to line j" under v -> v*g
 (`_line_permutations`), and the image of a subspace is the image of its
 mask under that permutation, looked up among the masks.  The images of
-one subspace under every element are made the first time the descent
-needs them (`_image_rows`).
-The subspaces, their masks and the image rows depend only on (q, n) and
-are made once per process (`_action`), so each row is made at most once.
-That holds at a sampled dimension too: its sample is drawn once per
-(q, n), from a fresh seed-0 stream of its own, so the group at n is the
-same whatever else the process has asked for.
+one subspace under every element, and for each image the elements that
+send the subspace there, are made the first time the descent needs them
+(`_image_rows`).
+Every set the descent walks is an int bitmask.  A stabiliser is the
+bitmask of the positions of its elements in the listed group, the orbit
+of a candidate under it is every image k with `stab & moves(j)[k]`, and
+the candidates of a prefix are the AND of the containment masks of its
+earlier choices (`_containment`), a bitmask of subspace indices.
+The subspaces, their containment masks and the image rows depend only on
+(q, n) and are made once per process (`_action`), so each row is made at
+most once; so are the tables of block sums the direct-sum rule reads
+(`_block_sums`).  That holds at a sampled dimension too: its sample is
+drawn once per (q, n), from a fresh seed-0 stream of its own, so the
+group at n is the same whatever else the process has asked for.
 Lines, not all q^n vectors: a vector table would cost q^n per group
 element, which is out of reach at large q even for n = 1.  The number of
-subspaces of k^max_dim is capped (MAX_SUBSPACES) unless the guardrails
-are forced.
+subspaces of k^max_dim is capped (MAX_SUBSPACES), and so is the number
+of candidates a sampled dimension hands to the isomorphism merge
+(MAX_SAMPLED_LEAVES), unless the guardrails are forced.
 """
 
 from __future__ import annotations
@@ -67,6 +75,10 @@ GROUP_SAMPLE = 2000  # group elements drawn when sampling
 # Subspaces of k^max_dim: the action tables hold one entry per group element
 # and subspace, and the assignment search tries every subspace per element.
 MAX_SUBSPACES = 4096
+# Candidates the descent leaves at a sampled dimension, which the merge tests
+# pairwise for isomorphism: (1,1,2) over F_2 at dim 4 leaves 3,086 and its
+# census takes about 16 s; (1,2,2) leaves 20,029 and would run for hours.
+MAX_SAMPLED_LEAVES = 4000
 
 
 @dataclass(frozen=True)
@@ -213,11 +225,12 @@ def _sampled_group(field: Field, n: int, count: int, rng: random.Random):
 
 @cache
 def _action(q: int, n: int):
-    """(the subspaces of k^n, their line masks, the image-row function of
-    the group, the indices of its elements).  The group is all of GL(n, q)
-    at an exact dimension, and GROUP_SAMPLE elements drawn from a fresh
-    seed-0 stream at a sampled one.  All of it depends only on (q, n) and
-    is made once."""
+    """(the subspaces of k^n, their containment masks (`_containment`),
+    the image-row and moves functions of the group (`_image_rows`), the
+    group as the bitmask of its element positions).  The group is all of
+    GL(n, q) at an exact dimension, and GROUP_SAMPLE elements drawn from a
+    fresh seed-0 stream at a sampled one.  All of it depends only on
+    (q, n) and is made once."""
     field = Field.prime(q)
     subs = tuple(all_subspaces(field, n))
     masks = _point_masks(subs)
@@ -225,51 +238,119 @@ def _action(q: int, n: int):
         group = list(_general_linear(field, n))
     else:
         group = list(_sampled_group(field, n, GROUP_SAMPLE, random.Random(0)))
-    return subs, masks, _image_rows(masks, group), range(len(group))
+    row, moves = _image_rows(masks, group)
+    return subs, _containment(masks), row, moves, (1 << len(group)) - 1
+
+
+def _members(mask: int) -> list[int]:
+    """The positions of the set bits of mask, ascending."""
+    digits = bin(mask)[:1:-1]  # bit i is digit i
+    out = []
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
+    return out
+
+
+@cache
+def _slots(count: int) -> list[tuple[int, int]]:
+    """The (byte, bit) of each position r < count in a bytearray bitmap;
+    made once per count, as every sampled group has GROUP_SAMPLE elements."""
+    return [(r >> 3, 1 << (r & 7)) for r in range(count)]
+
+
+def _inverse(pairs, count: int) -> dict:
+    """A relation between positions r < count and keys i, given as pairs
+    ((byte, bit) of r (`_slots`), i), read backwards: {i: the bitmask of
+    the positions r paired with i}.  Each mask is made as a bytearray
+    bitmap and read once, so no big int is shifted per pair."""
+    bitmaps = {}
+    size = (count + 7) >> 3
+    for (byte, bit), i in pairs:
+        bitmap = bitmaps.get(i)
+        if bitmap is None:
+            bitmap = bitmaps[i] = bytearray(size)
+        bitmap[byte] |= bit
+    return {i: int.from_bytes(b, "little") for i, b in bitmaps.items()}
+
+
+def _containment(masks) -> tuple[list[int], list[int]]:
+    """(holders, inside): for each subspace j, given by their line masks,
+    the bitmask of the subspace indices k whose subspace holds j, and that
+    of those whose subspace lies inside j.  A subspace holds j when it
+    holds every line of j, and k is inside j when j holds k."""
+    count = len(masks)
+    slots = _slots(count)
+    lines = [_members(m) for m in masks]
+    on = _inverse(((slots[k], i) for k, ls in enumerate(lines) for i in ls), count)
+    everything = (1 << count) - 1
+    holders = []
+    for ls in lines:
+        held = everything
+        for i in ls:
+            held &= on[i]
+        holders.append(held)
+    inside = _inverse(((slots[k], j) for k, h in enumerate(holders) for j in _members(h)),
+                      count)
+    return holders, [inside[j] for j in range(count)]
 
 
 def _image_rows(masks, group):
-    """The function j -> row j, which maps each element of `group`, in
-    order, to the index of the image of subspace j under it.  The group (an
-    iterable of line permutations) is read here, once; a row is made the
-    first time it is asked for."""
+    """(row, moves): row(j) maps each element of `group`, in order, to the
+    index of the image of subspace j under it, and moves(j) maps each
+    image k of j to the bitmask of the positions of the elements sending
+    j to k.  The group (an iterable of line permutations) is read here,
+    once; a row or its moves are made the first time they are asked for."""
     index = {m: i for i, m in enumerate(masks)}
     n_lines = masks[-1].bit_length()  # the last subspace is the whole space
     perms = list(group)
     bits = [1 << i for i in range(n_lines)]
-    rows = {}
+    slots = _slots(len(perms))
+    rows, moved = {}, {}
 
     def row(j):
         made = rows.get(j)
         if made is None:
-            mask = masks[j]
-            lines = [i for i in range(mask.bit_length()) if mask >> i & 1]
+            lines = _members(masks[j])
             made = rows[j] = [index[sum([bits[perm[i]] for i in lines])]
                               for perm in perms]
         return made
 
-    return row
+    def moves(j):
+        made = moved.get(j)
+        if made is None:
+            made = moved[j] = _inverse(zip(slots, row(j)), len(perms))
+        return made
+
+    return row, moves
 
 
-def _monotone_assignments(poset: Poset, masks, row, group):
+def _monotone_assignments(poset: Poset, bounds, moves, group: int):
     """The order-respecting choices of a subspace index per element that
-    the stabiliser descent keeps, the subspaces given by their line masks
-    (`_point_masks`), as tuples aligned with poset.elements, in
-    lexicographic order.  The group is a list of indices of its elements
-    in the image rows `row(j)`; with fewer than two elements, as with
-    `None, ()`, every monotone assignment is kept.
-    Element i may take subspace j iff masks[j] holds the masks chosen for
-    the earlier elements below i and lies inside those chosen for the
-    earlier elements above i, and no prefix dies: the meet of the upper
-    bounds is a subspace holding the lower bounds.  Each prefix carries its
-    stabiliser, the listed elements that fix every subspace in it.  These
-    keep both bounds, so they map candidates to candidates: the candidates
-    are taken in ascending order, one is skipped when an earlier one's
-    orbit under the stabiliser holds it, and each child keeps the elements
-    that fix its own subspace too.  Each class then has a leaf at its
-    least assignment, its first; with the whole of GL(n, q) listed that is
-    its only leaf (McKay's isomorph-free generation, with no generators
-    needed)."""
+    the stabiliser descent keeps, as tuples aligned with poset.elements, in
+    lexicographic order.  `bounds` is (holders, inside) of each subspace
+    (`_containment`).  Stabiliser, orbit and candidate sets are bitmasks:
+    the group and each stabiliser are bitmasks of positions of elements in
+    the image rows, `moves(j)` (`_image_rows`) maps each image k of j to
+    the elements sending j to k, and a set of candidates is a bitmask of
+    subspace indices.  With fewer than two elements in the group, as with
+    `None, 0`, every monotone assignment is kept.
+    Element i may take subspace j iff j holds the subspaces chosen for the
+    earlier elements below i and lies inside those chosen for the earlier
+    elements above i: its candidates are the AND of their holders and
+    inside masks, and a prefix with no candidate dies.  Each prefix
+    carries its stabiliser, the listed elements that fix every subspace in
+    it.  These keep both bounds, so they map candidates to candidates: the
+    candidates are taken in ascending order, each kept one takes its orbit
+    under the stabiliser (every k with `stab & moves(j)[k]`) out of the
+    rest, and its child keeps the elements that fix its own subspace too
+    (`stab & moves(j)[j]`; a partial group need not fix j).  Each
+    class then has a leaf at its least assignment, its first; with the
+    whole of GL(n, q) listed that is its only leaf (McKay's isomorph-free
+    generation, with no generators needed)."""
+    holders, inside = bounds
+    everything = (1 << len(holders)) - 1
     elements = poset.elements
     level = [((), group)]
     for i, s in enumerate(elements):
@@ -277,21 +358,24 @@ def _monotone_assignments(poset: Poset, masks, row, group):
         above = [k for k in range(i) if poset.leq(s, elements[k])]
         grown = []
         for a, stab in level:
-            need, room = 0, -1
+            candidates = everything
             for k in below:
-                need |= masks[a[k]]
+                candidates &= holders[a[k]]
             for k in above:
-                room &= masks[a[k]]
-            seen = set()
-            for j, mask in enumerate(masks):
-                if need & ~mask or mask & ~room or j in seen:
-                    continue
-                if len(stab) > 1:  # one element or none: skip nothing here or below
-                    images = row(j)
-                    seen.update([images[g] for g in stab])
-                    grown.append((a + (j,), [g for g in stab if images[g] == j]))
-                else:
-                    grown.append((a + (j,), stab))
+                candidates &= inside[a[k]]
+            if not stab & (stab - 1):  # one element or none: skip nothing here or below
+                grown += [(a + (j,), stab) for j in _members(candidates)]
+                continue
+            while candidates:
+                low = candidates & -candidates
+                j = low.bit_length() - 1
+                moved = moves(j)
+                orbit = low
+                for k, sends in moved.items():
+                    if stab & sends:
+                        orbit |= 1 << k
+                candidates &= ~orbit
+                grown.append((a + (j,), stab & moved.get(j, 0)))
         level = grown
     return [a for a, _ in level]
 
@@ -381,34 +465,45 @@ def _classes(cfg: EnumConfig, field: Field):
     those whose orbit holds a direct sum of two lower classes; the
     representative is tested itself, as the empty assignment has no
     images.  Where the group is sampled the candidates are merged by
-    isomorphism witnesses and the last item is None."""
-    subs = {}
+    isomorphism witnesses, at most MAX_SAMPLED_LEAVES of them unless the
+    guardrails are forced, and the last item is None."""
     classes = {}  # n -> every class representative at the exact dim n
     for n in range(1, cfg.max_dim + 1):
-        subs[n], masks, row, group = _action(cfg.q, n)
-        reps = _monotone_assignments(cfg.poset, masks, row, group)
+        subs, bounds, row, moves, group = _action(cfg.q, n)
+        reps = _monotone_assignments(cfg.poset, bounds, moves, group)
         if _exhaustive_group(cfg.q, n):
-            sums = _direct_sums(classes, subs, n)
+            sums = _direct_sums(classes, cfg.q, n)
             classes[n] = reps
             split = {a for a in reps
                      if a in sums or not sums.isdisjoint(zip(*[row(j) for j in a]))}
-            yield n, subs[n], reps, split
+            yield n, subs, reps, split
         else:
-            yield n, subs[n], _merge_sampled_classes(cfg, field, subs[n], reps), None
+            if len(reps) > MAX_SAMPLED_LEAVES and not cfg.force:
+                raise GuardrailExceeded(f"{len(reps)} candidate classes at the sampled "
+                                        f"dim {n} > {MAX_SAMPLED_LEAVES}")
+            yield n, subs, _merge_sampled_classes(cfg, field, subs, reps), None
 
 
-def _direct_sums(classes, subs, n: int) -> set:
+@cache
+def _block_sums(q: int, k: int, m: int) -> list[list[int]]:
+    """table[x][y]: the index among the subspaces of k^(k+m) of X (+) Y in
+    k^k (+) k^m, for X subspace x of k^k and Y subspace y of k^m.  The
+    block diagonal of two echelon bases is an echelon basis, so it is
+    looked up by the padded rows of the two.  Made once per (q, k, m)."""
+    subs = {d: _action(q, d)[0] for d in (k, m, k + m)}
+    index = {s.mat.rows: i for i, s in enumerate(subs[k + m])}
+    zeros_k, zeros_m = (0,) * k, (0,) * m
+    return [[index[tuple(r + zeros_m for r in x.mat.rows)
+                   + tuple(zeros_k + r for r in y.mat.rows)]
+             for y in subs[m]] for x in subs[k]]
+
+
+def _direct_sums(classes, q: int, n: int) -> set:
     """Every assignment X (+) Y in k^n = k^k (+) k^(n-k) with X a class of
-    dim k and Y one of dim n - k, 1 <= k <= n/2.  The block diagonal of
-    two echelon bases is an echelon basis, so the index of X(s) (+) Y(s)
-    is looked up by the padded rows of the two."""
-    index = {s.mat.rows: i for i, s in enumerate(subs[n])}
+    dim k and Y one of dim n - k, 1 <= k <= n/2 (`_block_sums`)."""
     sums = set()
     for k in range(1, n // 2 + 1):
-        zeros_k, zeros_rest = (0,) * k, (0,) * (n - k)
-        table = [[index[tuple(r + zeros_rest for r in x.mat.rows)
-                        + tuple(zeros_k + r for r in y.mat.rows)]
-                  for y in subs[n - k]] for x in subs[k]]
+        table = _block_sums(q, k, n - k)
         for x in classes[k]:
             blocks = [table[i] for i in x]
             sums.update(tuple(map(getitem, blocks, y)) for y in classes[n - k])

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import random
+import time
 from itertools import product
 
 import pytest
@@ -10,10 +11,10 @@ from posetrep.linalg import QQ, Field, Matrix, Subspace
 from posetrep import oracle
 from posetrep.differentiation import applicability_width, derive_poset, nu_count
 from posetrep.oracle import (MAX_SUBSPACES, DimCensus, EnumConfig, OracleCensus,
-                             _assignment_to_space, _classes, _general_linear,
-                             _image_rows, _monotone_assignments, _point_masks,
-                             _sampled_group, _subspace_count, all_subspaces,
-                             cross_check_nu, enumerate_indecomposables,
+                             _assignment_to_space, _classes, _containment,
+                             _general_linear, _image_rows, _monotone_assignments,
+                             _point_masks, _sampled_group, _subspace_count,
+                             all_subspaces, cross_check_nu, enumerate_indecomposables,
                              is_indecomposable)
 from posetrep.poset import Poset
 from posetrep.randgen import random_poset
@@ -63,7 +64,7 @@ def _reference_tables(subs, matrices):
 def _forced_tables(subs, group):
     """Every image row, made in reverse order, turned into one table per
     group element."""
-    row = _image_rows(_point_masks(subs), group)
+    row, _ = _image_rows(_point_masks(subs), group)
     rows = [row(j) for j in reversed(range(len(subs)))][::-1]
     return list(zip(*rows))
 
@@ -97,9 +98,12 @@ def test_point_masks_encode_containment(q, n):
     assert len(set(masks)) == len(subs)
     for s, m in zip(subs, masks):
         assert bin(m).count("1") == (q ** s.dim - 1) // (q - 1)
-    for big, mb in zip(subs, masks):
-        for small, ms in zip(subs, masks):
-            assert (ms & ~mb == 0) == big.contains(small)
+    holders, inside = _containment(masks)
+    for k, (big, mb) in enumerate(zip(subs, masks)):
+        for j, (small, ms) in enumerate(zip(subs, masks)):
+            held = big.contains(small)
+            assert (ms & ~mb == 0) == held
+            assert holders[j] >> k & 1 == inside[k] >> j & 1 == held
 
 
 def test_monotone_assignments_match_brute_force():
@@ -118,7 +122,7 @@ def test_monotone_assignments_match_brute_force():
                  for j, t in enumerate(p.elements) if p.lt(s, t)]
         brute = [a for a in product(range(len(subs)), repeat=len(p))
                  if all(subs[a[j]].contains(subs[a[i]]) for i, j in pairs)]
-        assert _monotone_assignments(p, _point_masks(subs), None, ()) == brute
+        assert _monotone_assignments(p, _containment(_point_masks(subs)), None, 0) == brute
 
 
 def test_subspace_cap():
@@ -144,6 +148,27 @@ def test_cross_check_refuses_before_the_recursion(monkeypatch):
         cross_check_nu(big, EnumConfig(big, 2, 2))
     with pytest.raises(GuardrailExceeded):
         cross_check_nu(chain("a"), EnumConfig(chain("a"), 65521, 2))
+
+
+def test_sampled_candidates_are_capped():
+    """The (1,2,2) chain sum over F_2 leaves 20,029 candidates at the
+    sampled dim 4, which the isomorphism merge would test for hours: the
+    census is refused with their count, within a second."""
+    p = chain_sum(1, 2, 2)
+    start = time.process_time()
+    with pytest.raises(GuardrailExceeded, match="20029 candidate classes at the sampled dim 4"):
+        enumerate_indecomposables(EnumConfig(p, 2, 4))
+    assert time.process_time() - start < 1
+
+
+def test_sampled_candidate_cap_is_lifted_by_force(monkeypatch):
+    """The 2-chain leaves 15 candidates at the sampled dim 4 over F_2."""
+    monkeypatch.setattr(oracle, "MAX_SAMPLED_LEAVES", 14)
+    p = chain("s", "t")
+    with pytest.raises(GuardrailExceeded, match="15 candidate classes at the sampled dim 4 > 14"):
+        enumerate_indecomposables(EnumConfig(p, 2, 4))
+    census = enumerate_indecomposables(EnumConfig(p, 2, 4, force=True))
+    assert [d.n_classes for d in census.per_dim] == [3, 6, 10, 15]
 
 
 CYCLE_FREE_CALLS = {
@@ -350,7 +375,7 @@ def test_density_at_desk_scale():
     images = []
     for n in (0, 1, 2):
         subs = all_subspaces(F2, n)
-        for a in _monotone_assignments(p, _point_masks(subs), None, ()):
+        for a in _monotone_assignments(p, _containment(_point_masks(subs)), None, 0):
             v = _assignment_to_space(p, F2, subs, a)
             if has_summand_full_at(v, "x"):
                 continue
@@ -423,12 +448,12 @@ def _listed_assignments(poset, masks):
 def _listed_classes(poset, q, max_dim):
     """(n, the least assignment of each orbit in the order the listing
     meets the orbits, those whose orbit holds a direct sum) per exact n."""
-    subs, classes = {}, {}
+    classes = {}
     for n in range(1, max_dim + 1):
-        subs[n], masks, row, _ = oracle._action(q, n)
-        sums = oracle._direct_sums(classes, subs, n)
+        subs, _, row, _, _ = oracle._action(q, n)
+        sums = oracle._direct_sums(classes, q, n)
         seen, reps, split = set(), [], set()
-        for a in _listed_assignments(poset, masks):
+        for a in _listed_assignments(poset, _point_masks(subs)):
             if a in seen:
                 continue
             orbit = set(zip(*[row(j) for j in a]))
@@ -464,9 +489,10 @@ def test_descent_under_a_partial_group(q, n):
     come in lexicographic order, include every leaf of the whole group's
     walk, and meet each class first at that leaf.  Classes are keyed by
     their least assignment over the whole group."""
-    _, masks, row, group = oracle._action(q, n)
-    identity = next(g for g in group if all(row(j)[g] == j for j in range(len(masks))))
-    others = [g for g in group if g != identity]
+    subs, bounds, row, moves, group = oracle._action(q, n)
+    positions = range(group.bit_length())
+    identity = next(g for g in positions if all(row(j)[g] == j for j in range(len(subs))))
+    others = [g for g in positions if g != identity]
     rng = random.Random(29)
     least = {}  # assignment -> the least of its orbit, filled an orbit at a time
 
@@ -477,11 +503,11 @@ def test_descent_under_a_partial_group(q, n):
         return least[a]
 
     for p in all_posets_up_to(4):
-        full = _monotone_assignments(p, masks, row, group)
+        full = _monotone_assignments(p, bounds, moves, group)
         for with_identity in (True, False):
-            for size in (1, 2, 3, 8, len(group) // 2):
+            for size in (1, 2, 3, 8, len(positions) // 2):
                 part = sorted(rng.sample(others, size) + [identity] * with_identity)
-                leaves = _monotone_assignments(p, masks, row, part)
+                leaves = _monotone_assignments(p, bounds, moves, sum(1 << g for g in part))
                 assert leaves == sorted(set(leaves)), (p, part)
                 assert set(full) <= set(leaves), (p, part)
                 first = {}
@@ -490,11 +516,83 @@ def test_descent_under_a_partial_group(q, n):
                 assert first == {m: m for m in full}, (p, part)
 
 
+def _listed_descent(poset, masks, row, group):
+    """The stabiliser descent with each stabiliser a list of element
+    positions and each orbit a set of subspace indices, read from the
+    image rows: the reference for the bitmask walk."""
+    elements = poset.elements
+    level = [((), list(group))]
+    for i, s in enumerate(elements):
+        below = [k for k in range(i) if poset.leq(elements[k], s)]
+        above = [k for k in range(i) if poset.leq(s, elements[k])]
+        grown = []
+        for a, stab in level:
+            need, room = 0, -1
+            for k in below:
+                need |= masks[a[k]]
+            for k in above:
+                room &= masks[a[k]]
+            seen = set()
+            for j, mask in enumerate(masks):
+                if need & ~mask or mask & ~room or j in seen:
+                    continue
+                if len(stab) > 1:
+                    images = row(j)
+                    seen.update(images[g] for g in stab)
+                    grown.append((a + (j,), [g for g in stab if images[g] == j]))
+                else:
+                    grown.append((a + (j,), stab))
+        level = grown
+    return [a for a, _ in level]
+
+
+@pytest.mark.parametrize("q,n,posets,sizes", [
+    (3, 2, lambda: all_posets_up_to(4), (2, 3, 8, 40)),
+    (2, 3, lambda: all_posets_up_to(4), (2, 3, 8, 40)),
+    (5, 4, lambda: [chain("a", "b")], ()),
+], ids=["GL(2,3)", "GL(3,2)", "sampled-F5-dim4"])
+def test_descent_without_the_identity_matches_the_listed_stabilisers(q, n, posets, sizes):
+    """Over groups with no element that fixes every subspace (the identity
+    and the other scalars are left out), where a stabiliser need not fix
+    the candidate it is kept for, the bitmask walk keeps exactly the
+    leaves of the walk with listed stabilisers.  The sampled F_5 dim-4
+    group holds no such element, and its 2-chain census walks it whole."""
+    subs, bounds, row, moves, group = oracle._action(q, n)
+    masks = _point_masks(subs)
+    positions = range(group.bit_length())
+    fixes_all = [g for g in positions if all(row(j)[g] == j for j in range(len(subs)))]
+    others = [g for g in positions if g not in fixes_all]
+    rng = random.Random(31)
+    parts = [others] + [sorted(rng.sample(others, size)) for size in sizes]
+    for p in posets():
+        for part in parts:
+            got = _monotone_assignments(p, bounds, moves, sum(1 << g for g in part))
+            assert got == _listed_descent(p, masks, row, part), (p, len(part))
+
+
+@pytest.mark.parametrize("q,n,sampled", [(2, 3, False), (3, 2, False),
+                                         (2, 4, True), (5, 3, True)])
+def test_moves_match_image_rows(q, n, sampled):
+    """Bit g of moves(j)[k] is set exactly when row(j)[g] == k."""
+    field = Field.prime(q)
+    subs = all_subspaces(field, n)
+    group = (_sampled_group(field, n, 150, random.Random(q * 10 + n)) if sampled
+             else _general_linear(field, n))
+    row, moves = _image_rows(_point_masks(subs), group)
+    for j in range(len(subs)):
+        images = row(j)
+        assert set(moves(j)) == set(images)
+        for k, sends in moves(j).items():
+            assert sends.bit_length() <= len(images)
+            assert all((sends >> g & 1) == (images[g] == k) for g in range(len(images)))
+
+
 def test_image_rows_are_made_once():
     subs = all_subspaces(F2, 3)
-    row = _image_rows(_point_masks(subs), _general_linear(F2, 3))
+    row, moves = _image_rows(_point_masks(subs), _general_linear(F2, 3))
     assert row(5) is row(5)
     assert len(row(5)) == 168  # |GL(3, 2)|
+    assert moves(5) is moves(5)
 
 
 def test_group_action_is_made_once_per_field_and_dimension(monkeypatch):
