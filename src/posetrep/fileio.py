@@ -172,9 +172,12 @@ def parse_sspace(text: str, poset_loader) -> SSpace:
     field = _parse_field(head["field"])
     poset = poset_loader(head["poset"])
     text = head["dim"]
-    if not (text.isascii() and text.isdigit()):
+    try:  # int() refuses more than 4300 digits
+        dim = int(text) if text.isascii() and text.isdigit() else None
+    except ValueError:
+        dim = None
+    if dim is None:
         raise ParseError(f"dim must be a non-negative integer, got {text!r}")
-    dim = int(text)
     assign = {}
     for label, vectors in raw_spaces.items():
         rows = []

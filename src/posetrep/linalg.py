@@ -49,7 +49,21 @@ Each subspace operation runs at most one elimination:
   kernel of their quotient maps set side by side, and runs none when an
   operand is 0 or at most one is neither 0 nor the whole space;
 * `plus` of any number of operands is one RREF of the stacked rows of
-  the nonzero ones, and runs none when at most one is nonzero.
+  the nonzero ones, and runs none when at most one is nonzero;
+* a containment test runs none: the RREF basis is the identity at its
+  pivot columns, so `_reduce` reads a vector's coordinates off those
+  columns and checks the others.  `contains`, `express_rows` and
+  `complement_within` reduce the rows they are given, and
+  `Subspace._holds_image` the rows of an image, unreduced, for the
+  morphism checks of `sspace`.
+
+A `Subspace` keeps its echelon data, each part made once: its pivot and
+non-pivot columns, handed over by the elimination that made the basis
+(`Subspace._of`) or read off the rows on first use, and its quotient map,
+written down on the first call.  `_reduce`, `complement`, `quotient_map`,
+`intersect`, `preimage` and the Hom constraint builder of `sspace` read
+them.  `Subspace.zero` and `Subspace.full` return one shared object per
+field and ambient dimension, as Q has one shared 0 and 1.
 
 Entries enter a `Matrix` in one of two ways.  The public constructor
 `Matrix(field, rows, ncols)` coerces every entry and checks the shape; all
@@ -189,7 +203,7 @@ def _rref(field: Field, rows, ncols, integer=False):
         work = [list(row) for row in rows if any(row)]
     pivots = []
     r = 0
-    for c in range(ncols):
+    for c in range(ncols if work else 0):  # no rows: no column is looked at
         for i in range(r, len(work)):
             if work[i][c]:
                 break
@@ -391,33 +405,67 @@ def vstack(*mats: Matrix) -> Matrix:
     return Matrix._of(field, tuple(rows), ncols)
 
 
-class Subspace:
-    """A subspace of k^ambient, held as an RREF basis matrix with no zero rows."""
+# Every shared 0 and k^n, keyed by (p, n, full): the subspaces are immutable.
+_SHARED = {}
 
-    __slots__ = ("field", "ambient", "mat")
+
+class Subspace:
+    """A subspace of k^ambient, held as an RREF basis matrix with no zero
+    rows, and the echelon data of that basis, each made once: the pivot
+    column of each basis row and the other columns (`_pivots`), handed
+    over by the elimination that made the basis or read off it on first
+    use, and the quotient map, made on its first call.  `_reduce` (and so
+    `contains`, `express_rows` and the image tests of `sspace`),
+    `complement`, `quotient_map`, `intersect`, `preimage` and the Hom
+    constraint builder of `sspace` read them instead of scanning rows."""
+
+    __slots__ = ("field", "ambient", "mat", "_leads", "_free", "_quot")
 
     def __init__(self, field: Field, ambient: int, mat: Matrix):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "mat", mat)
+        object.__setattr__(self, "_leads", None)
+        object.__setattr__(self, "_free", None)
+        object.__setattr__(self, "_quot", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Subspace is immutable")
+
+    @classmethod
+    def _of(cls, field: Field, ambient: int, mat: Matrix, leads) -> "Subspace":
+        """The subspace on an RREF basis with no zero rows, as an
+        elimination returned it, with the pivot columns leads that the
+        elimination found; nothing is checked."""
+        s = cls(field, ambient, mat)
+        object.__setattr__(s, "_leads", tuple(leads))
+        return s
 
     @classmethod
     def from_rows(cls, field: Field, ambient: int, rows) -> "Subspace":
         m = Matrix(field, rows, ambient)
         if m.ncols != ambient:
             raise DimensionMismatch(f"vectors of length {m.ncols} in ambient {ambient}")
-        return cls(field, ambient, m.rref()[0])
+        return cls._of(field, ambient, *m.rref())
 
     @classmethod
     def zero(cls, field: Field, ambient: int) -> "Subspace":
-        return cls(field, ambient, Matrix._of(field, (), ambient))
+        """The 0 of k^ambient, one shared object per (field, ambient)."""
+        key = (field.p, ambient, False)
+        s = _SHARED.get(key)
+        if s is None:
+            s = _SHARED[key] = cls._of(field, ambient, Matrix._of(field, (), ambient), ())
+        return s
 
     @classmethod
     def full(cls, field: Field, ambient: int) -> "Subspace":
-        return cls(field, ambient, Matrix.identity(field, ambient))
+        """k^ambient itself, one shared object per (field, ambient)."""
+        key = (field.p, ambient, True)
+        s = _SHARED.get(key)
+        if s is None:
+            s = _SHARED[key] = cls._of(field, ambient, Matrix.identity(field, ambient),
+                                       range(ambient))
+        return s
 
     @property
     def dim(self) -> int:
@@ -444,21 +492,41 @@ class Subspace:
         if self.ambient != other.ambient:
             raise DimensionMismatch(f"ambient {self.ambient} vs {other.ambient}")
 
+    def _pivots(self):
+        """The pivot column of each basis row, and the other columns."""
+        if self._free is None:
+            leads = self._leads
+            if leads is None:
+                leads = tuple(next(i for i, x in enumerate(r) if x) for r in self.mat.rows)
+                object.__setattr__(self, "_leads", leads)
+            piv = set(leads)
+            object.__setattr__(self, "_free",
+                               tuple(j for j in range(self.ambient) if j not in piv))
+        return self._leads, self._free
+
     def _reduce(self, v):
-        """Coordinates of v in the RREF basis, or None if v is outside."""
+        """Coordinates of v in the RREF basis, or None if v is outside.  The
+        basis is the identity at its pivot columns, so the coordinates are
+        the entries of v there, and v lies inside iff it agrees with their
+        combination of the basis rows at every other column."""
+        leads, free = self._pivots()
+        coords = tuple(v[c] for c in leads)
+        terms = [(c, r) for c, r in zip(coords, self.mat.rows) if c]
         p = self.field.p
-        coords = []
-        for row in self.mat.rows:
-            c = v[next(i for i, x in enumerate(row) if x)]
-            coords.append(c)
-            if c:
-                if p is None:
-                    v = [a - c * b for a, b in zip(v, row)]
-                else:
-                    v = [(a - c * b) % p for a, b in zip(v, row)]
-        if any(v):
-            return None
-        return tuple(coords)
+        for f in free:
+            x = v[f] - sum(c * y for c, r in terms if (y := r[f]))
+            if p is not None:
+                x %= p
+            if x:
+                return None
+        return coords
+
+    def _holds_image(self, sub: "Subspace", m: Matrix) -> bool:
+        """Whether the image of sub under v |-> v*m lies in self: each row
+        of sub.mat * m is reduced against this basis, with no elimination."""
+        if sub.is_zero() or self.is_full():
+            return True
+        return all(self._reduce(r) is not None for r in (sub.mat * m).rows)
 
     def contains(self, other: "Subspace") -> bool:
         self._check_compatible(other)
@@ -482,7 +550,7 @@ class Subspace:
         parts = [s for s in (self, *others) if not s.is_zero()]
         if len(parts) <= 1:
             return parts[0] if parts else self
-        return Subspace(self.field, self.ambient, vstack(*(s.mat for s in parts)).rref()[0])
+        return Subspace._of(self.field, self.ambient, *vstack(*(s.mat for s in parts)).rref())
 
     def intersect(self, *others: "Subspace") -> "Subspace":
         """The intersection of this subspace and the others: x lies in every
@@ -512,7 +580,7 @@ class Subspace:
         """Image of this subspace under v |-> v*m."""
         if m.nrows != self.ambient:
             raise DimensionMismatch("map domain mismatch")
-        return Subspace(self.field, m.ncols, (self.mat * m).rref()[0])
+        return Subspace._of(self.field, m.ncols, *(self.mat * m).rref())
 
     def preimage(self, m: Matrix) -> "Subspace":
         """{x : x*m in self}; m maps k^nrows -> k^ambient.  x*m lies in
@@ -521,12 +589,6 @@ class Subspace:
         if m.ncols != self.ambient:
             raise DimensionMismatch("map codomain mismatch")
         return Subspace(self.field, m.nrows, (m * self.quotient_map()).null_rows())
-
-    def _pivots(self):
-        """The pivot column of each basis row, and the other columns."""
-        leads = [next(i for i, x in enumerate(r) if x) for r in self.mat.rows]
-        piv = set(leads)
-        return leads, [j for j in range(self.ambient) if j not in piv]
 
     def complement(self) -> Matrix:
         """Standard basis rows at the non-pivot coordinates; spans a complement."""
@@ -539,16 +601,17 @@ class Subspace:
         return Matrix._of(field, tuple(rows), self.ambient)
 
     def complement_within(self, sub: "Subspace") -> Matrix:
-        """Rows of self extending a basis of sub to a basis of self."""
+        """Rows of self extending a basis of sub to a basis of self: the
+        coordinates of sub's rows in this basis, found in one reduction
+        pass (which raises if sub is not inside), span a subspace of
+        k^dim whose complement is carried back."""
         self._check_compatible(sub)
-        if not self.contains(sub):
-            raise DimensionMismatch("not a subspace of self")
-        coords = self.express_rows(sub.mat)
-        inner = Subspace(self.field, self.dim, coords.rref()[0])
+        inner = Subspace._of(self.field, self.dim, *self.express_rows(sub.mat).rref())
         return inner.complement() * self.mat
 
     def quotient_map(self) -> Matrix:
-        """q : k^ambient -> k^(ambient-dim) with kernel self, ambient x d.
+        """q : k^ambient -> k^(ambient-dim) with kernel self, ambient x d,
+        made on the first call and kept.
 
         Its columns cut self out: x lies in self iff x*q = 0.  The lift
         `complement()`, the standard basis at the non-pivot columns F,
@@ -557,6 +620,8 @@ class Subspace:
         of R_i[f] * e_f over F for the basis row R_i with pivot p, so q is
         the identity on the rows F and -R_i[F] on row p.
         """
+        if self._quot is not None:
+            return self._quot
         field = self.field
         p = field.p
         zero, one = field.zero, field.one
@@ -568,7 +633,9 @@ class Subspace:
         for r, lead in zip(self.mat.rows, leads):
             rows[lead] = (tuple(-r[f] for f in free) if p is None
                           else tuple(-r[f] % p for f in free))
-        return Matrix._of(field, tuple(rows), d)
+        q = Matrix._of(field, tuple(rows), d)
+        object.__setattr__(self, "_quot", q)
+        return q
 
 
 def _sparse_kernel(field: Field, rows, n) -> Matrix:

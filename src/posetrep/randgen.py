@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 import string
 
-from .linalg import Field, Matrix, Subspace, vstack
+from .linalg import Field, Matrix, Subspace, _rref
 from .poset import Poset
 
 
@@ -32,17 +32,22 @@ def random_vector(rng: random.Random, field: Field, n: int):
 
 def random_sspace(rng: random.Random, poset: Poset, field: Field, max_dim: int = 4):
     """Monotone by construction, so not validated again: along a linear
-    extension, each element's rows include those of every element below."""
+    extension, each element's space is spanned by new random rows and the
+    spaces of its lower covers, which hold those of every element below."""
     from .sspace import SSpace
 
     n = rng.randrange(0, max_dim + 1)
-    order = poset.linear_extension()
+    lower = {s: [] for s in poset.elements}
+    for t, s in poset.covers():
+        lower[s].append(t)
     assign = {}
-    for s in order:  # one elimination: the rows below s with the new ones
-        extra = Matrix(field, [random_vector(rng, field, n)
-                               for _ in range(rng.randrange(0, n + 1))], n)
-        below = (assign[t].mat for t in poset.elements if poset.lt(t, s))
-        assign[s] = Subspace(field, n, vstack(*below, extra).rref()[0])
+    for s in poset.linear_extension():
+        # One elimination of the new rows, ints as drawn (in [0, p) over F_p),
+        # with the basis rows of the lower covers.
+        rows = [random_vector(rng, field, n) for _ in range(rng.randrange(0, n + 1))]
+        rows += [r for t in lower[s] for r in assign[t].mat.rows]
+        red, pivots = _rref(field, rows, n)
+        assign[s] = Subspace._of(field, n, Matrix._of(field, tuple(red), n), pivots)
     return SSpace(poset, field, n, assign, validate=False)
 
 

@@ -108,7 +108,7 @@ class SMorphism:
                 f"matrix {mat.nrows}x{mat.ncols} for map {source.dim} -> {target.dim}")
         if validate:
             for s in source.poset.elements:
-                if not target.sub(s).contains(source.sub(s).image(mat)):
+                if not target.sub(s)._holds_image(source.sub(s), mat):
                     raise InvalidMorphism(f"subspace at {s!r} not carried into target")
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
@@ -170,9 +170,11 @@ class SMorphism:
 
 def _inverse(u: SSpace, v: SSpace, mat: Matrix):
     """The inverse matrix of mat : u -> v when there is one and it carries
-    each V(s) into U(s), so that mat is an isomorphism; None otherwise."""
+    each V(s) into U(s), so that mat is an isomorphism; None otherwise.
+    The matrix inverse is the one elimination: the images are only
+    reduced against the U(s)."""
     inv = mat.inverse()
-    if inv is None or not all(u.sub(s).contains(v.sub(s).image(inv)) for s in u.poset.elements):
+    if inv is None or not all(u.sub(s)._holds_image(v.sub(s), inv) for s in u.poset.elements):
         return None
     return inv
 
@@ -447,7 +449,7 @@ def is_right_minimal(f: SMorphism) -> bool:
         return True
     w = Subspace.full(u.field, u.dim)
     while not w.is_zero():  # one elimination of the stacked images per round
-        shrunk = Subspace(u.field, u.dim, vstack(*(w.mat * h for h in ideal)).rref()[0])
+        shrunk = Subspace._of(u.field, u.dim, *vstack(*(w.mat * h for h in ideal)).rref())
         if shrunk.dim == w.dim:
             return False
         w = shrunk

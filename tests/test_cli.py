@@ -281,6 +281,7 @@ SSP_HEAD = "field: Q\nposet: three.poset\n"
 MALFORMED = {
     "dim-not-a-number": ["check", "bad.ssp"],
     "dim-negative": ["check", "bad.ssp"],
+    "dim-beyond-int-digits": ["check", "bad.ssp"],
     "entry-divides-by-zero": ["check", "bad.ssp"],
     "field-twice": ["check", "bad.ssp"],
     "poset-twice": ["check", "bad.ssp"],
@@ -298,6 +299,7 @@ POSET_BODY = {
 }
 SSP_BODY = {
     "dim-not-a-number": SSP_HEAD + "dim: two\n",
+    "dim-beyond-int-digits": SSP_HEAD + "dim: " + "9" * 5000 + "\n",
     "dim-negative": SSP_HEAD + "dim: -1\n",
     "entry-divides-by-zero": SSP_HEAD + "dim: 2\nspace x: 1/0,1\n",
     "field-twice": SSP_HEAD + "dim: 1\nfield: F 5\n",

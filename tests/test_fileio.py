@@ -187,3 +187,13 @@ def test_sspace_omitted_elements_default_to_zero():
     v = parse_sspace("field: F 2\nposet: x\ndim: 2\nspace t: 1,0\n", loader)
     assert v.sub("s").is_zero()
     assert v.sub("t").dim == 1
+
+
+def test_sspace_with_a_huge_dim_and_no_vectors_parses_at_once():
+    """An empty space line is 0 at any dim: its elimination has no rows
+    and looks at none of the dim columns."""
+    def loader(_):
+        return Poset.build(["s", "t"], [("s", "t")])
+
+    v = parse_sspace("field: Q\nposet: x\ndim: " + "9" * 30 + "\nspace s:\n", loader)
+    assert v.dim == 10 ** 30 - 1 and v.sub("s").is_zero() and v.sub("t").is_zero()

@@ -491,3 +491,84 @@ def test_vstack_and_null_rows_edges():
     assert wide.null_rows().nrows == 1
     tall = vstack(Matrix.identity(QQ, 2), Matrix(QQ, [[1, 1]], 2))
     assert tall.null_rows().nrows == 1
+
+
+# kept echelon data -------------------------------------------------------------
+
+
+def scanned_pivots(s):
+    """The pivot column of each basis row and the other columns, read off
+    the rows of `mat` alone."""
+    leads = tuple(next(i for i, x in enumerate(r) if x) for r in s.mat.rows)
+    return leads, tuple(j for j in range(s.ambient) if j not in leads)
+
+
+def kept_subspaces(rng, field, n):
+    """Subspaces of k^n made by every operation that hands its pivots over
+    or keeps them, 0 and k^n among them."""
+    u, w = rand_subspace(rng, field, n), rand_subspace(rng, field, n)
+    m = Matrix(field, random_rows(rng, field, n, n), n)
+    out = [u, w, Subspace.zero(field, n), Subspace.full(field, n), u.plus(w),
+           u.intersect(w), u.annihilator(), u.image(m), u.preimage(m),
+           Subspace(field, n, u.mat)]
+    cons = [{k: x for k, x in enumerate(r) if x} for r in random_rows(rng, field, 2, n)]
+    out.append(solution_space(field, n, cons))
+    out.append(Subspace.from_rows(field, n, u.complement_within(w.intersect(u)).rows))
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F5, F65521], ids=repr)
+def test_kept_pivots_and_quotient_map_match_the_rows(field):
+    """The pivots a subspace keeps, handed over by an elimination or read
+    once, and its kept quotient map are those recomputed from `mat`; a
+    second read returns the same objects."""
+    rng = random.Random(61)
+    for _ in range(40):
+        n = rng.randrange(0, 6)
+        for s in kept_subspaces(rng, field, n):
+            assert s._pivots() == scanned_pivots(s)
+            q = s.quotient_map()
+            assert q == Subspace(field, s.ambient, s.mat).quotient_map()
+            assert s.quotient_map() is q and s._pivots()[0] is s._pivots()[0]
+            assert q.nrows == s.ambient and q.ncols == s.ambient - s.dim
+            assert (s.mat * q).is_zero() and s.complement() * q == Matrix.identity(field, q.ncols)
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F5], ids=repr)
+def test_image_test_by_rows_agrees_with_contains_of_the_image(field):
+    """Reducing each row of sub.mat * m against the target answers what
+    contains(sub.image(m)) answers, both ways."""
+    rng = random.Random(67)
+    seen = set()
+    for _ in range(150):
+        n, k = rng.randrange(0, 5), rng.randrange(0, 5)
+        sub = rand_subspace(rng, field, n)
+        m = Matrix(field, random_rows(rng, field, n, k), k)
+        target = rand_subspace(rng, field, k)
+        if rng.random() < 0.5:
+            target = target.plus(sub.image(m))
+        want = target.contains(sub.image(m))
+        assert target._holds_image(sub, m) is want
+        seen.add(want)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F5], ids=repr)
+def test_shared_zero_and_full_equal_fresh_ones(field):
+    """Subspace.zero and Subspace.full return one object per (field, n),
+    also for another Field object of the same p, equal to a subspace
+    built afresh, with the same echelon data."""
+    for n in range(6):
+        zero, full = Subspace.zero(field, n), Subspace.full(field, n)
+        same = Field(field.p)
+        assert Subspace.zero(same, n) is zero and Subspace.full(same, n) is full
+        fresh_zero = Subspace.from_rows(field, n, [])
+        fresh_full = Subspace.from_rows(field, n, [[int(i == j) for j in range(n)]
+                                                   for i in range(n)])
+        assert zero == fresh_zero and hash(zero) == hash(fresh_zero)
+        assert full == fresh_full and hash(full) == hash(fresh_full)
+        assert zero._pivots() == fresh_zero._pivots() == ((), tuple(range(n)))
+        assert full._pivots() == fresh_full._pivots() == (tuple(range(n)), ())
+        assert zero.quotient_map() == Matrix.identity(field, n)
+        assert full.quotient_map() == Matrix._of(field, ((),) * n, 0)
+        assert zero.is_zero() and full.is_full()
