@@ -15,10 +15,15 @@ class is a leaf, and the leaves arrive in lexicographic order, each class
 first at its least assignment; no other assignment is listed or
 remembered.  At an exact dimension, where the whole group is listed,
 each class has one leaf, and indecomposability is decided by the
-direct-sum rule, with no linear algebra: by Krull-Schmidt a class is
-decomposable exactly when its orbit holds X (+) Y for classes X and Y of
-dimensions k and n - k, 1 <= k <= n/2, and every dimension below an
-exact one is exact, so those classes are already listed.  With a sample a class can have
+block-sum rule, with no linear algebra and no list of sums: by
+Krull-Schmidt a class is decomposable exactly when some element of
+GL(n, q) maps every subspace of it onto a block sum
+W = (W & k^k) (+) (W & k^(n-k)) for one k, 1 <= k <= n/2 (a swap of the
+blocks covers the larger k).  For each k and subspace j the elements that
+send j to a block sum form one bitmask, so the test is one AND per
+subspace of the representative (`_split_test`).  The census keeps the
+assignments of the indecomposable classes there, and builds their
+S-spaces only when `DimCensus.reps` is read.  With a sample a class can have
 several leaves: they are merged through verified isomorphism witnesses,
 indecomposability is decided by idempotent search in the endomorphism
 ring, and the census is marked as sampled; a class that search leaves
@@ -42,8 +47,9 @@ the candidates of a prefix are the AND of the containment masks of its
 earlier choices (`_containment`), a bitmask of subspace indices.
 The subspaces, their containment masks and the image rows depend only on
 (q, n) and are made once per process (`_action`), so each row is made at
-most once; so are the tables of block sums the direct-sum rule reads
-(`_block_sums`).  That holds at a sampled dimension too: its sample is
+most once; so are the bitmasks of block sums the split test reads
+(`_block_sums`), and its per-subspace masks are made on first use.
+That holds at a sampled dimension too: its sample is
 drawn once per (q, n), from a fresh seed-0 stream of its own, so the
 group at n is the same whatever else the process has asked for.
 Lines, not all q^n vectors: a vector table would cost q^n per group
@@ -58,9 +64,9 @@ from __future__ import annotations
 import random
 from array import array
 from dataclasses import dataclass, field as dc_field
-from functools import cache
+from functools import cache, partial
 from itertools import islice, product
-from operator import getitem, mul
+from operator import mul
 
 from .differentiation import nu_count
 from .errors import BudgetExceeded, GuardrailExceeded, Mismatch, PosetMismatch
@@ -227,19 +233,23 @@ def _sampled_group(field: Field, n: int, count: int, rng: random.Random):
 def _action(q: int, n: int):
     """(the subspaces of k^n, their containment masks (`_containment`),
     the image-row and moves functions of the group (`_image_rows`), the
-    group as the bitmask of its element positions).  The group is all of
-    GL(n, q) at an exact dimension, and GROUP_SAMPLE elements drawn from a
-    fresh seed-0 stream at a sampled one.  All of it depends only on
-    (q, n) and is made once."""
+    group as the bitmask of its element positions, the split test
+    (`_split_test`) or None).  The group is all of GL(n, q) at an exact
+    dimension, with its split test, and GROUP_SAMPLE elements drawn from a
+    fresh seed-0 stream at a sampled one, with none.  All of it depends
+    only on (q, n) and is made once."""
     field = Field.prime(q)
     subs = tuple(all_subspaces(field, n))
     masks = _point_masks(subs)
-    if _exhaustive_group(q, n):
+    exact = _exhaustive_group(q, n)
+    if exact:
         group = list(_general_linear(field, n))
     else:
         group = list(_sampled_group(field, n, GROUP_SAMPLE, random.Random(0)))
     row, moves = _image_rows(masks, group)
-    return subs, _containment(masks), row, moves, (1 << len(group)) - 1
+    everything = (1 << len(group)) - 1
+    splits = _split_test(moves, everything, _block_sums(q, n, masks, subs)) if exact else None
+    return subs, _containment(masks), row, moves, everything, splits
 
 
 def _members(mask: int) -> list[int]:
@@ -326,6 +336,57 @@ def _image_rows(masks, group):
     return row, moves
 
 
+def _block_sums(q: int, n: int, masks, subs) -> list[int]:
+    """For k = 1 .. n // 2, the bitmask of the indices of the subspaces W
+    of k^n that are block sums (W & E1) (+) (W & E2), with E1 spanned by
+    the first k unit vectors and E2 by the rest: those with
+    dim(W & E1) + dim(W & E2) = dim W.  A meet is read off the line masks
+    (`_point_masks`), and a subspace of dimension d holds (q^d - 1)/(q - 1)
+    lines."""
+    lines = _lines(q, n)
+    dim_of = {(q ** d - 1) // (q - 1): d for d in range(n + 1)}
+    out = []
+    for k in range(1, n // 2 + 1):
+        first = sum(1 << i for i, v in enumerate(lines) if not any(v[k:]))
+        second = sum(1 << i for i, v in enumerate(lines) if not any(v[:k]))
+        out.append(sum(1 << j for j, (m, s) in enumerate(zip(masks, subs))
+                       if dim_of[(m & first).bit_count()]
+                       + dim_of[(m & second).bit_count()] == s.dim))
+    return out
+
+
+def _split_test(moves, group: int, block_sums):
+    """splits(a): whether some element of `group` (a bitmask of positions
+    in the image rows) maps every subspace of the assignment a onto a
+    block sum for one k (`_block_sums`).  For each k and subspace j the
+    elements that send j to a block sum, the OR of `moves(j)[t]` over the
+    block sums t, are made the first time they are asked for; a is split
+    when their AND over its subspaces is not empty for some k.  The empty
+    assignment keeps the whole group, so it is split whenever there is a
+    k, at n >= 2."""
+    goods = [{} for _ in block_sums]
+
+    def splits(a) -> bool:
+        for sums, good in zip(block_sums, goods):
+            common = group
+            for j in a:
+                sends = good.get(j)
+                if sends is None:
+                    sends = 0
+                    for t, by in moves(j).items():
+                        if sums >> t & 1:
+                            sends |= by
+                    good[j] = sends
+                common &= sends
+                if not common:
+                    break
+            if common:
+                return True
+        return False
+
+    return splits
+
+
 def _monotone_assignments(poset: Poset, bounds, moves, group: int):
     """The order-respecting choices of a subspace index per element that
     the stabiliser descent keeps, as tuples aligned with poset.elements, in
@@ -338,8 +399,8 @@ def _monotone_assignments(poset: Poset, bounds, moves, group: int):
     `None, 0`, every monotone assignment is kept.
     Element i may take subspace j iff j holds the subspaces chosen for the
     earlier elements below i and lies inside those chosen for the earlier
-    elements above i: its candidates are the AND of their holders and
-    inside masks, and a prefix with no candidate dies.  Each prefix
+    elements above i (`Poset.earlier_bounds`): its candidates are the AND
+    of their holders and inside masks, and a prefix with no candidate dies.  Each prefix
     carries its stabiliser, the listed elements that fix every subspace in
     it.  These keep both bounds, so they map candidates to candidates: the
     candidates are taken in ascending order, each kept one takes its orbit
@@ -351,11 +412,8 @@ def _monotone_assignments(poset: Poset, bounds, moves, group: int):
     generation, with no generators needed)."""
     holders, inside = bounds
     everything = (1 << len(holders)) - 1
-    elements = poset.elements
     level = [((), group)]
-    for i, s in enumerate(elements):
-        below = [k for k in range(i) if poset.leq(elements[k], s)]
-        above = [k for k in range(i) if poset.leq(s, elements[k])]
+    for below, above in poset.earlier_bounds():
         grown = []
         for a, stab in level:
             candidates = everything
@@ -388,15 +446,26 @@ def _assignment_to_space(poset: Poset, field: Field, subs, assignment) -> SSpace
 @dataclass
 class DimCensus:
     """The classes at one dimension.  At an exact dimension a class is
-    indecomposable unless it is a direct sum of two lower classes, so
-    n_undecided is 0; at a sampled one the verdict comes from idempotent
-    search and can be undecided."""
+    indecomposable unless the block-sum rule splits it, so n_undecided is
+    0; at a sampled one the verdict comes from idempotent search and can be
+    undecided.  `reps` are the indecomposable representatives as S-spaces.
+    At an exact dimension the verdict needs no space, so the census keeps
+    their assignments and `make` turns them into spaces when `reps` is
+    first read; the spaces are then kept."""
 
     dim: int
     n_classes: int = 0
     n_indecomposable: int = 0
     n_undecided: int = 0
-    reps: list = dc_field(default_factory=list)  # indecomposable reps only
+    kept: list = dc_field(default_factory=list, repr=False)
+    make: object = dc_field(default=None, repr=False)
+
+    @property
+    def reps(self) -> list:
+        if self.make is not None:
+            self.kept = [self.make(a) for a in self.kept]
+            self.make = None
+        return self.kept
 
 
 @dataclass
@@ -434,25 +503,29 @@ class OracleCensus:
 def enumerate_indecomposables(cfg: EnumConfig) -> OracleCensus:
     """The census of classes and indecomposable classes per dimension up
     to cfg.max_dim.  At exact dimensions the verdicts come from the
-    direct-sum rule and no Hom system is solved; the endomorphism ring is
-    searched for idempotents only at sampled dimensions.  An S-space is
-    built only for the representatives that are kept or searched."""
+    block-sum rule, no Hom system is solved and no S-space is built until
+    `DimCensus.reps` is read; the endomorphism ring is searched for
+    idempotents only at sampled dimensions, which build a space for every
+    representative."""
     cfg.check()
     field = Field.prime(cfg.q)
     census = OracleCensus(cfg)
     for n, subs, reps, split in _classes(cfg, field):
         census.sampled |= split is None
         dim_c = DimCensus(dim=n, n_classes=len(reps))
-        for rep in reps:
-            if split is not None and rep in split:
-                continue
-            space = _assignment_to_space(cfg.poset, field, subs, rep)
-            verdict = split is not None or is_indecomposable(space)
-            if verdict is None:
-                dim_c.n_undecided += 1
-            elif verdict:
-                dim_c.n_indecomposable += 1
-                dim_c.reps.append(space)
+        if split is not None:
+            dim_c.kept = [rep for rep in reps if rep not in split]
+            dim_c.n_indecomposable = len(dim_c.kept)
+            dim_c.make = partial(_assignment_to_space, cfg.poset, field, subs)
+        else:
+            for rep in reps:
+                space = _assignment_to_space(cfg.poset, field, subs, rep)
+                verdict = is_indecomposable(space)
+                if verdict is None:
+                    dim_c.n_undecided += 1
+                elif verdict:
+                    dim_c.n_indecomposable += 1
+                    dim_c.kept.append(space)
         census.per_dim.append(dim_c)
     return census
 
@@ -462,52 +535,22 @@ def _classes(cfg: EnumConfig, field: Field):
     representative per class, the split classes).  The candidates are the
     leaves of the stabiliser descent.  Where the group is exhaustive each
     is the least assignment of its class, and the last item is the set of
-    those whose orbit holds a direct sum of two lower classes; the
-    representative is tested itself, as the empty assignment has no
-    images.  Where the group is sampled the candidates are merged by
-    isomorphism witnesses, at most MAX_SAMPLED_LEAVES of them unless the
-    guardrails are forced, and the last item is None."""
-    classes = {}  # n -> every class representative at the exact dim n
+    those the block-sum rule splits (`_split_test`): by Krull-Schmidt a
+    class is decomposable exactly when an element of GL(n, q) maps every
+    subspace of it onto a block sum for one k.  Where the group is sampled
+    the candidates are merged by isomorphism witnesses, at most
+    MAX_SAMPLED_LEAVES of them unless the guardrails are forced, and the
+    last item is None."""
     for n in range(1, cfg.max_dim + 1):
-        subs, bounds, row, moves, group = _action(cfg.q, n)
+        subs, bounds, _, moves, group, splits = _action(cfg.q, n)
         reps = _monotone_assignments(cfg.poset, bounds, moves, group)
-        if _exhaustive_group(cfg.q, n):
-            sums = _direct_sums(classes, cfg.q, n)
-            classes[n] = reps
-            split = {a for a in reps
-                     if a in sums or not sums.isdisjoint(zip(*[row(j) for j in a]))}
-            yield n, subs, reps, split
+        if splits is not None:
+            yield n, subs, reps, set(filter(splits, reps))
         else:
             if len(reps) > MAX_SAMPLED_LEAVES and not cfg.force:
                 raise GuardrailExceeded(f"{len(reps)} candidate classes at the sampled "
                                         f"dim {n} > {MAX_SAMPLED_LEAVES}")
             yield n, subs, _merge_sampled_classes(cfg, field, subs, reps), None
-
-
-@cache
-def _block_sums(q: int, k: int, m: int) -> list[list[int]]:
-    """table[x][y]: the index among the subspaces of k^(k+m) of X (+) Y in
-    k^k (+) k^m, for X subspace x of k^k and Y subspace y of k^m.  The
-    block diagonal of two echelon bases is an echelon basis, so it is
-    looked up by the padded rows of the two.  Made once per (q, k, m)."""
-    subs = {d: _action(q, d)[0] for d in (k, m, k + m)}
-    index = {s.mat.rows: i for i, s in enumerate(subs[k + m])}
-    zeros_k, zeros_m = (0,) * k, (0,) * m
-    return [[index[tuple(r + zeros_m for r in x.mat.rows)
-                   + tuple(zeros_k + r for r in y.mat.rows)]
-             for y in subs[m]] for x in subs[k]]
-
-
-def _direct_sums(classes, q: int, n: int) -> set:
-    """Every assignment X (+) Y in k^n = k^k (+) k^(n-k) with X a class of
-    dim k and Y one of dim n - k, 1 <= k <= n/2 (`_block_sums`)."""
-    sums = set()
-    for k in range(1, n // 2 + 1):
-        table = _block_sums(q, k, n - k)
-        for x in classes[k]:
-            blocks = [table[i] for i in x]
-            sums.update(tuple(map(getitem, blocks, y)) for y in classes[n - k])
-    return sums
 
 
 def _merge_sampled_classes(cfg: EnumConfig, field: Field, subs, reps):

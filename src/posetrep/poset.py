@@ -167,6 +167,15 @@ class Poset:
     def lt(self, a: Label, b: Label) -> bool:
         return a != b and self.leq(a, b)
 
+    def earlier_bounds(self) -> list[tuple[list[int], list[int]]]:
+        """For each element i, in element order: (the indices k < i with
+        elements[k] <= elements[i], those with elements[i] <= elements[k])."""
+        out = []
+        for i, (up, down) in enumerate(zip(self._up, self._down)):
+            earlier = (1 << i) - 1
+            out.append((list(_bits(down & earlier)), list(_bits(up & earlier))))
+        return out
+
     def __len__(self):
         return len(self.elements)
 

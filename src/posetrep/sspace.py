@@ -13,8 +13,8 @@ import random
 from dataclasses import dataclass
 from itertools import combinations, islice, product
 
-from .errors import (FieldMismatch, InvalidMorphism, MonotonicityViolation,
-                     PosetMismatch, UnknownLabel)
+from .errors import (FieldMismatch, GuardrailExceeded, InvalidMorphism,
+                     MonotonicityViolation, PosetMismatch, UnknownLabel)
 from .linalg import Field, Matrix, Subspace, _primitive, solution_space, vstack
 from .poset import Poset, check_mode
 
@@ -23,6 +23,10 @@ from .poset import Poset, check_mode
 END_CAP = 1 << 16
 # Most candidates `are_isomorphic` tries; a larger q^(dim Hom) is sampled.
 ISO_BUDGET = 20_000
+# Most unknowns dim_U * dim_V of a Hom system: its solution space can hold a
+# basis of that many vectors of that length, and at this bound, dim 50 to
+# dim 50, that is 6.25 M entries.  The tests solve at most 100 unknowns.
+MAX_HOM_UNKNOWNS = 2500
 
 
 class SSpace:
@@ -229,7 +233,11 @@ def _hom_pairs(u: SSpace, v: SSpace):
     their sum, so the kept rows and that sum still span U(s), and by
     induction on the order the kept rows give every constraint.  An s with
     no kept rows or a full V(s) adds none, and its quotient map is not
-    made."""
+    made.  More than MAX_HOM_UNKNOWNS unknowns are refused before any of
+    this is made."""
+    if u.dim * v.dim > MAX_HOM_UNKNOWNS:
+        raise GuardrailExceeded(f"Hom system of {u.dim * v.dim} unknowns (dim {u.dim} x "
+                                f"dim {v.dim}) > {MAX_HOM_UNKNOWNS}")
     elements = u.poset.elements
     leads = {s: u.sub(s)._pivots()[0] for s in elements}
     below = {s: set() for s in elements}

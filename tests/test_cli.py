@@ -346,6 +346,24 @@ def test_oracle_subspace_cap_is_one_error_line(tmp_path):
     assert proc.stdout == ""
 
 
+def test_hom_size_bound_is_one_error_line(tmp_path):
+    """Hom of a dim-2000 space to itself has 4,000,000 unknowns, whose
+    solution space would fill memory: refused with their count, one
+    stderr line and exit code 1, not a MemoryError traceback."""
+    (tmp_path / "one.poset").write_text("elements: a\nrelations:\n")
+    (tmp_path / "big.ssp").write_text("field: F 2\nposet: one.poset\ndim: 2000\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(posetrep.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "posetrep.cli", "hom", "big.ssp", "big.ssp"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=60)
+    lines = proc.stderr.splitlines()
+    assert proc.returncode == 1, proc.stderr
+    assert lines == ["GuardrailExceeded: Hom system of 4000000 unknowns "
+                     "(dim 2000 x dim 2000) > 2500"], proc.stderr
+    assert proc.stdout == ""
+
+
 UNWRITABLE = {
     "diff-out": ["diff", "v.ssp", "--point", "x", "--mode", "filter", "--out", "nodir/d.ssp"],
     "diff-out-is-a-directory": ["diff", "v.ssp", "--point", "x", "--mode", "filter",

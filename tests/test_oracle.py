@@ -1,7 +1,9 @@
 import gc
 import hashlib
+import operator
 import random
 import time
+from functools import cache
 from itertools import product
 
 import pytest
@@ -386,12 +388,12 @@ def test_density_at_desk_scale():
                        for img in images if img.dim == rep.dim)
 
 
-# The direct-sum rule at exact dimensions.
+# The block-sum rule at exact dimensions.
 
 @pytest.mark.parametrize("q,max_dim,max_points", [(2, 3, 4), (3, 2, 3), (5, 2, 3)])
 def test_direct_sum_verdicts_match_idempotent_search(q, max_dim, max_points):
     """Every class representative at an exact dimension is split by the
-    direct-sum rule exactly when the End-ring search finds an idempotent."""
+    block-sum rule exactly when the End-ring search finds an idempotent."""
     field = Field.prime(q)
     for p in all_posets_up_to(max_points):
         for n, subs, reps, split in _classes(EnumConfig(p, q, max_dim), field):
@@ -402,7 +404,7 @@ def test_direct_sum_verdicts_match_idempotent_search(q, max_dim, max_points):
 
 
 def test_exact_dimensions_solve_no_hom_system(monkeypatch):
-    """At an exact dimension the verdicts come from the direct-sum rule,
+    """At an exact dimension the verdicts come from the block-sum rule,
     and the classes from the stabiliser descent alone: no candidates are
     merged by isomorphism witnesses."""
     def refuse(*args, **kwargs):
@@ -421,6 +423,33 @@ def test_exact_dimensions_solve_no_hom_system(monkeypatch):
     p = chain_sum(1, 1, 2)
     report = cross_check_nu(p, EnumConfig(p, 2, 3))
     assert report.oracle_total == report.nu_value == 15 and report.complete
+
+
+def test_exact_dimensions_build_spaces_only_when_reps_are_read(monkeypatch):
+    """The census builds an S-space only at its sampled dimension until
+    `reps` is read; the first read builds the kept representatives of the
+    exact dimensions, and a second read gives the same objects."""
+    built = []
+    to_space = oracle._assignment_to_space
+
+    def counted(poset, field, subs, assignment):
+        built.append(subs[0].ambient)
+        return to_space(poset, field, subs, assignment)
+
+    monkeypatch.setattr(oracle, "_assignment_to_space", counted)
+    p = antichain_poset("x", "y", "z")
+    census = enumerate_indecomposables(EnumConfig(p, 2, 3))
+    assert not census.sampled and built == []
+    first = [d.reps for d in census.per_dim]
+    assert built == [1] * 8 + [2]
+    assert [len(r) for r in first] == [d.n_indecomposable for d in census.per_dim] == [8, 1, 0]
+    second = [d.reps for d in census.per_dim]
+    assert built == [1] * 8 + [2]
+    assert all(r is s and all(map(operator.is_, r, s)) for r, s in zip(first, second))
+    assert first[1] == [to_space(p, F2, all_subspaces(F2, 2), (1, 2, 3))]
+    del built[:]
+    census = enumerate_indecomposables(EnumConfig(chain("s", "t"), 2, 4))
+    assert census.sampled and set(built) == {4}
 
 
 # The stabiliser descent against listing every monotone assignment and
@@ -445,13 +474,39 @@ def _listed_assignments(poset, masks):
     return out
 
 
+@cache
+def _reference_block_sums(q, k, m):
+    """table[x][y]: the index among the subspaces of k^(k+m) of X (+) Y in
+    k^k (+) k^m, for X subspace x of k^k and Y subspace y of k^m.  The
+    block diagonal of two echelon bases is an echelon basis, so it is
+    looked up by the padded rows of the two."""
+    subs = {d: oracle._action(q, d)[0] for d in (k, m, k + m)}
+    index = {s.mat.rows: i for i, s in enumerate(subs[k + m])}
+    zeros_k, zeros_m = (0,) * k, (0,) * m
+    return [[index[tuple(r + zeros_m for r in x.mat.rows)
+                   + tuple(zeros_k + r for r in y.mat.rows)]
+             for y in subs[m]] for x in subs[k]]
+
+
+def _reference_direct_sums(classes, q, n):
+    """Every assignment X (+) Y in k^n = k^k (+) k^(n-k) with X a class of
+    dim k and Y one of dim n - k, 1 <= k <= n/2."""
+    sums = set()
+    for k in range(1, n // 2 + 1):
+        table = _reference_block_sums(q, k, n - k)
+        for x in classes[k]:
+            blocks = [table[i] for i in x]
+            sums.update(tuple(map(operator.getitem, blocks, y)) for y in classes[n - k])
+    return sums
+
+
 def _listed_classes(poset, q, max_dim):
     """(n, the least assignment of each orbit in the order the listing
     meets the orbits, those whose orbit holds a direct sum) per exact n."""
     classes = {}
     for n in range(1, max_dim + 1):
-        subs, _, row, _, _ = oracle._action(q, n)
-        sums = oracle._direct_sums(classes, q, n)
+        subs, _, row, *_ = oracle._action(q, n)
+        sums = _reference_direct_sums(classes, q, n)
         seen, reps, split = set(), [], set()
         for a in _listed_assignments(poset, _point_masks(subs)):
             if a in seen:
@@ -482,6 +537,28 @@ def test_descent_matches_listing_every_assignment(q, max_dim, sizes):
             assert got == list(_listed_classes(p, q, max_dim)), p
 
 
+@pytest.mark.parametrize("q,max_dim,max_points", [(2, 3, 5), (3, 3, 4), (5, 2, 4), (7, 2, 4)],
+                         ids=["F2-up-to-5-points-dim3", "F3-up-to-4-points-dim3",
+                              "F5-up-to-4-points-dim2", "F7-up-to-4-points-dim2"])
+def test_block_sum_rule_matches_direct_sums(q, max_dim, max_points):
+    """On every representative of the descent, the block-sum rule splits
+    exactly those whose orbit holds a direct sum X (+) Y of two lower
+    classes; among them is the empty assignment of the empty poset."""
+    field = Field.prime(q)
+    for p in all_posets_up_to(max_points):
+        classes = {}
+        for n, _, reps, split in _classes(EnumConfig(p, q, max_dim), field):
+            row = oracle._action(q, n)[2]
+            sums = _reference_direct_sums(classes, q, n)
+            classes[n] = reps
+            # the empty assignment has no images, so it is tested itself
+            want = {a for a in reps
+                    if a in sums or not sums.isdisjoint(zip(*[row(j) for j in a]))}
+            assert split == want, (p, n)
+            if not p.elements:
+                assert split == ({()} if n > 1 else set())
+
+
 @pytest.mark.parametrize("q,n", [(3, 2), (2, 3)], ids=["GL(2,3)", "GL(3,2)"])
 def test_descent_under_a_partial_group(q, n):
     """The descent over any sublist of GL(n, q), as a sampled dimension
@@ -489,7 +566,7 @@ def test_descent_under_a_partial_group(q, n):
     come in lexicographic order, include every leaf of the whole group's
     walk, and meet each class first at that leaf.  Classes are keyed by
     their least assignment over the whole group."""
-    subs, bounds, row, moves, group = oracle._action(q, n)
+    subs, bounds, row, moves, group, _ = oracle._action(q, n)
     positions = range(group.bit_length())
     identity = next(g for g in positions if all(row(j)[g] == j for j in range(len(subs))))
     others = [g for g in positions if g != identity]
@@ -557,7 +634,7 @@ def test_descent_without_the_identity_matches_the_listed_stabilisers(q, n, poset
     the candidate it is kept for, the bitmask walk keeps exactly the
     leaves of the walk with listed stabilisers.  The sampled F_5 dim-4
     group holds no such element, and its 2-chain census walks it whole."""
-    subs, bounds, row, moves, group = oracle._action(q, n)
+    subs, bounds, row, moves, group, _ = oracle._action(q, n)
     masks = _point_masks(subs)
     positions = range(group.bit_length())
     fixes_all = [g for g in positions if all(row(j)[g] == j for j in range(len(subs)))]

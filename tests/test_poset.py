@@ -367,6 +367,18 @@ def test_antichain_count_matches_antichains():
         assert p.antichain_count() == len(p.antichains())
 
 
+def test_earlier_bounds_match_leq():
+    """The earlier elements below and above each element, in element
+    order: the bounds the oracle's descent reads per element."""
+    top_first = Poset.build(["c", "b", "a"], [("a", "b"), ("b", "c")])
+    for p in list(_kernel_posets()) + [top_first]:
+        e = p.elements
+        assert p.earlier_bounds() == [
+            ([k for k in range(i) if p.leq(e[k], s)], [k for k in range(i) if p.leq(s, e[k])])
+            for i, s in enumerate(e)]
+    assert top_first.earlier_bounds() == [([], []), ([], [0]), ([], [0, 1])]
+
+
 def test_is_applicable_checks_its_point():
     with pytest.raises(UnknownLabel):
         is_applicable(chain("s", "t"), "u", "filter")

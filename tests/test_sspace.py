@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from posetrep import linalg
-from posetrep.errors import InvalidMorphism, MonotonicityViolation, PosetMismatch
+from posetrep import linalg, sspace
+from posetrep.errors import (GuardrailExceeded, InvalidMorphism, MonotonicityViolation,
+                             PosetMismatch)
 from posetrep.linalg import QQ, Field, Matrix, Subspace
 from posetrep.poset import Poset, derived_carrier
 from posetrep.randgen import random_morphism, random_poset, random_sspace
@@ -844,3 +845,20 @@ def test_hom_space_and_hom_dim_make_no_morphism(monkeypatch):
         assert [f.mat.rows for f in hom.basis] == [
             tuple(r[i * hom.target.dim:(i + 1) * hom.target.dim] for i in range(hom.source.dim))
             for r in hom.flat.mat.rows]
+
+
+def test_hom_size_bound_admits_the_bound():
+    """dim 50 to dim 50 is exactly MAX_HOM_UNKNOWNS and is solved; one
+    more dimension on either side is refused, also where a Hom system is
+    cut down further (the endomorphisms that a morphism kills)."""
+    p = chain("a")
+    full = {d: SSpace(p, F2, d, {"a": Subspace.full(F2, d)}) for d in (50, 51)}
+    zero = {d: SSpace(p, F2, d, {}) for d in (50, 51)}
+    assert sspace.MAX_HOM_UNKNOWNS == 2500
+    assert hom_space(full[50], zero[50]).dim == 0
+    for u, v in ((full[51], zero[50]), (full[50], zero[51])):
+        with pytest.raises(GuardrailExceeded, match=f"{u.dim * v.dim} unknowns"):
+            hom_space(u, v)
+    with pytest.raises(GuardrailExceeded, match="2601 unknowns"):
+        sspace._endo_solutions_fixing(SMorphism(full[51], full[51],
+                                                Matrix.identity(F2, 51)))
